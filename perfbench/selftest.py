@@ -6,9 +6,10 @@ Run from the root of a checkout:
 
 Checks that the per-layer counts of two traced passes of one seed agree
 exactly, that the scan verdicts do not depend on the seed, that the
-lacunary inputs do, that a short run prints the result line the contract
-asks for, and that the harness fails without a result when the program is
-missing.  Takes about a minute.
+lacunary inputs do, that the speed normalisation scales intervals as
+documented, that a short run prints the result line the contract asks for,
+and that the harness fails without a result when the program is missing.
+Takes about a minute.
 """
 
 from __future__ import annotations
@@ -75,6 +76,26 @@ def seeds(failures: list) -> None:
     check(again == inputs[0], "lacunary_norms: one seed, same inputs", failures)
 
 
+def speed_normalisation(failures: list) -> None:
+    from speed import PROBE_REF_S, SpeedClock
+
+    clock = SpeedClock()
+    # probes of 1, 2, 4 and 8 times the reference time, each 0.1 s long
+    clock.marks = [(1.1 * i, 1.1 * i + 0.1, 2 ** i * PROBE_REF_S)
+                   for i in range(4)]
+    clock._ends = [m[1] for m in clock.marks]
+    # each gap is scaled by the mean of the two probes before and after it
+    want = 1.0 / (7 / 3) + 1.0 / (15 / 4) + 1.0 / (14 / 3)
+    raw, norm = clock.between(0, 3)
+    check(abs(raw - 3.0) < 1e-9 and abs(norm - want) < 1e-9,
+          f"speed: pass time without probes, scaled per gap ({raw}, {norm})",
+          failures)
+    scaled = clock.scale(2.4, 2.8)
+    check(abs(scaled - 0.4 / (14 / 3)) < 1e-9,
+          f"speed: an item scaled by the probes around it ({scaled})",
+          failures)
+
+
 def result_line(failures: list) -> None:
     proc = subprocess.run(
         [sys.executable, str(HERE / "run.py"), "--workload", "bergman_grid",
@@ -110,6 +131,7 @@ def main() -> int:
     failures: list = []
     traced_counts_repeat(failures)
     seeds(failures)
+    speed_normalisation(failures)
     result_line(failures)
     fails_without_program(failures)
     print(f"{len(failures)} failed")

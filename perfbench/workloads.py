@@ -2,9 +2,11 @@
 
 Each workload builds its inputs from the seed in ``__init__`` (this is the
 set-up the benchmark times) and then runs any number of identical passes.
-A pass returns the latency of every item it timed and the outcome of every
-output check.  Library functions are looked up on their modules at call
-time, so that the traced run can wrap them in place.
+A pass returns the start and end of every item it timed and the outcome of
+every output check.  Passes call ``tick`` between items, never inside one:
+the harness probes the host's speed there (see speed.py).  Library
+functions are looked up on their modules at call time, so that the traced
+run can wrap them in place.
 
 Why these workloads (see NOTES.md for the layer-to-metric table):
 
@@ -37,7 +39,7 @@ class PassResult:
     """Item latencies and check outcomes of one pass."""
 
     def __init__(self):
-        self.item_s: list = []
+        self.items: list = []   # (start, end) of every timed item
         self.attempted = 0
         self.failed = 0
         self.problems: list = []
@@ -51,12 +53,18 @@ class PassResult:
             self.problems.append(what)
 
 
-def _timed(fn, sink: list):
-    """``fn`` with the wall time of every call appended to ``sink``."""
+def _no_tick() -> None:
+    pass
+
+
+def _timed(fn, sink: list, tick):
+    """``fn`` with ``tick`` before every call and the call's (start, end)
+    appended to ``sink``."""
     def timed(*args, **kwargs):
+        tick()
         t0 = time.perf_counter()
         out = fn(*args, **kwargs)
-        sink.append(time.perf_counter() - t0)
+        sink.append((t0, time.perf_counter()))
         return out
     return timed
 
@@ -73,23 +81,26 @@ DECIDED_SHARE = 600 / 625
 
 
 class _TimedNormCache(theorems.NormCache):
-    """A NormCache that times every lookup computing a new estimate.
+    """A NormCache that records every lookup computing a new estimate and
+    calls ``tick`` before every lookup.
 
     A miss is recognised by the cache returning an estimate object it has
     not returned before in this pass; hits return the stored object.
     """
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, tick):
         super().__init__(cfg)
-        self.compute_s: list = []
+        self.tick = tick
+        self.computed: list = []
         self._returned: set = set()
 
     def norm(self, key, f, pq, angle_offset=0.0):
+        self.tick()
         t0 = time.perf_counter()
         est = super().norm(key, f, pq, angle_offset)
         if id(est) not in self._returned:
             self._returned.add(id(est))
-            self.compute_s.append(time.perf_counter() - t0)
+            self.computed.append((t0, time.perf_counter()))
         return est
 
 
@@ -107,6 +118,9 @@ class InclusionScan:
     """
 
     name = "inclusion_scan"
+    # A median over three passes: the scan's tail items (about 150 ms) vary
+    # by about 8% from pass to pass, and a mean of two keeps half of that.
+    min_passes = 3
 
     def __init__(self, seed: int, grid=SCAN_GRID):
         self.cfg = norms.QuadratureConfig(**SCAN_CFG)
@@ -119,12 +133,13 @@ class InclusionScan:
             path = HERE / "scan_verdicts.json"
             self.reference = json.loads(path.read_text())["verdicts"]
 
-    def run_pass(self, op_wrapper=None) -> PassResult:
+    def run_pass(self, op_wrapper=None, tick=_no_tick) -> PassResult:
         res = PassResult()
-        cache = _TimedNormCache(self.cfg)
+        cache = _TimedNormCache(self.cfg, tick)
         table = {}
         decided = disagreements = 0
         for cell in self.cells:
+            tick()
             v = theorems.inclusion_witness_scan(*cell, self.cfg, cache)
             key = _cell_key(cell)
             table[key] = [v.included, v.excluded_point, v.witness_conclusion()]
@@ -141,7 +156,7 @@ class InclusionScan:
         if decided < DECIDED_SHARE * len(self.cells):
             res.problems.append(f"only {decided}/{len(self.cells)} decided")
             res.failed += len(self.cells) - decided
-        res.item_s = cache.compute_s
+        res.items = cache.computed
         res.table = table
         res.counts = {
             "theorems.inconclusive_cells": len(self.cells) - decided,
@@ -165,6 +180,7 @@ class LacunaryNorms:
     """
 
     name = "lacunary_norms"
+    min_passes = 2
 
     def __init__(self, seed: int, series: int = 20, nodes: int = 13):
         self.cfg = norms.QuadratureConfig(**LACUNARY_CFG)
@@ -179,14 +195,11 @@ class LacunaryNorms:
                          for k in range(nodes)) ** (1 / p)
             self.series.append((f, p, closed))
 
-    def run_pass(self, op_wrapper=None) -> PassResult:
+    def run_pass(self, op_wrapper=None, tick=_no_tick) -> PassResult:
         res = PassResult()
+        mixed_norm = _timed(norms.mixed_norm, res.items, tick)
         for f, p, closed in self.series:
-            ests = []
-            for q in LACUNARY_QS:
-                t0 = time.perf_counter()
-                ests.append(norms.mixed_norm(f, (p, q), self.cfg))
-                res.item_s.append(time.perf_counter() - t0)
+            ests = [mixed_norm(f, (p, q), self.cfg) for q in LACUNARY_QS]
             ratios = [e.value / closed for e in ests]
             width_ok = max(ratios) <= 4.0 * min(ratios)
             for q, e, r in zip(LACUNARY_QS, ests, ratios):
@@ -221,6 +234,7 @@ class BergmanGrid:
     """
 
     name = "bergman_grid"
+    min_passes = 2
 
     def __init__(self, seed: int, n: int = OPERATOR_GRID,
                  trials: int = OPERATOR_TRIALS, blowup_grid=BLOWUP_GRID,
@@ -237,28 +251,29 @@ class BergmanGrid:
         self.monomials = [functions.Monomial(k) for k in range(5)]
         self.density = witnesses.projection_blowup_density(2)
 
-    def run_pass(self, op_wrapper=None) -> PassResult:
+    def run_pass(self, op_wrapper=None, tick=_no_tick) -> PassResult:
         res = PassResult()
         grid = bergman.PolarGrid.build(self.n, self.n)
-        op = _timed(bergman.bergman_projection_operator(grid), res.item_s)
+        op = _timed(bergman.bergman_projection_operator(grid), res.items, tick)
         if op_wrapper is not None:
             op = op_wrapper(op)
         _, trace = bergman.operator_norm_estimate(
             op, (2, 2), grid, trials=self.trials, seed=self.op_seed)
         for kind, ratio in trace:
             res.check(ratio <= OPERATOR_BOUND, f"{kind} trial ratio {ratio}")
-        project = _timed(bergman.project, res.item_s)
+        project = _timed(bergman.project, res.items, tick)
         for k, f in enumerate(self.monomials):
             err = np.max(np.abs(project(f, self.points, grid)
                                 - self.points ** k))
             res.check(err <= IDENTITY_TOL, f"identity z^{k}: {err:.2e}")
-        pairing = _timed(bergman.duality_pairing, res.item_s)
+        pairing = _timed(bergman.duality_pairing, res.items, tick)
         for k, f in enumerate(self.monomials):
             err = abs(pairing(f, f, grid) - 1.0 / (k + 1))
             res.check(err <= PAIRING_TOL, f"pairing z^{k}: {err:.2e}")
         na, nr, per_cell = self.blowup_grid
         big = bergman.PolarGrid.build(na, nr, nodes_per_cell=per_cell)
-        gf = _timed(bergman.sample_on_grid, res.item_s)(self.density, big)
+        gf = _timed(bergman.sample_on_grid, res.items, tick)(self.density,
+                                                             big)
         res.check(bool(np.all(np.isfinite(gf.values))), "density not finite")
         prev = 0.0
         for a in self.radii:
