@@ -73,12 +73,19 @@ class PolarGrid:
         if levels < 1:
             raise ValueError("need at least two radial cells")
         r, w = graded_radial_mesh(levels, nodes_per_cell)
-        angles = uniform_angles(n_angles)
-        area = np.repeat((2.0 * r * w / n_angles)[:, None], n_angles, axis=1)
+        return PolarGrid.of(r, uniform_angles(n_angles), w)
+
+    @staticmethod
+    def of(radii: np.ndarray, angles: np.ndarray,
+           radial_weights: np.ndarray) -> "PolarGrid":
+        """The grid on these nodes, with the area weights 2 r w / m."""
+        m = len(angles)
+        area = np.repeat((2.0 * radii * radial_weights / m)[:, None], m, axis=1)
         total = float(area.sum())
         if abs(total - 1.0) > 1e-10 or np.any(area < 0):
             raise AssertionError("area weights failed the unit-mass check")
-        return PolarGrid(radii=r, angles=angles, radial_weights=w, weights=area)
+        return PolarGrid(radii=radii, angles=angles,
+                         radial_weights=radial_weights, weights=area)
 
     @property
     def shape(self):
@@ -105,7 +112,7 @@ class GridFunction:
 
 def sample_on_grid(f, grid: PolarGrid) -> GridFunction:
     """Sample an analytic function or a polar sampler (r, theta) -> value."""
-    if isinstance(f, AnalyticFunction.__args__):
+    if isinstance(f, AnalyticFunction):
         vals = evaluate(f, grid.nodes())
     elif callable(f):
         vals = f(grid.radii[:, None], grid.angles[None, :])
@@ -418,13 +425,8 @@ def load_grid_function(csv_path, sidecar_path=None) -> GridFunction:
     sidecar_path = Path(sidecar_path) if sidecar_path else \
         csv_path.with_suffix(csv_path.suffix + ".json")
     meta = json.loads(sidecar_path.read_text())
-    radii = np.asarray(meta["radii"])
-    angles = np.asarray(meta["angles"])
-    rw = np.asarray(meta["radial_weights"])
-    area = np.repeat((2.0 * radii * rw / len(angles))[:, None],
-                     len(angles), axis=1)
-    grid = PolarGrid(radii=radii, angles=angles, radial_weights=rw,
-                     weights=area)
+    grid = PolarGrid.of(np.asarray(meta["radii"]), np.asarray(meta["angles"]),
+                        np.asarray(meta["radial_weights"]))
     rows = []
     for line in csv_path.read_text().splitlines():
         rows.append([complex(float(re), float(im))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -32,13 +33,12 @@ from .bergman import (
     project,
 )
 from .exponents import ExponentPair, ExtendedExponent
-from .functions import from_spec, to_spec
+from .functions import from_spec
 from .norms import QuadratureConfig, mixed_norm
 from .theorems import (
     NormCache,
     compactness_witness_scan,
     evaluation_functional_fit,
-    inclusion_is_compact,
     inclusion_witness_scan,
 )
 from .witnesses import embedding_params, embedding_tail_bound
@@ -63,11 +63,14 @@ def _config_hash(cfg: QuadratureConfig, seed: int, extra: dict | None = None) ->
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _emit_csv(rows: list, header: list, manifest: str, out_path: str | None):
+def _emit_csv(rows: list, header: list, manifest: str, out_path: str | None,
+              comments: tuple = ()):
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(str(c) for c in row) + "\n")
+    for line in comments:
+        buf.write(f"# {line}\n")
     buf.write(f"# manifest: {manifest}\n")
     text = buf.getvalue()
     if out_path:
@@ -119,50 +122,46 @@ def cmd_norm(args) -> int:
     return 0 if est.converged else 2
 
 
-def cmd_scan_inclusion(args) -> int:
-    cfg = _config_from_args(args, default_tol=0.02)
-    grid = _parse_exponent_grid(args.exponents)
-    cache = NormCache(cfg)
-    rows = []
-    for p0 in grid:
-        for q0 in grid:
-            for p in grid:
-                for q in grid:
-                    verdict = inclusion_witness_scan(p0, q0, p, q, cfg, cache)
-                    agree = verdict.agreement()
-                    rows.append([
-                        p0, q0, p, q,
-                        verdict.included, verdict.excluded_point,
-                        verdict.witness_conclusion(),
-                        "" if agree is None else agree,
-                    ])
-    rows.sort(key=lambda r: tuple(str(c) for c in r[:4]))
-    manifest = _config_hash(cfg, args.seed, {"cmd": "scan-inclusion"})
-    _emit_csv(rows, ["p0", "q0", "p", "q", "predicted", "excluded_point",
-                     "witness", "agree"], manifest, args.out_file)
-    return 0
+def _inclusion_cells(p0, q0, p, q, cfg, cache) -> list:
+    verdict = inclusion_witness_scan(p0, q0, p, q, cfg, cache)
+    agree = verdict.agreement()
+    return [verdict.included, verdict.excluded_point,
+            verdict.witness_conclusion(), "" if agree is None else agree]
 
 
-def cmd_scan_compactness(args) -> int:
+def _compactness_cells(p0, q0, p, q, cfg, cache) -> list:
+    rep = compactness_witness_scan(p0, q0, p, q, cfg, cache)
+    agree = ""
+    if rep["verdict"] != "inconclusive":
+        agree = (rep["verdict"] == "compact-consistent") == rep["predicted"]
+    return [rep["predicted"], rep["verdict"], agree]
+
+
+# scan name -> (per-cell columns, CSV header)
+SCANS = {
+    "inclusion": (_inclusion_cells, ["p0", "q0", "p", "q", "predicted",
+                                     "excluded_point", "witness", "agree"]),
+    "compactness": (_compactness_cells, ["p0", "q0", "p", "q", "predicted",
+                                         "witness", "agree"]),
+}
+
+
+def _scan_rows(cells, grid: list, cfg: QuadratureConfig,
+               cache: NormCache) -> list:
+    """One row per (p0, q0, p, q) in grid^4, sorted by cell key."""
+    rows = [[*cell, *cells(*cell, cfg, cache)]
+            for cell in itertools.product(grid, repeat=4)]
+    rows.sort(key=lambda row: tuple(str(c) for c in row[:4]))
+    return rows
+
+
+def cmd_scan(args) -> int:
     cfg = _config_from_args(args, default_tol=0.02)
-    grid = _parse_exponent_grid(args.exponents)
-    cache = NormCache(cfg)
-    rows = []
-    for p0 in grid:
-        for q0 in grid:
-            for p in grid:
-                for q in grid:
-                    rep = compactness_witness_scan(p0, q0, p, q, cfg, cache)
-                    predicted = inclusion_is_compact(p0, q0, p, q)
-                    verdict = rep["verdict"]
-                    agree = ""
-                    if verdict != "inconclusive":
-                        agree = (verdict == "compact-consistent") == predicted
-                    rows.append([p0, q0, p, q, predicted, verdict, agree])
-    rows.sort(key=lambda r: tuple(str(c) for c in r[:4]))
-    manifest = _config_hash(cfg, args.seed, {"cmd": "scan-compactness"})
-    _emit_csv(rows, ["p0", "q0", "p", "q", "predicted", "witness", "agree"],
-              manifest, args.out_file)
+    cells, header = SCANS[args.scan]
+    rows = _scan_rows(cells, _parse_exponent_grid(args.exponents), cfg,
+                      NormCache(cfg))
+    _emit_csv(rows, header, _config_hash(cfg, args.seed, {"cmd": args.cmd}),
+              args.out_file)
     return 0
 
 
@@ -198,28 +197,25 @@ def cmd_project(args) -> int:
     return 0
 
 
+WITNESS_HEADER = ["k", "r_k", "a_k", "eps_k", "theta_k"]
+
+
+def _witness_rows(params) -> list:
+    return [[k, _fmt(params.r[k]), _fmt(params.a[k]), _fmt(params.eps[k]),
+             _fmt(params.theta[k])] for k in range(params.count)]
+
+
 def cmd_witness(args) -> int:
     cfg = _config_from_args(args)
     params = embedding_params(args.p, args.K)
-    rows = [[k, _fmt(params.r[k]), _fmt(params.a[k]), _fmt(params.eps[k]),
-             _fmt(params.theta[k])] for k in range(params.count)]
     manifest = _config_hash(cfg, args.seed, {"cmd": "witness", "p": args.p,
                                              "K": args.K})
-    buf = io.StringIO()
-    buf.write("k,r_k,a_k,eps_k,theta_k\n")
-    for row in rows:
-        buf.write(",".join(str(c) for c in row) + "\n")
     margins = params.disc_margins()
-    buf.write(f"# disc_disjoint: {min(margins) > 0} "
-              f"(min margin {min(margins):.3e})\n")
-    buf.write(f"# height_ratio_sum: {_fmt(params.height_ratio_sum())} "
-              f"(+ tail <= {_fmt(embedding_tail_bound(args.p, args.K))})\n")
-    buf.write(f"# theta_below_pi: {all(abs(t) < math.pi for t in params.theta)}\n")
-    buf.write(f"# manifest: {manifest}\n")
-    if args.out_file:
-        Path(args.out_file).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit_csv(_witness_rows(params), WITNESS_HEADER, manifest, args.out_file, (
+        f"disc_disjoint: {min(margins) > 0} (min margin {min(margins):.3e})",
+        f"height_ratio_sum: {_fmt(params.height_ratio_sum())} "
+        f"(+ tail <= {_fmt(embedding_tail_bound(args.p, args.K))})",
+        f"theta_below_pi: {all(abs(t) < math.pi for t in params.theta)}"))
     return 0
 
 
@@ -232,6 +228,13 @@ def cmd_report(args) -> int:
     t0 = time.monotonic()
     artifacts = []
 
+    def emit(name: str, rows: list, header: list, table_cfg, cmd: str):
+        path = out / name
+        _emit_csv(rows, header, _config_hash(table_cfg, args.seed,
+                                             {"cmd": f"report/{cmd}"}),
+                  str(path))
+        artifacts.append(str(path))
+
     # monomial norms against the closed form
     rows = []
     from .functions import Monomial
@@ -243,11 +246,8 @@ def cmd_report(args) -> int:
                 est = mixed_norm(Monomial(n), ExponentPair.of(p, q), mono_cfg)
                 exact = (1.0 + n * float(p)) ** (-1.0 / float(p))
                 rows.append([p, q, n, _fmt(est.value), _fmt(exact)])
-    path = out / "monomial_norms.csv"
-    _emit_csv(rows, ["p", "q", "n", "value", "closed_form"],
-              _config_hash(mono_cfg, args.seed, {"cmd": "report/monomial"}),
-              str(path))
-    artifacts.append(str(path))
+    emit("monomial_norms.csv", rows, ["p", "q", "n", "value", "closed_form"],
+         mono_cfg, "monomial")
 
     # membership frontier of the boundary power singularity
     from .witnesses import power_singularity
@@ -262,11 +262,9 @@ def cmd_report(args) -> int:
                                  ExponentPair.of(p, q), frontier_cfg)
                 rows.append([p, q, _fmt(c * s), est.converged,
                              _fmt(est.divergence_exponent)])
-    path = out / "frontier.csv"
-    _emit_csv(rows, ["p", "q", "alpha", "converged", "divergence_exponent"],
-              _config_hash(frontier_cfg, args.seed, {"cmd": "report/frontier"}),
-              str(path))
-    artifacts.append(str(path))
+    emit("frontier.csv", rows,
+         ["p", "q", "alpha", "converged", "divergence_exponent"],
+         frontier_cfg, "frontier")
 
     # functional slopes
     rows = []
@@ -277,22 +275,13 @@ def cmd_report(args) -> int:
             fit = evaluation_functional_fit(ExponentPair.of(p, q), which, zs,
                                             fit_cfg)
             rows.append([p, q, which, _fmt(fit.slope), _fmt(fit.residual)])
-    path = out / "functional_slopes.csv"
-    _emit_csv(rows, ["p", "q", "functional", "slope", "residual"],
-              _config_hash(fit_cfg, args.seed, {"cmd": "report/functional"}),
-              str(path))
-    artifacts.append(str(path))
+    emit("functional_slopes.csv", rows,
+         ["p", "q", "functional", "slope", "residual"], fit_cfg, "functional")
 
     # embedding parameter tables
     for p in (1, 2, 4):
-        params = embedding_params(p, 16)
-        rows = [[k, _fmt(params.r[k]), _fmt(params.a[k]), _fmt(params.eps[k]),
-                 _fmt(params.theta[k])] for k in range(params.count)]
-        path = out / f"witness_p{p}.csv"
-        _emit_csv(rows, ["k", "r_k", "a_k", "eps_k", "theta_k"],
-                  _config_hash(cfg, args.seed, {"cmd": f"report/witness{p}"}),
-                  str(path))
-        artifacts.append(str(path))
+        emit(f"witness_p{p}.csv", _witness_rows(embedding_params(p, 16)),
+             WITNESS_HEADER, cfg, f"witness{p}")
 
     # projection identity and pairing spot checks
     grid = _parse_grid(args.grid or "128x128")
@@ -330,11 +319,9 @@ def cmd_report(args) -> int:
                       for q in (1, 2, 4, "inf")]
             rows.append([p, draw, _fmt(min(ratios)), _fmt(max(ratios)),
                          _fmt(max(ratios) / min(ratios))])
-    path = out / "lacunary.csv"
-    _emit_csv(rows, ["p", "draw", "ratio_min", "ratio_max", "q_bracket_width"],
-              _config_hash(lac_cfg, args.seed, {"cmd": "report/lacunary"}),
-              str(path))
-    artifacts.append(str(path))
+    emit("lacunary.csv", rows,
+         ["p", "draw", "ratio_min", "ratio_max", "q_bracket_width"],
+         lac_cfg, "lacunary")
 
     # pointwise kernel chain and wedge inequalities, seeded
     from .bergman import (kernel_capped, kernel_capped_depth, kernel_offdiag,
@@ -397,55 +384,17 @@ def cmd_report(args) -> int:
         for a, v in zip(avals, pv):
             rows.append([p, _fmt(float(a)), _fmt(float(v)), _fmt(slope),
                          _fmt(worst_ray), _fmt(dens.ray_integral_bound())])
-    path = out / "blowup.csv"
-    _emit_csv(rows, ["p", "a", "abs_P", "loglog_slope", "worst_ray_integral",
-                     "ray_bound"],
-              _config_hash(cfg, args.seed, {"cmd": "report/blowup"}), str(path))
-    artifacts.append(str(path))
+    emit("blowup.csv", rows, ["p", "a", "abs_P", "loglog_slope",
+                              "worst_ray_integral", "ray_bound"], cfg, "blowup")
 
     # inclusion and compactness scans over the five-point exponent grid
     scan_cfg = QuadratureConfig(theta_count=64, radial_levels=12,
                                 refine_max=8, rel_tol=0.02)
     cache = NormCache(scan_cfg)
     egrid = _parse_exponent_grid(DEFAULT_EXPONENT_GRID)
-    rows = []
-    for p0 in egrid:
-        for q0 in egrid:
-            for p in egrid:
-                for q in egrid:
-                    verdict = inclusion_witness_scan(p0, q0, p, q, scan_cfg,
-                                                     cache)
-                    agree = verdict.agreement()
-                    rows.append([p0, q0, p, q, verdict.included,
-                                 verdict.excluded_point,
-                                 verdict.witness_conclusion(),
-                                 "" if agree is None else agree])
-    rows.sort(key=lambda row: tuple(str(c) for c in row[:4]))
-    path = out / "inclusion_scan.csv"
-    _emit_csv(rows, ["p0", "q0", "p", "q", "predicted", "excluded_point",
-                     "witness", "agree"],
-              _config_hash(scan_cfg, args.seed, {"cmd": "report/inclusion"}),
-              str(path))
-    artifacts.append(str(path))
-    rows = []
-    for p0 in egrid:
-        for q0 in egrid:
-            for p in egrid:
-                for q in egrid:
-                    rep = compactness_witness_scan(p0, q0, p, q, scan_cfg,
-                                                   cache)
-                    agree = ""
-                    if rep["verdict"] != "inconclusive":
-                        agree = ((rep["verdict"] == "compact-consistent")
-                                 == rep["predicted"])
-                    rows.append([p0, q0, p, q, rep["predicted"],
-                                 rep["verdict"], agree])
-    rows.sort(key=lambda row: tuple(str(c) for c in row[:4]))
-    path = out / "compactness_scan.csv"
-    _emit_csv(rows, ["p0", "q0", "p", "q", "predicted", "witness", "agree"],
-              _config_hash(scan_cfg, args.seed, {"cmd": "report/compactness"}),
-              str(path))
-    artifacts.append(str(path))
+    for name, (cells, header) in SCANS.items():
+        emit(f"{name}_scan.csv", _scan_rows(cells, egrid, scan_cfg, cache),
+             header, scan_cfg, name)
 
     manifest = {
         "command": "report",
@@ -487,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q", required=True)
     s.set_defaults(fn=cmd_norm)
 
-    for name, fn in (("scan-inclusion", cmd_scan_inclusion),
-                     ("scan-compactness", cmd_scan_compactness)):
-        s = sub.add_parser(name, help=f"{name} over an exponent grid")
+    for name in SCANS:
+        s = sub.add_parser(f"scan-{name}",
+                           help=f"scan-{name} over an exponent grid")
         s.add_argument("--exponents", default=DEFAULT_EXPONENT_GRID)
         s.add_argument("--out-file", default=None)
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=cmd_scan, scan=name)
 
     s = sub.add_parser("scan-functional",
                        help="fitted growth exponents of point functionals")

@@ -1,10 +1,15 @@
 """Analytic-function representations on the unit disc.
 
-A small tagged union of closed forms: monomials, Taylor polynomials, boundary
-power singularities (1-z)^(-alpha), Cesaro-sum powers, lacunary series,
-rational bump functions with a pole just outside the disc, dilations and
-finite linear combinations.  Everything is immutable and every operation is
-pure, so values can be shared freely between workers.
+Monomials, Taylor polynomials, boundary power singularities (1-z)^(-alpha),
+Cesaro-sum powers, lacunary series, rational bump functions with a pole just
+outside the disc, dilations and finite linear combinations.  Each
+representation is one frozen dataclass deriving from
+:class:`AnalyticFunction`, and that class is the only place that knows it:
+``__post_init__`` coerces and validates the fields, and the methods give the
+evaluation, the closed-form derivative, the rotation and the singular
+boundary directions.  The JSON spec is derived from the dataclass fields, so
+adding a representation means adding one class.  Everything is immutable and
+every operation is pure, so values can be shared freely between workers.
 
 Evaluation is vectorised over numpy arrays of points.  Differentiation uses
 the closed form of each representation; an independent contour-quadrature
@@ -14,8 +19,8 @@ fallback (``cauchy_derivative``) is provided for cross-checking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,7 +42,6 @@ __all__ = [
     "evaluate",
     "from_spec",
     "rotate",
-    "singular_angles",
     "taylor_coefficients",
     "to_spec",
 ]
@@ -50,120 +54,6 @@ class DomainError(ValueError):
 class BranchCutError(ArithmeticError):
     """A principal-branch power hit the negative real axis."""
 
-
-@dataclass(frozen=True)
-class Monomial:
-    """z^n."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("monomial degree must be nonnegative")
-
-
-@dataclass(frozen=True)
-class TaylorPolynomial:
-    """sum_k coeffs[k] z^k."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
-
-
-@dataclass(frozen=True)
-class PowerSingularity:
-    """(1-z)^(-alpha), principal branch; z = 1 is outside the domain."""
-
-    alpha: float
-
-
-@dataclass(frozen=True)
-class CesaroPower:
-    """((1 - z^(n+1)) / (1 - z))^(1/alpha), principal branch, alpha > 0."""
-
-    n: int
-    alpha: float
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("Cesaro degree must be nonnegative")
-        if not self.alpha > 0:
-            raise ValueError("Cesaro power needs alpha > 0")
-
-
-@dataclass(frozen=True)
-class Lacunary:
-    """sum_k a_k z^(n_k) for a strictly lacunary exponent sequence."""
-
-    nodes: tuple  # of (exponent, coefficient)
-
-    def __post_init__(self):
-        nodes = tuple((int(n), complex(a)) for n, a in self.nodes)
-        object.__setattr__(self, "nodes", nodes)
-        if not nodes:
-            raise ValueError("lacunary series needs at least one node")
-        prev = None
-        for n, _ in nodes:
-            if n < 1:
-                raise ValueError("lacunary exponents must be positive integers")
-            if prev is not None and n * 1.0 / prev <= 1.0:
-                raise ValueError(
-                    f"exponents must grow by a ratio > 1 ({prev} -> {n})"
-                )
-            prev = n
-
-
-@dataclass(frozen=True)
-class RationalBump:
-    """eps / (z e^(-i theta0) - a)^2 with the pole a e^(i theta0) outside the disc."""
-
-    eps: float
-    a: float
-    theta0: float
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("bump height eps must be positive")
-        if not self.a > 1:
-            raise ValueError("bump pole must lie strictly outside the closed disc")
-
-
-@dataclass(frozen=True)
-class Scaled:
-    """f(r z) for a dilation factor r in (0, 1]."""
-
-    inner: "AnalyticFunction"
-    r: float
-
-    def __post_init__(self):
-        if not 0 < self.r <= 1:
-            raise DomainError("dilation factor must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class Sum:
-    """sum_k weights[k] * f_k."""
-
-    terms: tuple  # of (weight, AnalyticFunction)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((complex(c), f) for c, f in self.terms)
-        )
-
-
-AnalyticFunction = Union[
-    Monomial,
-    TaylorPolynomial,
-    PowerSingularity,
-    CesaroPower,
-    Lacunary,
-    RationalBump,
-    Scaled,
-    Sum,
-]
 
 # Switch from the ratio form of the Cesaro sum to an explicit Horner sum;
 # below this distance from z = 1 the ratio form loses ~1e-10 relative.
@@ -203,84 +93,305 @@ def _principal_power(w: np.ndarray, exponent: float) -> np.ndarray:
     return np.exp(exponent * np.log(w))
 
 
-def _eval(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
-    if isinstance(f, Monomial):
-        return z ** f.n
-    if isinstance(f, TaylorPolynomial):
+# -- field coercion ------------------------------------------------------------
+
+def _integer(x, what: str) -> int:
+    """x as an int; floats (even integral ones), bools and strings are refused."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _real(x, what: str) -> float:
+    """x as a finite float; bools, strings and non-finite values are refused.
+
+    An int beyond the float range raises OverflowError.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) \
+            or not math.isfinite(x):
+        raise ValueError(f"{what} must be a finite real number, got {x!r}")
+    return float(x)
+
+
+def _complex(c, what: str) -> complex:
+    """A finite complex number, given as a number or as an [re, im] pair."""
+    if isinstance(c, (list, tuple)) and len(c) == 2:
+        return complex(_real(c[0], what), _real(c[1], what))
+    if isinstance(c, bool) or not isinstance(c, numbers.Complex):
+        raise ValueError(f"{what} must be a complex number or an [re, im] "
+                         f"pair, got {c!r}")
+    return complex(_real(c.real, what), _real(c.imag, what))
+
+
+def _function(g, what: str) -> "AnalyticFunction":
+    if not isinstance(g, AnalyticFunction):
+        raise ValueError(f"{what} must be a function representation, got {g!r}")
+    return g
+
+
+# -- representations -------------------------------------------------------------
+
+class AnalyticFunction:
+    """Base of the representations.
+
+    Every subclass is a frozen dataclass defining ``_eval`` and ``_deriv``:
+    the values and the closed-form derivative at an array of points already
+    checked to lie inside the disc.
+    """
+
+    def rotate(self, phi: float) -> "AnalyticFunction":
+        """The rotation z -> f(e^(i phi) z), for representations that support it."""
+        raise ValueError(f"{type(self).__name__} has no rotated representation")
+
+    def singular_angles(self) -> tuple:
+        """Boundary directions along which the radial profile can peak.
+
+        Power singularities and Cesaro powers concentrate at angle 0; a
+        rational bump concentrates at its pole direction.  Supremum-type
+        norms seed their angular sample set with these directions.
+        """
+        return ()
+
+
+@dataclass(frozen=True)
+class Monomial(AnalyticFunction):
+    """z^n."""
+
+    n: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "monomial degree"))
+        if self.n < 0:
+            raise ValueError("monomial degree must be nonnegative")
+
+    def _eval(self, z):
+        return z ** self.n
+
+    def _deriv(self, z):
+        if self.n == 0:
+            return np.zeros_like(z)
+        return self.n * z ** (self.n - 1)
+
+    def rotate(self, phi):
+        return Sum(((complex(np.exp(1j * phi)) ** self.n, self),))
+
+
+@dataclass(frozen=True)
+class TaylorPolynomial(AnalyticFunction):
+    """sum_k coeffs[k] z^k."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(
+            _complex(c, "Taylor coefficient") for c in self.coeffs))
+
+    def _eval(self, z):
         acc = np.zeros_like(z)
-        for c in reversed(f.coeffs):
+        for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-    if isinstance(f, PowerSingularity):
-        return np.exp(-f.alpha * np.log(1.0 - z))
-    if isinstance(f, CesaroPower):
-        return _principal_power(_cesaro_sum(f.n, z), 1.0 / f.alpha)
-    if isinstance(f, Lacunary):
+
+    def _deriv(self, z):
         acc = np.zeros_like(z)
-        for n, a in f.nodes:
+        for k in range(len(self.coeffs) - 1, 0, -1):
+            acc = acc * z + k * self.coeffs[k]
+        return acc
+
+    def rotate(self, phi):
+        w = complex(np.exp(1j * phi))
+        return TaylorPolynomial(tuple(c * w ** k
+                                      for k, c in enumerate(self.coeffs)))
+
+
+@dataclass(frozen=True)
+class PowerSingularity(AnalyticFunction):
+    """(1-z)^(-alpha), principal branch; z = 1 is outside the domain."""
+
+    alpha: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+
+    def _eval(self, z):
+        return np.exp(-self.alpha * np.log(1.0 - z))
+
+    def _deriv(self, z):
+        return self.alpha * np.exp(-(self.alpha + 1.0) * np.log(1.0 - z))
+
+    def singular_angles(self):
+        return (0.0,)
+
+
+@dataclass(frozen=True)
+class CesaroPower(AnalyticFunction):
+    """((1 - z^(n+1)) / (1 - z))^(1/alpha), principal branch, alpha > 0."""
+
+    n: int
+    alpha: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "Cesaro degree"))
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+        if self.n < 0:
+            raise ValueError("Cesaro degree must be nonnegative")
+        if not self.alpha > 0:
+            raise ValueError("Cesaro power needs alpha > 0")
+
+    def _eval(self, z):
+        return _principal_power(_cesaro_sum(self.n, z), 1.0 / self.alpha)
+
+    def _deriv(self, z):
+        w = _cesaro_sum(self.n, z)
+        dw = np.zeros_like(z)
+        for k in range(self.n, 0, -1):
+            dw = dw * z + k  # Horner for sum k z^(k-1)
+        return (1.0 / self.alpha) * _principal_power(w, 1.0 / self.alpha - 1.0) * dw
+
+    def singular_angles(self):
+        return (0.0,)
+
+
+@dataclass(frozen=True)
+class Lacunary(AnalyticFunction):
+    """sum_k a_k z^(n_k) for a strictly lacunary exponent sequence."""
+
+    nodes: tuple  # of (exponent, coefficient)
+
+    def __post_init__(self):
+        nodes = tuple((_integer(n, "lacunary exponent"),
+                       _complex(a, "lacunary coefficient"))
+                      for n, a in self.nodes)
+        object.__setattr__(self, "nodes", nodes)
+        if not nodes:
+            raise ValueError("lacunary series needs at least one node")
+        if nodes[0][0] < 1:
+            raise ValueError("lacunary exponents must be positive integers")
+        for (prev, _), (n, _) in zip(nodes, nodes[1:]):
+            if n <= prev:
+                raise ValueError(
+                    f"exponents must grow by a ratio > 1 ({prev} -> {n})")
+
+    def _eval(self, z):
+        acc = np.zeros_like(z)
+        for n, a in self.nodes:
             acc = acc + a * z ** n
         return acc
-    if isinstance(f, RationalBump):
-        return f.eps / (z * np.exp(-1j * f.theta0) - f.a) ** 2
-    if isinstance(f, Scaled):
-        return _eval(f.inner, f.r * z)
-    if isinstance(f, Sum):
-        acc = np.zeros_like(z)
-        for c, g in f.terms:
-            acc = acc + c * _eval(g, z)
-        return acc
-    raise TypeError(f"not an analytic-function representation: {f!r}")
 
+    def _deriv(self, z):
+        acc = np.zeros_like(z)
+        for n, a in self.nodes:
+            acc = acc + a * n * z ** (n - 1)
+        return acc
+
+    def rotate(self, phi):
+        w = complex(np.exp(1j * phi))
+        return Lacunary(tuple((n, a * w ** n) for n, a in self.nodes))
+
+
+@dataclass(frozen=True)
+class RationalBump(AnalyticFunction):
+    """eps / (z e^(-i theta0) - a)^2 with the pole a e^(i theta0) outside the disc."""
+
+    eps: float
+    a: float
+    theta0: float
+
+    def __post_init__(self):
+        for name in ("eps", "a", "theta0"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not self.eps > 0:
+            raise ValueError("bump height eps must be positive")
+        if not self.a > 1:
+            raise ValueError("bump pole must lie strictly outside the closed disc")
+
+    def _eval(self, z):
+        return self.eps / (z * np.exp(-1j * self.theta0) - self.a) ** 2
+
+    def _deriv(self, z):
+        phase = np.exp(-1j * self.theta0)
+        return -2.0 * self.eps * phase / (z * phase - self.a) ** 3
+
+    def rotate(self, phi):
+        return RationalBump(self.eps, self.a, self.theta0 - phi)
+
+    def singular_angles(self):
+        return (self.theta0,)
+
+
+@dataclass(frozen=True)
+class Scaled(AnalyticFunction):
+    """f(r z) for a dilation factor r in (0, 1]."""
+
+    inner: AnalyticFunction
+    r: float
+
+    def __post_init__(self):
+        _function(self.inner, "inner")
+        object.__setattr__(self, "r", _real(self.r, "dilation factor"))
+        if not 0 < self.r <= 1:
+            raise DomainError("dilation factor must lie in (0, 1]")
+
+    def _eval(self, z):
+        return self.inner._eval(self.r * z)
+
+    def _deriv(self, z):
+        return self.r * self.inner._deriv(self.r * z)
+
+    def rotate(self, phi):
+        return Scaled(self.inner.rotate(phi), self.r)
+
+    def singular_angles(self):
+        return self.inner.singular_angles()
+
+
+@dataclass(frozen=True)
+class Sum(AnalyticFunction):
+    """sum_k weights[k] * f_k."""
+
+    terms: tuple  # of (weight, AnalyticFunction)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(
+            (_complex(c, "Sum weight"), _function(f, "Sum term"))
+            for c, f in self.terms))
+
+    def _eval(self, z):
+        acc = np.zeros_like(z)
+        for c, g in self.terms:
+            acc = acc + c * g._eval(z)
+        return acc
+
+    def _deriv(self, z):
+        acc = np.zeros_like(z)
+        for c, g in self.terms:
+            acc = acc + c * g._deriv(z)
+        return acc
+
+    def rotate(self, phi):
+        return Sum(tuple((c, g.rotate(phi)) for c, g in self.terms))
+
+    def singular_angles(self):
+        # first-seen order, without repeats
+        return tuple(dict.fromkeys(
+            t for _, g in self.terms for t in g.singular_angles()))
+
+
+# -- operations ------------------------------------------------------------------
 
 def evaluate(f: AnalyticFunction, z) -> complex | np.ndarray:
     """Evaluate f at z (scalar or array), all points strictly inside the disc."""
     arr = np.asarray(z, dtype=complex)
     _check_inside(arr)
-    out = _eval(f, arr)
+    out = f._eval(arr)
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
-
-
-def _deriv(f: AnalyticFunction, z: np.ndarray) -> np.ndarray:
-    if isinstance(f, Monomial):
-        if f.n == 0:
-            return np.zeros_like(z)
-        return f.n * z ** (f.n - 1)
-    if isinstance(f, TaylorPolynomial):
-        acc = np.zeros_like(z)
-        for k in range(len(f.coeffs) - 1, 0, -1):
-            acc = acc * z + k * f.coeffs[k]
-        return acc
-    if isinstance(f, PowerSingularity):
-        return f.alpha * np.exp(-(f.alpha + 1.0) * np.log(1.0 - z))
-    if isinstance(f, CesaroPower):
-        w = _cesaro_sum(f.n, z)
-        dw = np.zeros_like(z)
-        for k in range(f.n, 0, -1):
-            dw = dw * z + k  # Horner for sum k z^(k-1)
-        return (1.0 / f.alpha) * _principal_power(w, 1.0 / f.alpha - 1.0) * dw
-    if isinstance(f, Lacunary):
-        acc = np.zeros_like(z)
-        for n, a in f.nodes:
-            acc = acc + a * n * z ** (n - 1)
-        return acc
-    if isinstance(f, RationalBump):
-        phase = np.exp(-1j * f.theta0)
-        return -2.0 * f.eps * phase / (z * phase - f.a) ** 3
-    if isinstance(f, Scaled):
-        return f.r * _deriv(f.inner, f.r * z)
-    if isinstance(f, Sum):
-        acc = np.zeros_like(z)
-        for c, g in f.terms:
-            acc = acc + c * _deriv(g, z)
-        return acc
-    raise TypeError(f"not an analytic-function representation: {f!r}")
 
 
 def derivative_at(f: AnalyticFunction, z) -> complex | np.ndarray:
     """f'(z) by closed-form differentiation of the representation."""
     arr = np.asarray(z, dtype=complex)
     _check_inside(arr)
-    out = _deriv(f, arr)
+    out = f._deriv(arr)
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
@@ -300,7 +411,7 @@ def cauchy_derivative(f: AnalyticFunction, z: complex, tol: float = 1e-10) -> co
     for _ in range(10):
         t = 2.0 * np.pi * np.arange(m) / m
         ring = z + s * np.exp(1j * t)
-        est = complex(np.mean(_eval(f, ring) * np.exp(-1j * t)) / s)
+        est = complex(np.mean(f._eval(ring) * np.exp(-1j * t)) / s)
         if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
             return est
         prev = est
@@ -321,7 +432,7 @@ def taylor_coefficients(f: AnalyticFunction, count: int, r: float) -> list:
     anti_alias = int(math.ceil(-30.0 / math.log10(r))) if r > 0.05 else 8
     m = min(max(4 * (count + 1), anti_alias, 64), 1 << 20)
     t = 2.0 * np.pi * np.arange(m) / m
-    vals = _eval(f, r * np.exp(1j * t))
+    vals = f._eval(r * np.exp(1j * t))
     coeff = np.fft.fft(vals) / m
     return [complex(coeff[n] / r ** n) for n in range(count + 1)]
 
@@ -339,98 +450,52 @@ def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:
 
 def rotate(f: AnalyticFunction, phi: float) -> AnalyticFunction:
     """The rotation z -> f(e^(i phi) z), for representations that support it."""
-    w = complex(np.exp(1j * phi))
-    if isinstance(f, Monomial):
-        return Sum(((w ** f.n, f),))
-    if isinstance(f, TaylorPolynomial):
-        return TaylorPolynomial(tuple(c * w ** k for k, c in enumerate(f.coeffs)))
-    if isinstance(f, Lacunary):
-        return Lacunary(tuple((n, a * w ** n) for n, a in f.nodes))
-    if isinstance(f, RationalBump):
-        return RationalBump(f.eps, f.a, f.theta0 - phi)
-    if isinstance(f, Scaled):
-        return Scaled(rotate(f.inner, phi), f.r)
-    if isinstance(f, Sum):
-        return Sum(tuple((c, rotate(g, phi)) for c, g in f.terms))
-    raise ValueError(f"{type(f).__name__} has no rotated representation")
-
-
-def singular_angles(f: AnalyticFunction) -> tuple:
-    """Boundary directions along which the radial profile can peak.
-
-    Power singularities and Cesaro powers concentrate at angle 0; a rational
-    bump concentrates at its pole direction.  Supremum-type norms seed their
-    angular sample set with these directions.
-    """
-    if isinstance(f, (PowerSingularity, CesaroPower)):
-        return (0.0,)
-    if isinstance(f, RationalBump):
-        return (f.theta0,)
-    if isinstance(f, Scaled):
-        return singular_angles(f.inner)
-    if isinstance(f, Sum):
-        seen = []
-        for _, g in f.terms:
-            for t in singular_angles(g):
-                if t not in seen:
-                    seen.append(t)
-        return tuple(seen)
-    return ()
+    return f.rotate(phi)
 
 
 # -- JSON round trip ---------------------------------------------------------
 
-def _cplx(c: complex) -> list:
-    return [c.real, c.imag]
+_REPRESENTATIONS = {cls.__name__: cls
+                    for cls in AnalyticFunction.__subclasses__()}
+
+
+def _encode(v):
+    if isinstance(v, AnalyticFunction):
+        return to_spec(v)
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, tuple):
+        return [_encode(x) for x in v]
+    return v
+
+
+def _decode(v):
+    if isinstance(v, dict):
+        return from_spec(v)
+    if isinstance(v, list):
+        return tuple(_decode(x) for x in v)
+    return v
 
 
 def to_spec(f: AnalyticFunction) -> dict:
-    """A JSON-ready dict with a ``repr`` discriminator; round trip is lossless."""
-    if isinstance(f, Monomial):
-        return {"repr": "Monomial", "n": f.n}
-    if isinstance(f, TaylorPolynomial):
-        return {"repr": "TaylorPolynomial", "coeffs": [_cplx(c) for c in f.coeffs]}
-    if isinstance(f, PowerSingularity):
-        return {"repr": "PowerSingularity", "alpha": f.alpha}
-    if isinstance(f, CesaroPower):
-        return {"repr": "CesaroPower", "n": f.n, "alpha": f.alpha}
-    if isinstance(f, Lacunary):
-        return {
-            "repr": "Lacunary",
-            "nodes": [[n, _cplx(a)] for n, a in f.nodes],
-        }
-    if isinstance(f, RationalBump):
-        return {"repr": "RationalBump", "eps": f.eps, "a": f.a, "theta0": f.theta0}
-    if isinstance(f, Scaled):
-        return {"repr": "Scaled", "inner": to_spec(f.inner), "r": f.r}
-    if isinstance(f, Sum):
-        return {
-            "repr": "Sum",
-            "terms": [[_cplx(c), to_spec(g)] for c, g in f.terms],
-        }
-    raise TypeError(f"not an analytic-function representation: {f!r}")
+    """A JSON-ready dict with a ``repr`` discriminator; round trip is lossless.
+
+    The discriminator is the class name and fields keep their names; complex numbers become [re, im] pairs, tuples
+    become lists and nested representations become nested specs.
+    """
+    return {"repr": type(f).__name__,
+            **{fld.name: _encode(getattr(f, fld.name)) for fld in fields(f)}}
 
 
 def from_spec(d: dict) -> AnalyticFunction:
-    """Inverse of :func:`to_spec`."""
+    """Inverse of :func:`to_spec`; a malformed spec raises ValueError."""
     try:
         kind = d["repr"]
+        cls = _REPRESENTATIONS[kind]
     except (TypeError, KeyError):
-        raise ValueError("function spec needs a 'repr' field") from None
-    if kind == "Monomial":
-        return Monomial(int(d["n"]))
-    if kind == "TaylorPolynomial":
-        return TaylorPolynomial(tuple(complex(re, im) for re, im in d["coeffs"]))
-    if kind == "PowerSingularity":
-        return PowerSingularity(float(d["alpha"]))
-    if kind == "CesaroPower":
-        return CesaroPower(int(d["n"]), float(d["alpha"]))
-    if kind == "Lacunary":
-        return Lacunary(tuple((int(n), complex(re, im)) for n, (re, im) in d["nodes"]))
-    if kind == "RationalBump":
-        return RationalBump(float(d["eps"]), float(d["a"]), float(d["theta0"]))
-    if kind == "Scaled":
-        return Scaled(from_spec(d["inner"]), float(d["r"]))
-    if kind == "Sum":
-        return Sum(tuple((complex(re, im), from_spec(g)) for (re, im), g in d["terms"]))
-    raise ValueError(f"unknown function representation {kind!r}")
+        raise ValueError("function spec needs a 'repr' field naming one of "
+                         f"{sorted(_REPRESENTATIONS)}") from None
+    try:
+        return cls(**{k: _decode(v) for k, v in d.items() if k != "repr"})
+    except (TypeError, KeyError, OverflowError) as exc:
+        raise ValueError(f"malformed {kind} spec: {exc}") from None

@@ -27,13 +27,13 @@ maximiser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exponents import ExponentPair, ExtendedExponent
-from .functions import AnalyticFunction, Sum, dilate, evaluate, singular_angles
+from .functions import AnalyticFunction, Sum, dilate, evaluate
 from .meshes import graded_radial_mesh, midpoint_angles
 
 __all__ = [
@@ -75,23 +75,13 @@ class QuadratureConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "QuadratureConfig":
-        allowed = {
-            "theta_count", "radial_levels", "refine_max", "rel_tol",
-            "sup_sample_count",
-        }
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(QuadratureConfig)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         return QuadratureConfig(**d)
 
     def to_dict(self) -> dict:
-        return {
-            "theta_count": self.theta_count,
-            "radial_levels": self.radial_levels,
-            "refine_max": self.refine_max,
-            "rel_tol": self.rel_tol,
-            "sup_sample_count": self.sup_sample_count,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -165,7 +155,7 @@ def _angular_rule(f: AnalyticFunction, count: int, levels: int,
     """
     two_pi = 2.0 * math.pi
     taus = sorted({math.fmod(t - offset, two_pi) % two_pi
-                   for t in singular_angles(f)})
+                   for t in f.singular_angles()})
     h = two_pi / count
     base = midpoint_angles(count)
     if not taus:
@@ -242,11 +232,12 @@ def radial_integral(f: AnalyticFunction, theta: float, p, cfg: QuadratureConfig,
 
 
 def _sup_over_angles(f, p_val: float | None, count: int, levels: int,
-                     offset: float, lo: float = 0.0) -> float:
-    """sup over theta of the radial p-integral (or radial sup if p is None)."""
-    specials = np.array([t - offset for t in singular_angles(f)])
+                     offset: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    """sup over theta of the radial p-integral over [lo, hi] (or of the
+    radial sup if p is None)."""
+    specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(count), specials])
-    r, w = graded_radial_mesh(levels, lo=lo, hi=1.0)
+    r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
     vals = _abs_values(f, thetas, r, offset)
     if p_val is None:
         per_angle = vals.max(axis=1)
@@ -265,20 +256,11 @@ def _sup_over_angles(f, p_val: float | None, count: int, levels: int,
 
 
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, hi: float = 1.0) -> float:
+                 offset: float, hi: float) -> float:
     p, q = pq.p, pq.q
     if not q.is_finite:
-        if hi != 1.0:
-            # truncated sup norm: plain scan without the golden pass
-            specials = np.array([t - offset for t in singular_angles(f)])
-            thetas = np.concatenate([midpoint_angles(count), specials])
-            r, w = graded_radial_mesh(levels, hi=hi)
-            vals = _abs_values(f, thetas, r, offset)
-            if p.is_finite:
-                return float(((vals ** float(p)) @ w).max() ** (1.0 / float(p)))
-            return float(vals.max())
         return _sup_over_angles(f, float(p) if p.is_finite else None,
-                                count, levels, offset)
+                                count, levels, offset, hi=hi)
     thetas, ang_w = _angular_rule(f, count, levels, offset)
     r, w = graded_radial_mesh(levels, hi=hi)
     vals = _abs_values(f, thetas, r, offset)
@@ -310,7 +292,12 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     without rebuilding a representation; the norm is rotation invariant, so
     this only moves the quadrature mesh relative to the function's features.
     """
-    pq = _as_pair(pq)
+    return _refine(f, _as_pair(pq), cfg, angle_offset, 1.0)
+
+
+def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
+            angle_offset: float, hi: float) -> NormEstimate:
+    """The refinement driver: the mixed norm with radii cut off at ``hi``."""
     base_count = cfg.theta_count if pq.q.is_finite else cfg.sup_sample_count
     grow = 1.0 + cfg.rel_tol
     trace: list = []
@@ -318,7 +305,7 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     diverged = False
     for level in range(cfg.refine_max + 1):
         v = _level_value(f, pq, base_count << level, cfg.radial_levels + level,
-                         angle_offset)
+                         angle_offset, hi)
         trace.append((level, v))
         values.append(v)
         if not math.isfinite(v):
@@ -355,16 +342,7 @@ def mixed_norm_truncated(f: AnalyticFunction, pq, R: float,
     """Mixed norm with the inner integral truncated to [0, R], R < 1."""
     if not 0.0 < R < 1.0:
         raise ValueError("truncation radius must lie in (0, 1)")
-    pq = _as_pair(pq)
-    base_count = cfg.theta_count if pq.q.is_finite else cfg.sup_sample_count
-    prev = None
-    for level in range(cfg.refine_max + 1):
-        v = _level_value(f, pq, base_count << level, cfg.radial_levels + level,
-                         0.0, hi=R)
-        if prev is not None and abs(v - prev) <= cfg.rel_tol * max(abs(v), 1e-300):
-            return v
-        prev = v
-    return prev
+    return _refine(f, _as_pair(pq), cfg, 0.0, R).value
 
 
 def tail_sup_norm(f: AnalyticFunction, p, rho: float,

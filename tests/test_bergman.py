@@ -289,6 +289,7 @@ def test_grid_function_file_round_trip(tmp_path):
     back = load_grid_function(path)
     assert np.array_equal(back.values, gf.values)
     assert np.array_equal(back.grid.radii, small.radii)
+    assert np.array_equal(back.grid.weights, small.weights)
     assert grid_mixed_norm(back, (2, 4)) == grid_mixed_norm(gf, (2, 4))
 
 

@@ -52,6 +52,20 @@ def test_malformed_spec_fails(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spec", [
+    {"repr": "Monomial", "n": 2.7},
+    {"repr": "Monomial"},
+    {"repr": "PowerSingularity", "alpha": "nan"},
+    {"repr": "Lacunary", "nodes": [[1, [1.0, 0.0]], [1.5, [1.0, 0.0]]]},
+])
+def test_invalid_spec_exits_1_without_output(capsys, spec):
+    code, out, err = run_cli(["norm", "--function", json.dumps(spec),
+                              "--p", "2", "--q", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_witness_table(capsys, tmp_path):
     out_file = tmp_path / "w.csv"
     code, _, _ = run_cli(["witness", "--p", "2", "--K", "4",

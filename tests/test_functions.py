@@ -180,3 +180,71 @@ def test_json_round_trip_lossless():
         from_spec({"repr": "NoSuch"})
     with pytest.raises(ValueError):
         from_spec({})
+
+
+def test_spec_rejects_fractional_degree():
+    with pytest.raises(ValueError, match="integer"):
+        from_spec({"repr": "Monomial", "n": 2.7})
+    with pytest.raises(ValueError, match="integer"):
+        from_spec({"repr": "CesaroPower", "n": 2.0, "alpha": 1.0})
+
+
+def test_spec_rejects_fractional_lacunary_exponent():
+    spec = {"repr": "Lacunary", "nodes": [[1, [1.0, 0.0]], [1.5, [1.0, 0.0]]]}
+    with pytest.raises(ValueError, match="integer, got 1.5"):
+        from_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    {"repr": "PowerSingularity", "alpha": "nan"},
+    {"repr": "PowerSingularity", "alpha": float("nan")},
+    {"repr": "CesaroPower", "n": 2, "alpha": float("inf")},
+    {"repr": "RationalBump", "eps": 0.1, "a": 1.2, "theta0": float("nan")},
+    {"repr": "TaylorPolynomial", "coeffs": [[1.0, float("inf")]]},
+    {"repr": "Sum", "terms": [[[float("nan"), 0.0], {"repr": "Monomial", "n": 1}]]},
+])
+def test_spec_rejects_nonfinite_parameters(spec):
+    with pytest.raises(ValueError, match="finite"):
+        from_spec(spec)
+
+
+def test_spec_missing_or_malformed_fields():
+    with pytest.raises(ValueError, match="Monomial"):
+        from_spec({"repr": "Monomial"})
+    with pytest.raises(ValueError):
+        from_spec({"repr": "Monomial", "n": 1, "extra": 0})
+    with pytest.raises(ValueError):
+        from_spec({"repr": "Lacunary", "nodes": [[2, [1.0, 0.0], 3]]})
+    with pytest.raises(ValueError):
+        from_spec({"repr": "Scaled", "inner": 3, "r": 0.5})
+    with pytest.raises(ValueError):
+        from_spec(["repr", "Monomial"])
+
+
+_REPR_NAMES = sorted({type(f).__name__ for f in ALL_REPS}) + ["NoSuch"]
+_FIELD_NAMES = sorted({k for f in ALL_REPS for k in to_spec(f)} - {"repr"})
+
+
+def _specs(values):
+    return st.builds(lambda kind, fields: {"repr": kind, **fields},
+                     st.sampled_from(_REPR_NAMES),
+                     st.dictionaries(st.sampled_from(_FIELD_NAMES), values,
+                                     max_size=3))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | _specs(kids),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs(_JSON) | _JSON | st.sampled_from([to_spec(f) for f in ALL_REPS]))
+def test_from_spec_round_trips_or_raises_value_error(spec):
+    try:
+        f = from_spec(spec)
+    except ValueError:
+        return
+    blob = json.dumps(to_spec(f), allow_nan=False)
+    assert from_spec(json.loads(blob)) == f

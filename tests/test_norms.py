@@ -126,6 +126,22 @@ def test_truncated_norm():
         mixed_norm_truncated(Monomial(1), (2, 2), 1.0, cfg)
 
 
+def test_truncated_sup_norm():
+    f = Monomial(3)
+    # q = inf: every angle carries int_0^R r^6 dr = R^7 / 7
+    assert mixed_norm_truncated(f, (2, "inf"), 0.9, CFG) == \
+        pytest.approx((0.9 ** 7 / 7) ** 0.5, rel=1e-9)
+    # p = q = inf: the largest sampled radius sits just below R
+    assert mixed_norm_truncated(f, ("inf", "inf"), 0.9, CFG) == \
+        pytest.approx(0.9 ** 3, rel=1e-4)
+    # continuity toward the full q = inf norm as R -> 1
+    full = mixed_norm(f, (2, "inf"), CFG).value
+    near = [mixed_norm_truncated(f, (2, "inf"), 1 - 10.0 ** -k, CFG)
+            for k in (3, 6, 9)]
+    assert near[0] < near[1] < near[2] <= full
+    assert near[2] == pytest.approx(full, rel=1e-5)
+
+
 def test_tail_sup_norm():
     one = TaylorPolynomial([1])
     for rho in (0.9, 0.99):
