@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exponents import ExponentPair
+from .exponents import as_pair
 from .functions import AnalyticFunction, evaluate
 from .meshes import angular_distance, graded_radial_mesh, uniform_angles
 from .witnesses import in_stolz_wedge
@@ -280,8 +280,7 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
 
 def grid_mixed_norm(gf: GridFunction, pq) -> float:
     """Discrete mixed norm: plain-dr radial weights, uniform angular mean."""
-    if not isinstance(pq, ExponentPair):
-        pq = ExponentPair.of(*pq)
+    pq = as_pair(pq)
     vals = np.abs(gf.values)
     w = gf.grid.radial_weights
     if pq.p.is_finite:

@@ -109,3 +109,8 @@ class ExponentPair:
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
+
+
+def as_pair(pq) -> ExponentPair:
+    """``pq`` itself if it is an ExponentPair, else ExponentPair.of(*pq)."""
+    return pq if isinstance(pq, ExponentPair) else ExponentPair.of(*pq)

@@ -11,9 +11,15 @@ boundary directions.  The JSON spec is derived from the dataclass fields, so
 adding a representation means adding one class.  Everything is immutable and
 every operation is pure, so values can be shared freely between workers.
 
-Evaluation is vectorised over numpy arrays of points.  Differentiation uses
-the closed form of each representation; an independent contour-quadrature
-fallback (``cauchy_derivative``) is provided for cross-checking.
+Evaluation is vectorised over numpy arrays of points.  The norm quadratures
+need only the modulus on a polar grid of angles x radii, which
+``AnalyticFunction.abs_on_polar`` returns.  A representation may add a
+modulus kernel for it (``_abs_polar``): real arithmetic in r and theta that
+never forms the complex point.  Without one, the modulus of ``_eval`` at
+the points r e^(i theta) is used, so a new class needs no kernel to be
+correct.  Differentiation uses the closed form of each representation; an
+independent contour-quadrature fallback (``cauchy_derivative``) is provided
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -93,6 +99,27 @@ def _principal_power(w: np.ndarray, exponent: float) -> np.ndarray:
     return np.exp(exponent * np.log(w))
 
 
+def _series_abs(exponents, coeffs, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """|sum_k coeffs[k] (r e^(i theta))^exponents[k]| on theta x r.
+
+    One matrix product of the (T x K) phases e^(i n_k theta) with the
+    (K x R) radial terms a_k r^(n_k).
+    """
+    n = np.asarray(exponents, dtype=float)
+    radial = np.asarray(coeffs, dtype=complex)[:, None] * r[None, :] ** n[:, None]
+    return np.abs(np.exp(1j * np.outer(theta, n)) @ radial)
+
+
+def _chord2(diff: np.ndarray, prod: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|a - b e^(i phi)|^2 on phi x (a, b) for a, b >= 0, from diff = a - b
+    and prod = a b.
+
+    The form (a - b)^2 + 4 a b sin^2(phi / 2) keeps full relative accuracy
+    where b e^(i phi) approaches a; a^2 - 2 a b cos(phi) + b^2 cancels there.
+    """
+    return diff[None, :] ** 2 + 4.0 * prod[None, :] * np.sin(0.5 * phi)[:, None] ** 2
+
+
 # -- field coercion ------------------------------------------------------------
 
 def _integer(x, what: str) -> int:
@@ -136,8 +163,25 @@ class AnalyticFunction:
 
     Every subclass is a frozen dataclass defining ``_eval`` and ``_deriv``:
     the values and the closed-form derivative at an array of points already
-    checked to lie inside the disc.
+    checked to lie inside the disc.  A subclass may override ``_abs_polar``
+    with a modulus kernel.
     """
+
+    def abs_on_polar(self, r, theta) -> np.ndarray:
+        """|f(r e^(i theta))| on the grid theta x r, one row per angle.
+
+        ``r`` and ``theta`` are 1-d arrays; every radius must lie in [0, 1).
+        """
+        r = np.asarray(r, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        outside = ~((r >= 0.0) & (r < 1.0))
+        if np.any(outside):
+            raise DomainError(f"polar radius outside [0, 1) (r = {r[outside][0]})")
+        return self._abs_polar(r, theta)
+
+    def _abs_polar(self, r, theta):
+        """The modulus kernel, for radii already checked; |_eval| by default."""
+        return np.abs(self._eval(r[None, :] * np.exp(1j * theta[:, None])))
 
     def rotate(self, phi: float) -> "AnalyticFunction":
         """The rotation z -> f(e^(i phi) z), for representations that support it."""
@@ -172,6 +216,9 @@ class Monomial(AnalyticFunction):
             return np.zeros_like(z)
         return self.n * z ** (self.n - 1)
 
+    def _abs_polar(self, r, theta):
+        return np.tile(r ** self.n, (len(theta), 1))
+
     def rotate(self, phi):
         return Sum(((complex(np.exp(1j * phi)) ** self.n, self),))
 
@@ -198,6 +245,9 @@ class TaylorPolynomial(AnalyticFunction):
             acc = acc * z + k * self.coeffs[k]
         return acc
 
+    def _abs_polar(self, r, theta):
+        return _series_abs(range(len(self.coeffs)), self.coeffs, r, theta)
+
     def rotate(self, phi):
         w = complex(np.exp(1j * phi))
         return TaylorPolynomial(tuple(c * w ** k
@@ -218,6 +268,9 @@ class PowerSingularity(AnalyticFunction):
 
     def _deriv(self, z):
         return self.alpha * np.exp(-(self.alpha + 1.0) * np.log(1.0 - z))
+
+    def _abs_polar(self, r, theta):
+        return _chord2(1.0 - r, r, theta) ** (-0.5 * self.alpha)
 
     def singular_angles(self):
         return (0.0,)
@@ -247,6 +300,16 @@ class CesaroPower(AnalyticFunction):
         for k in range(self.n, 0, -1):
             dw = dw * z + k  # Horner for sum k z^(k-1)
         return (1.0 / self.alpha) * _principal_power(w, 1.0 / self.alpha - 1.0) * dw
+
+    def _abs_polar(self, r, theta):
+        # |1 - z^m|^2 / |1 - z|^2 with m = n + 1, both in the stable chord
+        # form and 1 - r^m from expm1, so the removable point z = 1 keeps
+        # full accuracy
+        m = self.n + 1
+        with np.errstate(divide="ignore"):
+            one_minus = -np.expm1(m * np.log(r))
+        num = _chord2(one_minus, r ** m, m * theta)
+        return (num / _chord2(1.0 - r, r, theta)) ** (0.5 / self.alpha)
 
     def singular_angles(self):
         return (0.0,)
@@ -284,6 +347,10 @@ class Lacunary(AnalyticFunction):
             acc = acc + a * n * z ** (n - 1)
         return acc
 
+    def _abs_polar(self, r, theta):
+        exponents, coeffs = zip(*self.nodes)
+        return _series_abs(exponents, coeffs, r, theta)
+
     def rotate(self, phi):
         w = complex(np.exp(1j * phi))
         return Lacunary(tuple((n, a * w ** n) for n, a in self.nodes))
@@ -312,6 +379,9 @@ class RationalBump(AnalyticFunction):
         phase = np.exp(-1j * self.theta0)
         return -2.0 * self.eps * phase / (z * phase - self.a) ** 3
 
+    def _abs_polar(self, r, theta):
+        return self.eps / _chord2(self.a - r, self.a * r, theta - self.theta0)
+
     def rotate(self, phi):
         return RationalBump(self.eps, self.a, self.theta0 - phi)
 
@@ -337,6 +407,9 @@ class Scaled(AnalyticFunction):
 
     def _deriv(self, z):
         return self.r * self.inner._deriv(self.r * z)
+
+    def _abs_polar(self, r, theta):
+        return self.inner.abs_on_polar(self.r * r, theta)
 
     def rotate(self, phi):
         return Scaled(self.inner.rotate(phi), self.r)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExponentPair, ExtendedExponent
+from .exponents import ExponentPair, ExtendedExponent, as_pair
 from .functions import (
     AnalyticFunction,
     Monomial,
@@ -385,7 +385,7 @@ def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
     """
     if which not in ("point", "derivative"):
         raise ValueError("which must be 'point' or 'derivative'")
-    pq = pq if isinstance(pq, ExponentPair) else ExponentPair.of(*pq)
+    pq = as_pair(pq)
     cache = cache or NormCache(cfg)
     pts = []
     for z in z_list:

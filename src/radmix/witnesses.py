@@ -46,13 +46,13 @@ __all__ = [
 
 def power_singularity(alpha: float) -> PowerSingularity:
     """(1-z)^(-alpha); lies in the (p, q) space iff alpha < 1/p + 1/q."""
-    return PowerSingularity(float(alpha))
+    return PowerSingularity(alpha)
 
 
 def cesaro_power(n: int, alpha: float) -> CesaroPower:
     """(sum_{k<=n} z^k)^(1/alpha); grows like log^(1/q)(n) in norm when
     1/p + 1/q = 1/alpha."""
-    return CesaroPower(int(n), float(alpha))
+    return CesaroPower(n, alpha)
 
 
 def _eps_log(k: int, p: float) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +64,51 @@ def test_domain_errors():
         evaluate(PowerSingularity(1.0), 1.2 + 0.1j)
     with pytest.raises(DomainError):
         derivative_at(Monomial(1), -1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 0.999999, exclude_max=True),
+                min_size=1, max_size=8),
+       st.lists(st.floats(-4 * math.pi, 4 * math.pi), min_size=1, max_size=8))
+def test_abs_on_polar_matches_evaluate(radii, angles):
+    r, t = np.array(radii), np.array(angles)
+    z = r[None, :] * np.exp(1j * t[:, None])
+    for f in ALL_REPS:
+        got = f.abs_on_polar(r, t)
+        assert got.shape == (len(t), len(r))
+        # the absolute floor only matters where a sum cancels near a zero
+        np.testing.assert_allclose(got, np.abs(evaluate(f, z)),
+                                   rtol=1e-9, atol=1e-14, err_msg=repr(f))
+
+
+def _mp_abs(f, z):
+    """|f(z)| in mpmath, from the defining formula of the representation."""
+    if isinstance(f, PowerSingularity):
+        return abs(1 - z) ** -mpmath.mpf(f.alpha)
+    return abs(mpmath.fsum(z ** k for k in range(f.n + 1))) \
+        ** (1 / mpmath.mpf(f.alpha))
+
+
+@pytest.mark.parametrize("f", [PowerSingularity(1.5), PowerSingularity(0.7),
+                               CesaroPower(3, 0.7), CesaroPower(16, 2.0)])
+def test_abs_on_polar_near_one_against_mpmath(f):
+    # 1 - 2 r cos(theta) + r^2 cancels to nothing at these points
+    r = 1.0 - np.array([1e-13, 1e-10, 1e-7, 1e-3, 0.5])
+    t = np.array([0.0, 1e-14, -1e-14, 1e-11, -1e-8, 1e-4, 2.0])
+    got = f.abs_on_polar(r, t)
+    with mpmath.workdps(40):
+        for i, ti in enumerate(t):
+            for j, rj in enumerate(r):
+                want = _mp_abs(f, mpmath.mpf(rj) * mpmath.expj(mpmath.mpf(ti)))
+                assert abs(got[i, j] - want) <= 1e-12 * want, (ti, rj)
+
+
+def test_abs_on_polar_domain_errors():
+    t = np.array([0.0, 1.0])
+    for f in ALL_REPS:
+        for r in ([0.5, 1.0], [1.5], [-0.1, 0.2]):
+            with pytest.raises(DomainError):
+                f.abs_on_polar(np.array(r), t)
 
 
 def test_construction_validation():

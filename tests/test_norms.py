@@ -98,6 +98,32 @@ def test_mixed_norm_against_scipy_oracle():
     assert est.value == pytest.approx(oracle, rel=2e-3)
 
 
+def test_all_zero_levels_are_not_convergence():
+    # z^(10^9) underflows to 0 on every node of the first levels; the true
+    # norm is (2 * 10^9 + 1)^(-1/2), about 2.2e-5
+    est = mixed_norm(Monomial(10 ** 9), (2, 2), CFG)
+    assert est.trace[0] == (0, 0.0) and est.trace[1] == (1, 0.0)
+    assert not est.converged
+
+
+def test_refinement_stops_at_grading_depth_cap():
+    # (1 - z)^(-1.5) lies outside the (2, 2) space; levels beyond the
+    # deepest grading would repeat one mesh and agree
+    est = mixed_norm(power_singularity(1.5), (2, 2),
+                     QuadratureConfig(radial_levels=40))
+    assert [lvl for lvl, _ in est.trace] == [0, 1, 2]
+    assert not est.converged
+    est = mixed_norm(power_singularity(1.5), (2, 2),
+                     QuadratureConfig(radial_levels=42))
+    assert len(est.trace) == 1 and not est.converged
+    # a member still converges within the cap
+    est = mixed_norm(Monomial(1), (2, 2), QuadratureConfig(radial_levels=40))
+    assert est.converged
+    assert est.value == pytest.approx(3 ** -0.5, rel=1e-9)
+    with pytest.raises(ValueError):
+        QuadratureConfig(radial_levels=43)
+
+
 def test_divergence_detection_reports_exponent():
     est = mixed_norm(power_singularity(1.2), (2, 2),
                      QuadratureConfig(refine_max=10, rel_tol=0.02))

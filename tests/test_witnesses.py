@@ -51,6 +51,19 @@ def test_cesaro_family():
         assert abs(v.imag) < 1e-14 and v.real > 0
 
 
+def test_witness_constructors_are_strict():
+    with pytest.raises(ValueError, match="integer"):
+        cesaro_power(2.7, 1.0)
+    with pytest.raises(ValueError, match="integer"):
+        cesaro_power(2.0, 1.0)
+    with pytest.raises(ValueError, match="finite real"):
+        cesaro_power(2, "1.0")
+    with pytest.raises(ValueError, match="finite real"):
+        power_singularity("1.5")
+    with pytest.raises(ValueError, match="finite real"):
+        power_singularity(float("nan"))
+
+
 def test_cesaro_sup_norm_lower_bound():
     # the radial integral along angle 0 is the harmonic partial sum
     cfg = QuadratureConfig(radial_levels=14, refine_max=6, rel_tol=5e-3)
