@@ -69,10 +69,8 @@ class PolarGrid:
               nodes_per_cell: int = 8) -> "PolarGrid":
         if n_radii % nodes_per_cell:
             raise ValueError("radial count must be a multiple of the cell size")
-        levels = n_radii // nodes_per_cell - 1
-        if levels < 1:
-            raise ValueError("need at least two radial cells")
-        r, w = graded_radial_mesh(levels, nodes_per_cell)
+        # the mesh refuses fewer than 2 or more than MAX_GRADING_LEVELS + 1 cells
+        r, w = graded_radial_mesh(n_radii // nodes_per_cell - 1, nodes_per_cell)
         return PolarGrid.of(r, uniform_angles(n_angles), w)
 
     @staticmethod
@@ -200,35 +198,7 @@ def project(f, z, grid: PolarGrid):
     return complex(out.ravel()[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def _stationary_tensor(kernel_rrd, grid: PolarGrid, diag_correct: bool) -> np.ndarray:
-    """Kernel evaluated on (r_out, r_in, delta) with delta the angle gap."""
-    r = grid.radii
-    m = len(grid.angles)
-    delta = 2.0 * np.pi * np.arange(m) / m
-    tensor = kernel_rrd(r[:, None, None], r[None, :, None], delta[None, None, :])
-    tensor = np.asarray(tensor, dtype=complex)
-    if diag_correct:
-        # Replace the whole same-angle slab by the kernel's transverse
-        # average over the angular cell.  Near the boundary the kernel
-        # concentrates on an angular scale 1 - r rho that can sit far below
-        # the cell width, and the point value would then overweight the
-        # diagonal by the ratio of the two scales; the average is computed
-        # on a sub-mesh graded toward gap zero so both regimes are exact.
-        dphi = 2.0 * np.pi / m
-        levels = max(8, int(-math.log2(max(1.0 - r[-1] ** 2, 1e-300))) + 4)
-        u, w = graded_radial_mesh(levels, 4)
-        gaps = (1.0 - u[::-1]) * (dphi / 2.0)
-        gw = w[::-1]
-        ro = r[:, None, None]
-        ri = r[None, :, None]
-        both = 0.5 * (kernel_rrd(ro, ri, gaps[None, None, :])
-                      + kernel_rrd(ro, ri, -gaps[None, None, :]))
-        tensor[:, :, 0] = np.sum(gw[None, None, :] * both, axis=2)
-    return tensor
-
-
-def apply_kernel_operator(kernel, gf: GridFunction, form: str = "disc",
-                          diag_correct: bool | None = None) -> GridFunction:
+def apply_kernel_operator(kernel, gf: GridFunction, form: str = "disc") -> GridFunction:
     """Integrate a comparison kernel against a grid function.
 
     ``form="disc"`` treats ``kernel(z_out..., w_in...)`` arguments as polar
@@ -242,23 +212,17 @@ def apply_kernel_operator(kernel, gf: GridFunction, form: str = "disc",
     """
     grid = gf.grid
     m = len(grid.angles)
+    r_out = grid.radii[:, None, None]
+    r_in = grid.radii[None, :, None]
+    delta = (2.0 * np.pi * np.arange(m) / m)[None, None, :]
     if form == "disc":
-        if diag_correct is None:
-            diag_correct = True
         radial_factor = 2.0 * grid.radii * grid.radial_weights / m
-
-        def kernel_rrd(r_out, r_in, delta):
-            return kernel(r_out, delta, r_in, 0.0)
+        tensor = kernel(r_out, delta, r_in, 0.0)
     elif form == "depth":
-        if diag_correct is None:
-            diag_correct = False
         radial_factor = grid.radial_weights / m
-
-        def kernel_rrd(r_out, r_in, delta):
-            return kernel(delta, 0.0, 1.0 - r_out, 1.0 - r_in)
+        tensor = kernel(delta, 0.0, 1.0 - r_out, 1.0 - r_in)
     else:
         raise ValueError("form must be 'disc' or 'depth'")
-    tensor = _stationary_tensor(kernel_rrd, grid, diag_correct)
     t_hat = np.fft.fft(tensor, axis=2)
     f_hat = np.fft.fft(gf.values * radial_factor[:, None], axis=1)
     out_hat = np.einsum("ijw,jw->iw", t_hat, f_hat)
@@ -266,13 +230,27 @@ def apply_kernel_operator(kernel, gf: GridFunction, form: str = "disc",
 
 
 def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], GridFunction]:
-    """The discretised projection as a grid-to-grid operator."""
+    """The discretised projection as a grid-to-grid operator.
+
+    K(z, w) = sum_k (k + 1) (z conj(w))^k is diagonal in the angular modes,
+    so with f_k(rho) the k-th FFT coefficient of the samples along the
+    angles, P f(r, theta) = sum_{0 <= k < m/2} (k + 1) r^k e^(i k theta)
+    sum_j 2 rho_j w_j rho_j^k f_k(rho_j) / m.  This integrates the angular
+    trigonometric interpolant of f exactly; its modes k >= m/2 are negative
+    frequencies, which P removes.  The radial moments use the grid's
+    quadrature, and ``project`` is the pointwise reference.
+    """
+    half = len(grid.angles) // 2
+    k = np.arange(half)
+    powers = grid.radii[:, None] ** k[None, :]
+    moment_weights = (2.0 * grid.radii * grid.radial_weights)[:, None] * powers
+    out_factors = (k + 1.0)[None, :] * powers
+
     def op(gf: GridFunction) -> GridFunction:
-        return apply_kernel_operator(
-            lambda r, t, rho, phi: bergman_kernel(
-                r * np.exp(1j * np.asarray(t, dtype=float)),
-                rho * np.exp(1j * np.asarray(phi, dtype=float))),
-            gf, form="disc")
+        f_hat = np.fft.fft(_values_of(gf, grid), axis=1)[:, :half]
+        out_hat = np.zeros(grid.shape, dtype=complex)
+        out_hat[:, :half] = out_factors * np.sum(moment_weights * f_hat, axis=0)
+        return GridFunction(grid, np.fft.ifft(out_hat, axis=1))
     return op
 
 

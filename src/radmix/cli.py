@@ -88,7 +88,7 @@ def _parse_grid(spec: str) -> PolarGrid:
         a, r = spec.lower().split("x")
         return PolarGrid.build(int(a), int(r))
     except ValueError as exc:
-        raise SystemExit(f"bad --grid spec {spec!r}: {exc}")
+        raise ValueError(f"bad --grid spec {spec!r}: {exc}") from exc
 
 
 def _load_function(spec: str):

@@ -28,9 +28,9 @@ MAX_GRADING_LEVELS = 42
 @lru_cache(maxsize=256)
 def _graded_unit(levels: int, nodes_per_cell: int):
     """Nodes/weights on [0, 1] grading toward 1; weights sum to 1 exactly."""
-    if levels < 1:
-        raise ValueError("graded mesh needs at least one level")
-    levels = min(levels, MAX_GRADING_LEVELS)
+    if not 1 <= levels <= MAX_GRADING_LEVELS:
+        raise ValueError(f"graded mesh levels must lie in "
+                         f"[1, {MAX_GRADING_LEVELS}], got {levels}")
     x, w = _gauss01(nodes_per_cell)
     cuts = [0.0] + [1.0 - 0.5 ** j for j in range(1, levels + 1)] + [1.0]
     nodes, weights = [], []

@@ -206,15 +206,16 @@ def radial_integral(f: AnalyticFunction, theta: float, p, cfg: QuadratureConfig,
     """int_lo^hi |f(r e^(i theta))|^p dr; for p = inf, the radial supremum.
 
     The mesh grades dyadically toward ``hi``.  The supremum branch samples a
-    graded set of ``sup_sample_count`` radii and runs one golden-section pass
-    around the discrete maximiser.
+    graded set of about ``sup_sample_count`` radii, at most 344 (the
+    deepest grading, MAX_GRADING_LEVELS + 1 cells of 8 nodes), and runs one
+    golden-section pass around the discrete maximiser.
     """
     p = ExtendedExponent.of(p)
     if p.is_finite:
         r, w = graded_radial_mesh(cfg.radial_levels, lo=lo, hi=hi)
         vals = _ray_profile(f, theta, r, angle_offset)
         return float(np.sum(w * vals ** float(p)))
-    levels = max(4, cfg.sup_sample_count // 8)
+    levels = min(max(4, cfg.sup_sample_count // 8), MAX_GRADING_LEVELS)
     r, _ = graded_radial_mesh(levels, lo=lo, hi=hi)
     vals = _ray_profile(f, theta, r, angle_offset)
     k = int(np.argmax(vals))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from radmix import (
     GridFunction,
@@ -21,6 +22,7 @@ from radmix import (
     mixed_norm,
     operator_norm_estimate,
     project,
+    projection_blowup_density,
     running_average_maximal,
     sample_on_grid,
     stolz_wedge_inequalities,
@@ -37,6 +39,14 @@ def test_grid_mass_and_shape():
     assert GRID.shape == (64, 64)
     with pytest.raises(ValueError):
         PolarGrid.build(64, 63)
+
+
+def test_grid_rejects_radii_beyond_grading_depth():
+    # 43 cells of 8 nodes is the deepest grading the meshes honour
+    assert PolarGrid.build(64, 344).shape == (344, 64)
+    for n_radii in (352, 512):
+        with pytest.raises(ValueError):
+            PolarGrid.build(64, n_radii)
 
 
 def test_bergman_kernel_values():
@@ -97,12 +107,12 @@ def test_kernel_chain_random_tuples():
 def test_apply_kernel_operator_unit_mass():
     one = GridFunction(GRID, np.ones(GRID.shape, dtype=complex))
     ones_like = lambda *a: np.ones(np.broadcast(*a).shape)
-    out = apply_kernel_operator(ones_like, one, form="disc", diag_correct=False)
+    out = apply_kernel_operator(ones_like, one, form="disc")
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
     out = apply_kernel_operator(ones_like, one, form="depth")
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
     zero = GridFunction(GRID, np.zeros(GRID.shape, dtype=complex))
-    out = apply_kernel_operator(kernel_capped, zero, form="disc", diag_correct=False)
+    out = apply_kernel_operator(kernel_capped, zero, form="disc")
     assert np.max(np.abs(out.values)) == 0.0
     with pytest.raises(ValueError):
         apply_kernel_operator(ones_like, one, form="nope")
@@ -119,10 +129,10 @@ def test_truncated_bergman_below_capped_on_grid():
         w = rho * np.exp(1j * phi)
         return np.abs(bergman_kernel(z, w)) * (angular_distance(t - phi) <= 1.0)
 
-    a = apply_kernel_operator(kabs, f, form="disc", diag_correct=False)
+    a = apply_kernel_operator(kabs, f, form="disc")
     b = apply_kernel_operator(
         lambda r, t, rho, phi: 4.0 * kernel_capped(r, t, rho, phi),
-        f, form="disc", diag_correct=False)
+        f, form="disc")
     assert np.all(a.values.real <= b.values.real + 1e-9)
 
 
@@ -275,6 +285,78 @@ def test_projection_self_adjoint_on_grid():
         a = duality_pairing(op(f), g, GRID)
         b = duality_pairing(f, op(g), GRID)
         assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_projection_operator_reproduces_polynomials():
+    op = bergman_projection_operator(GRID)
+    rng = np.random.default_rng(12)
+    for degree in (0, 4, 15, 31):  # every degree below m / 2 = 32
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        gf = sample_on_grid(TaylorPolynomial(coeffs), GRID)
+        assert np.max(np.abs(op(gf).values - gf.values)) < 1e-10
+
+
+def test_projection_operator_idempotent():
+    op = bergman_projection_operator(GRID)
+    rng = np.random.default_rng(13)
+    f = GridFunction(GRID, rng.standard_normal(GRID.shape)
+                     + 1j * rng.standard_normal(GRID.shape))
+    pf = op(f)
+    assert np.max(np.abs(pf.values)) > 0.1
+    assert np.max(np.abs(op(pf).values - pf.values)) < 1e-10
+
+
+def test_projection_operator_matches_point_quadrature():
+    grid = PolarGrid.build(128, 128)
+    rng = np.random.default_rng(14)
+    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    poly = sample_on_grid(TaylorPolynomial(rng.standard_normal(8)), grid).values
+    f = GridFunction(grid, noise + poly)
+    inner = grid.radii <= 0.6
+    expected = project(f, grid.nodes()[inner], grid)
+    assert np.max(np.abs(expected)) > 0.5
+    got = bergman_projection_operator(grid)(f).values[inner]
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_projection_operator_rejects_other_grid():
+    op = bergman_projection_operator(GRID)
+    other = PolarGrid.build(32, 64)
+    with pytest.raises(ValueError):
+        op(GridFunction(other, np.ones(other.shape, dtype=complex)))
+
+
+def test_wedge_projection_against_adaptive_quadrature():
+    """Criterion 9a's grid values and slopes against scipy's dblquad.
+
+    The oracle integrates K(a, w) f(w) dA(w) over the wedge
+    {0 < t < 1/2, 0 < r < 1 - 2t} directly.  Its slopes lie outside the
+    stated -1/p +- 0.15 as well, so criterion 9a fails on the integral
+    itself, not on the grid.
+    """
+    avals = np.array([0.8, 0.9, 0.95, 0.975])
+    grid = PolarGrid.build(4096, 224, nodes_per_cell=16)
+    for p in (2, 4):
+        alpha = 2.0 - 1.0 / p
+        oracle = []
+        for a in avals:
+            def part(r, t, take):
+                w = r * np.exp(1j * t)
+                v = (t ** alpha / (1.0 - (1.0 - t) * w) ** 2
+                     / (1.0 - a * np.conj(w)) ** 2 * r / np.pi)
+                return take(v)
+            upper = lambda t: 1.0 - 2.0 * t
+            re, im = (integrate.dblquad(part, 0.0, 0.5, 0.0, upper, args=(take,),
+                                        epsabs=1e-9, epsrel=1e-6)[0]
+                      for take in (np.real, np.imag))
+            oracle.append(abs(complex(re, im)))
+        oracle = np.array(oracle)
+        gf = sample_on_grid(projection_blowup_density(p), grid)
+        values = np.array([abs(project(gf, a, grid)) for a in avals])
+        assert np.all(np.abs(values / oracle - 1.0) < 0.05)
+        slope = lambda v: float(np.polyfit(np.log(1 - avals), np.log(v), 1)[0])
+        assert abs(slope(values) - slope(oracle)) < 0.03
+        assert abs(slope(oracle) + 1.0 / p) > 0.15
 
 
 def test_grid_function_file_round_trip(tmp_path):

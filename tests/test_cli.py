@@ -122,6 +122,16 @@ def test_byte_for_byte_reproducibility(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("grid", ["64x512", "64x63", "64"])
+def test_bad_grid_exits_1_without_output(capsys, grid):
+    # 512 radii would need 64 graded cells; the meshes stop at 43
+    code, out, err = run_cli(["--grid", grid, "project", "--function", MONOMIAL1,
+                              "--points", "[[0.3, 0.1]]"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad --grid spec")
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from radmix import (
     tail_sup_norm,
     weak_lp_norm,
 )
+from radmix.meshes import MAX_GRADING_LEVELS, graded_radial_mesh
 
 CFG = QuadratureConfig()
 LN2 = 0.6931471805599453  # oracle: int_0^1 dr/(1+r), closed form
@@ -65,6 +67,18 @@ def test_radial_sup_branch():
     bump_like = TaylorPolynomial([0.2, 0, 1.0])  # max inside handled by golden pass
     v = radial_integral(bump_like, 0.0, "inf", CFG)
     assert v == pytest.approx(1.2, rel=1e-8)
+    # the default 512 samples would need 64 graded levels; the branch takes
+    # the deepest grading, 42, as a config asking for 336 samples does
+    assert CFG.sup_sample_count // 8 > MAX_GRADING_LEVELS
+    capped = replace(CFG, sup_sample_count=8 * MAX_GRADING_LEVELS)
+    assert radial_integral(bump_like, 0.0, "inf", capped) == v
+
+
+def test_graded_mesh_rejects_depth_beyond_cap():
+    assert len(graded_radial_mesh(MAX_GRADING_LEVELS)[0]) == 344
+    for levels in (0, MAX_GRADING_LEVELS + 1, 64, 100):
+        with pytest.raises(ValueError):
+            graded_radial_mesh(levels)
 
 
 def test_monomial_norm_closed_form():
