@@ -76,12 +76,18 @@ class PolarGrid:
     @staticmethod
     def of(radii: np.ndarray, angles: np.ndarray,
            radial_weights: np.ndarray) -> "PolarGrid":
-        """The grid on these nodes, with the area weights 2 r w / m."""
+        """The grid on these nodes, with the area weights 2 r w / m.
+
+        The radii must increase strictly inside [0, 1) and the weights must
+        give the disc unit mass; otherwise ``ValueError``.
+        """
+        if not (np.all((radii >= 0.0) & (radii < 1.0))
+                and np.all(np.diff(radii) > 0.0)):
+            raise ValueError("radii must increase strictly inside [0, 1)")
         m = len(angles)
         area = np.repeat((2.0 * radii * radial_weights / m)[:, None], m, axis=1)
-        total = float(area.sum())
-        if abs(total - 1.0) > 1e-10 or np.any(area < 0):
-            raise AssertionError("area weights failed the unit-mass check")
+        if not (abs(float(area.sum()) - 1.0) <= 1e-10 and np.all(area >= 0)):
+            raise ValueError("area weights failed the unit-mass check")
         return PolarGrid(radii=radii, angles=angles,
                          radial_weights=radial_weights, weights=area)
 
@@ -139,43 +145,26 @@ def kernel_capped(r, theta, rho, phi):
 
     0 for angular gap >= 1, gap^(-2) in the midrange, (1 - r rho)^(-2) once
     the gap drops below 1 - r rho.  Majorises |K| up to the factor 4 on the
-    gap <= 1 region.
+    gap <= 1 region.  This is the depth form at x = y = 1 - r rho.
     """
-    d = angular_distance(np.asarray(theta, dtype=float) - phi)
     cap = 1.0 - np.asarray(r, dtype=float) * np.asarray(rho, dtype=float)
-    d, cap = np.broadcast_arrays(d, cap)
-    out = np.zeros(d.shape)
-    mid = (d < 1.0) & (d >= cap)
-    near = d < np.minimum(cap, 1.0)
-    out[mid] = d[mid] ** -2.0
-    out[near] = cap[near] ** -2.0
-    return out
+    return kernel_capped_depth(theta, phi, cap, cap)
 
 
 def kernel_capped_depth(theta, phi, x, y):
     """Boundary-depth form of the capped kernel: the cap is max(x, y)."""
     d = angular_distance(np.asarray(theta, dtype=float) - phi)
     m = np.maximum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    d, m = np.broadcast_arrays(d, m)
-    out = np.zeros(d.shape)
-    mid = (d < 1.0) & (d >= m)
-    near = d < np.minimum(m, 1.0)
     with np.errstate(divide="ignore"):
-        out[mid] = d[mid] ** -2.0
-        out[near] = m[near] ** -2.0
-    return out
+        return np.where(d < 1.0, np.maximum(d, m) ** -2.0, 0.0)
 
 
 def kernel_offdiag(theta, phi, x, y):
     """Off-diagonal part: gap^(-2) on 1 >= gap >= max(x, y), else 0."""
     d = angular_distance(np.asarray(theta, dtype=float) - phi)
     m = np.maximum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    d, m = np.broadcast_arrays(d, m)
-    out = np.zeros(d.shape)
-    live = (d <= 1.0) & (d >= m)
     with np.errstate(divide="ignore"):
-        out[live] = d[live] ** -2.0
-    return out
+        return np.where((d <= 1.0) & (d >= m), d ** -2.0, 0.0)
 
 
 def kernel_offdiag_dilated(n: int, theta, phi, x, y):
@@ -198,34 +187,28 @@ def project(f, z, grid: PolarGrid):
     return complex(out.ravel()[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
 
 
-def apply_kernel_operator(kernel, gf: GridFunction, form: str = "disc") -> GridFunction:
-    """Integrate a comparison kernel against a grid function.
+def apply_kernel_operator(kernel, gf: GridFunction) -> GridFunction:
+    """Integrate a depth-form comparison kernel against a grid function.
 
-    ``form="disc"`` treats ``kernel(z_out..., w_in...)`` arguments as polar
-    points on the disc and integrates against the unit-mass area measure;
-    ``form="depth"`` treats the kernel as a function of the two angles and
-    the boundary depths x = 1 - r (applied internally) and integrates
-    against the unit-mass product measure dy dphi / 2 pi.
+    The kernel is called as ``kernel(theta, phi, x, y)`` with the boundary
+    depths x = 1 - r of the output and y = 1 - rho of the input node, and is
+    integrated against the unit-mass product measure dy dphi / 2 pi.
 
-    Kernels must be stationary in the angle difference (all catalogued ones
-    are); the angular sum is then a circular convolution done by FFT.
+    Kernels must be stationary in the angle difference and see the depths
+    only through max(x, y) (all catalogued depth kernels do).  The angular
+    sum is then a circular convolution done by FFT, and since the radii
+    increase, max(x_i, y_j) is x_i for j >= i and x_j for j < i: with T_i
+    the angular profile at depth x_i, output row i is
+    T_i * sum_{j >= i} f_j + sum_{j < i} T_j * f_j, two cumulative sums.
     """
     grid = gf.grid
     m = len(grid.angles)
-    r_out = grid.radii[:, None, None]
-    r_in = grid.radii[None, :, None]
-    delta = (2.0 * np.pi * np.arange(m) / m)[None, None, :]
-    if form == "disc":
-        radial_factor = 2.0 * grid.radii * grid.radial_weights / m
-        tensor = kernel(r_out, delta, r_in, 0.0)
-    elif form == "depth":
-        radial_factor = grid.radial_weights / m
-        tensor = kernel(delta, 0.0, 1.0 - r_out, 1.0 - r_in)
-    else:
-        raise ValueError("form must be 'disc' or 'depth'")
-    t_hat = np.fft.fft(tensor, axis=2)
-    f_hat = np.fft.fft(gf.values * radial_factor[:, None], axis=1)
-    out_hat = np.einsum("ijw,jw->iw", t_hat, f_hat)
+    delta = 2.0 * np.pi * np.arange(m) / m
+    x = (1.0 - grid.radii)[:, None]
+    t_hat = np.fft.fft(kernel(delta[None, :], 0.0, x, x), axis=1)
+    f_hat = np.fft.fft(gf.values * (grid.radial_weights / m)[:, None], axis=1)
+    out_hat = t_hat * np.cumsum(f_hat[::-1], axis=0)[::-1]
+    out_hat[1:] += np.cumsum(t_hat * f_hat, axis=0)[:-1]
     return GridFunction(grid, np.fft.ifft(out_hat, axis=1))
 
 

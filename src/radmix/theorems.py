@@ -163,11 +163,13 @@ def classify_ratio_trace(ratios: Sequence[float]) -> str:
 
 
 class NormCache:
-    """Memoised mixed norms keyed by (function key, exponent pair, offset)."""
+    """Memoised mixed norms keyed by (function key, exponent pair, offset),
+    and the point bounds built from them."""
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
         self._store: dict = {}
+        self._point_bounds: dict = {}
 
     def norm(self, key, f: AnalyticFunction, pq: ExponentPair,
              angle_offset: float = 0.0) -> NormEstimate:
@@ -359,7 +361,11 @@ def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
     With a rotation the evaluation point moves to z e^(i rotation) and each
     family member is rotated along; the numerators keep their modulus while
     the norms are recomputed with the quadrature mesh offset accordingly.
+    Each value is computed once per cache.
     """
+    memo = (str(pq), z, derivative, rotation)
+    if memo in cache._point_bounds:
+        return cache._point_bounds[memo]
     best = 0.0
     zz = complex(z)
     for label, f in default_point_family(pq, z):
@@ -369,6 +375,7 @@ def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
             continue
         num = abs(derivative_at(f, zz) if derivative else evaluate(f, zz))
         best = max(best, num / denom.value)
+    cache._point_bounds[memo] = best
     return best
 
 

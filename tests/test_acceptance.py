@@ -22,7 +22,6 @@ import pytest
 
 import radmix as rm
 from radmix import ExponentPair, QuadratureConfig
-from radmix.bergman import apply_kernel_operator
 from radmix.meshes import angular_distance, graded_radial_mesh
 from radmix.theorems import NormCache, compactness_witness_scan, inclusion_witness_scan
 

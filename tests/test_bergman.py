@@ -107,33 +107,29 @@ def test_kernel_chain_random_tuples():
 def test_apply_kernel_operator_unit_mass():
     one = GridFunction(GRID, np.ones(GRID.shape, dtype=complex))
     ones_like = lambda *a: np.ones(np.broadcast(*a).shape)
-    out = apply_kernel_operator(ones_like, one, form="disc")
-    assert np.max(np.abs(out.values - 1.0)) < 1e-12
-    out = apply_kernel_operator(ones_like, one, form="depth")
+    out = apply_kernel_operator(ones_like, one)
     assert np.max(np.abs(out.values - 1.0)) < 1e-12
     zero = GridFunction(GRID, np.zeros(GRID.shape, dtype=complex))
-    out = apply_kernel_operator(kernel_capped, zero, form="disc")
+    out = apply_kernel_operator(kernel_capped_depth, zero)
     assert np.max(np.abs(out.values)) == 0.0
-    with pytest.raises(ValueError):
-        apply_kernel_operator(ones_like, one, form="nope")
 
 
-def test_truncated_bergman_below_capped_on_grid():
-    rng = np.random.default_rng(3)
-    f = GridFunction(GRID, rng.uniform(0, 1, GRID.shape).astype(complex))
-
-    def kabs(r, t, rho, phi):
-        t = np.asarray(t, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        z = r * np.exp(1j * t)
-        w = rho * np.exp(1j * phi)
-        return np.abs(bergman_kernel(z, w)) * (angular_distance(t - phi) <= 1.0)
-
-    a = apply_kernel_operator(kabs, f, form="disc")
-    b = apply_kernel_operator(
-        lambda r, t, rho, phi: 4.0 * kernel_capped(r, t, rho, phi),
-        f, form="disc")
-    assert np.all(a.values.real <= b.values.real + 1e-9)
+def test_apply_kernel_operator_matches_double_sum():
+    # the O(nr^2 m^2) sum over every (radius, angle) input node
+    grid = PolarGrid.build(32, 16)
+    nr, m = grid.shape
+    rng = np.random.default_rng(15)
+    f = GridFunction(grid, rng.standard_normal(grid.shape)
+                     + 1j * rng.standard_normal(grid.shape))
+    x = 1.0 - grid.radii
+    th = grid.angles
+    dilate = lambda t, p, x, y: kernel_offdiag_dilated(3, t, p, x, y)
+    for kernel in (kernel_offdiag, kernel_capped_depth, dilate):
+        k = kernel(th[:, None, None, None], th[None, None, :, None],
+                   x[None, :, None, None], x[None, None, None, :])  # (a, i, b, j)
+        direct = np.einsum("aibj,jb,j->ia", k, f.values, grid.radial_weights / m)
+        got = apply_kernel_operator(kernel, f).values
+        assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
 
 
 def test_grid_mixed_norm_branches():
@@ -247,12 +243,11 @@ def test_projection_operator_stability_under_doubling():
 
 def test_dilated_operator_norm_bound():
     def op_h(gf):
-        return apply_kernel_operator(kernel_offdiag, gf, form="depth")
+        return apply_kernel_operator(kernel_offdiag, gf)
 
     def op_hn(n):
         return lambda gf: apply_kernel_operator(
-            lambda t, p, x, y: kernel_offdiag_dilated(n, t, p, x, y),
-            gf, form="depth")
+            lambda t, p, x, y: kernel_offdiag_dilated(n, t, p, x, y), gf)
 
     base, _ = operator_norm_estimate(op_h, (2, 2), GRID, trials=12, seed=11)
     for n in (1, 2, 3):
@@ -373,6 +368,31 @@ def test_grid_function_file_round_trip(tmp_path):
     assert np.array_equal(back.grid.radii, small.radii)
     assert np.array_equal(back.grid.weights, small.weights)
     assert grid_mixed_norm(back, (2, 4)) == grid_mixed_norm(gf, (2, 4))
+
+
+def test_grid_sidecar_tampering_raises_value_error(tmp_path):
+    import json
+    from radmix import load_grid_function, save_grid_function
+    small = PolarGrid.build(16, 16)
+    path = tmp_path / "grid.csv"
+    save_grid_function(GridFunction(small, np.ones(small.shape, dtype=complex)),
+                       path)
+    sidecar = tmp_path / "grid.csv.json"
+    meta = json.loads(sidecar.read_text())
+    tampered = {
+        "reversed radii": dict(meta, radii=meta["radii"][::-1],
+                               radial_weights=meta["radial_weights"][::-1]),
+        "repeated radius": dict(meta, radii=[meta["radii"][0]] + meta["radii"][:-1]),
+        "radius 1": dict(meta, radii=meta["radii"][:-1] + [1.0]),
+        "doubled weight": dict(meta, radial_weights=[2 * meta["radial_weights"][0]]
+                               + meta["radial_weights"][1:]),
+    }
+    for bad in tampered.values():
+        sidecar.write_text(json.dumps(bad))
+        with pytest.raises(ValueError):
+            load_grid_function(path)
+    sidecar.write_text(json.dumps(meta))
+    assert load_grid_function(path).grid.shape == small.shape
 
 
 def test_stolz_wedge_inequalities():

@@ -22,7 +22,7 @@ from radmix import (
     nontangential_decay_check,
     power_singularity,
 )
-from radmix.theorems import classify_ratio_trace, inclusion_holds
+from radmix.theorems import _point_bound, classify_ratio_trace, inclusion_holds
 
 GRID5 = [1, Fraction(4, 3), 2, 4, "inf"]
 CFG = QuadratureConfig(refine_max=8, rel_tol=0.02)
@@ -181,6 +181,21 @@ def test_point_functional_slopes():
     assert fitd.slope - fit.slope == pytest.approx(1.0, abs=0.1)
     with pytest.raises(ValueError):
         evaluation_functional_fit((2, 2), "nope", zs, cfg)
+
+
+def test_point_bound_computed_once_per_cache():
+    cache = NormCache(CFG)
+    pq = ExponentPair.of(2, 2)
+    first = _point_bound(cache, pq, 0.75)
+    assert first > 0
+    lookups = []
+    norm = cache.norm
+    cache.norm = lambda *a, **kw: lookups.append(a) or norm(*a, **kw)
+    assert _point_bound(cache, pq, 0.75) == first
+    assert lookups == []
+    # another derivative flag or rotation is another value
+    _point_bound(cache, pq, 0.75, derivative=True)
+    assert lookups
 
 
 def test_point_functional_sup_space_is_flat():
