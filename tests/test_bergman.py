@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 from radmix import (
+    DomainError,
     GridFunction,
     Monomial,
     PolarGrid,
@@ -314,6 +315,66 @@ def test_projection_operator_matches_point_quadrature():
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
+def _node_sum(gf, zs):
+    """The grid quadrature of K(z, .) f written out node by node."""
+    nodes, weighted = gf.grid.nodes(), gf.values * gf.grid.weights
+    return np.array([np.sum(bergman_kernel(z, nodes) * weighted) for z in zs])
+
+
+def test_project_matches_explicit_node_sum(monkeypatch):
+    big = PolarGrid.build(4096, 224, nodes_per_cell=16)
+    pts = np.array([0.8, 0.9, 0.95, 0.975, 0.99, 0.99999, 0.3 + 0.9j, -0.95j])
+    for p in (2, 4):
+        gf = sample_on_grid(projection_blowup_density(p), big)
+        expected = _node_sum(gf, pts)
+        got = np.array([project(gf, z, big) for z in pts])
+        assert np.max(np.abs(got / expected - 1.0)) < 1e-12
+    # a rough input at a seeded subset of nodes inside r <= 0.99
+    grid = PolarGrid.build(128, 128)
+    rng = np.random.default_rng(16)
+    f = GridFunction(grid, rng.standard_normal(grid.shape)
+                     + 1j * rng.standard_normal(grid.shape))
+    inside = grid.nodes()[grid.radii <= 0.99].ravel()
+    zs = rng.choice(inside, 64, replace=False)
+    expected = _node_sum(f, zs)
+    got = project(f, zs, grid)
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+    # the values are frozen, so the mode table built above stays valid
+    with pytest.raises(ValueError):
+        f.values[0, 0] = 1.0
+    assert isinstance(project(f, 0.5, grid), complex)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("mode table rebuilt")
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    assert project(f, zs[:3], grid) == pytest.approx(got[:3], rel=1e-15)
+
+
+def test_project_rejects_points_outside_disc():
+    gf = sample_on_grid(Monomial(1), GRID)
+    for z in (1.0, 1.5, -1j, 0.6 + 0.8j, np.nan, complex(0.1, np.inf),
+              [0.2, 1.0 + 1e-12]):
+        with pytest.raises(DomainError):
+            project(gf, z, GRID)
+
+
+def test_grid_function_on_other_nodes_rejected():
+    # same shape as GRID, different radii and weights
+    other = PolarGrid.build(64, 64, nodes_per_cell=16)
+    gf = sample_on_grid(Monomial(3), GRID)
+    with pytest.raises(ValueError):
+        project(gf, 0.5, other)
+    with pytest.raises(ValueError):
+        duality_pairing(gf, gf, other)
+    with pytest.raises(ValueError):
+        bergman_projection_operator(other)(gf)
+    # an equal grid built separately (as from a sidecar file) is accepted
+    same = PolarGrid.of(GRID.radii.copy(), GRID.angles.copy(),
+                        GRID.radial_weights.copy())
+    assert abs(project(gf, 0.5, same) - 0.125) < 1e-9
+    assert duality_pairing(gf, gf, same) == pytest.approx(0.25, abs=1e-12)
+
+
 def test_projection_operator_rejects_other_grid():
     op = bergman_projection_operator(GRID)
     other = PolarGrid.build(32, 64)
@@ -393,6 +454,29 @@ def test_grid_sidecar_tampering_raises_value_error(tmp_path):
             load_grid_function(path)
     sidecar.write_text(json.dumps(meta))
     assert load_grid_function(path).grid.shape == small.shape
+
+
+def test_grid_sidecar_angle_tampering_raises_value_error(tmp_path):
+    import json
+    from radmix import load_grid_function, save_grid_function
+    small = PolarGrid.build(16, 16)
+    path = tmp_path / "grid.csv"
+    save_grid_function(GridFunction(small, np.ones(small.shape, dtype=complex)),
+                       path)
+    sidecar = tmp_path / "grid.csv.json"
+    meta = json.loads(sidecar.read_text())
+    angles = meta["angles"]
+    tampered = {
+        "shuffled": angles[1::2] + angles[::2],
+        "shifted": [a + 1e-9 for a in angles],
+        "midpoints": [a + np.pi / 16 for a in angles],
+    }
+    for bad in tampered.values():
+        sidecar.write_text(json.dumps(dict(meta, angles=bad)))
+        with pytest.raises(ValueError):
+            load_grid_function(path)
+    with pytest.raises(ValueError):
+        PolarGrid.of(small.radii, small.angles[::-1], small.radial_weights)
 
 
 def test_stolz_wedge_inequalities():

@@ -132,6 +132,20 @@ def test_bad_grid_exits_1_without_output(capsys, grid):
     assert err.startswith("error: bad --grid spec")
 
 
+@pytest.mark.parametrize("points", ['[[1, 0]]', '[[1.5, 0]]', '[[0, -1]]',
+                                    '[["nan", 0]]', '[[NaN, 0]]',
+                                    '[[0.3, 0.1], [Infinity, 0]]',
+                                    '[[0.3, 0.1, 0.2]]', '[[0.3]]', '0.5'])
+def test_project_bad_point_exits_1_without_output(capsys, points):
+    # the projection is defined on the open disc only; malformed points are
+    # refused before anything is printed
+    code, out, err = run_cli(["--grid", "64x64", "project", "--function",
+                              MONOMIAL1, "--points", points], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_help_lists_flags(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
