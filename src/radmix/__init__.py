@@ -29,6 +29,7 @@ from .norms import (
     NormEstimate,
     QuadratureConfig,
     dilation_convergence,
+    discrete_mixed_norm,
     mixed_norm,
     mixed_norm_truncated,
     radial_integral,

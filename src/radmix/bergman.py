@@ -25,9 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exponents import as_pair
 from .functions import AnalyticFunction, DomainError, evaluate
 from .meshes import angular_distance, graded_radial_mesh, uniform_angles
+from .norms import discrete_mixed_norm
 from .witnesses import in_stolz_wedge
 
 __all__ = [
@@ -82,8 +82,12 @@ class PolarGrid:
         The radii must increase strictly inside [0, 1), the angles must be
         ``uniform_angles(m)`` to within 1e-12 (the FFT applies and
         ``project`` rely on them) and the weights must give the disc unit
-        mass; otherwise ``ValueError``.
+        mass; otherwise ``ValueError``.  The grid keeps read-only copies of
+        its arrays, so a ``GridFunction``'s cached ``mode_table`` cannot go
+        stale.
         """
+        radii, angles, radial_weights = (
+            np.array(a, dtype=float) for a in (radii, angles, radial_weights))
         if not (np.all((radii >= 0.0) & (radii < 1.0))
                 and np.all(np.diff(radii) > 0.0)):
             raise ValueError("radii must increase strictly inside [0, 1)")
@@ -94,6 +98,8 @@ class PolarGrid:
         area = np.repeat((2.0 * radii * radial_weights / m)[:, None], m, axis=1)
         if not (abs(float(area.sum()) - 1.0) <= 1e-10 and np.all(area >= 0)):
             raise ValueError("area weights failed the unit-mass check")
+        for a in (radii, angles, radial_weights, area):
+            a.flags.writeable = False
         return PolarGrid(radii=radii, angles=angles,
                          radial_weights=radial_weights, weights=area)
 
@@ -312,18 +318,9 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
 
 def grid_mixed_norm(gf: GridFunction, pq) -> float:
     """Discrete mixed norm: plain-dr radial weights, uniform angular mean."""
-    pq = as_pair(pq)
-    vals = np.abs(gf.values)
-    w = gf.grid.radial_weights
-    if pq.p.is_finite:
-        pf = float(pq.p)
-        inner = (w @ vals ** pf) ** (1.0 / pf)
-    else:
-        inner = vals.max(axis=0)
-    if pq.q.is_finite:
-        qf = float(pq.q)
-        return float(np.mean(inner ** qf) ** (1.0 / qf))
-    return float(inner.max())
+    m = len(gf.grid.angles)
+    return discrete_mixed_norm(np.abs(gf.values).T, gf.grid.radial_weights,
+                               np.full(m, 1.0 / m), pq)
 
 
 # -- maximal operators ---------------------------------------------------------
@@ -406,20 +403,17 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
     trace = []
     for t in range(trials):
         kind = ("gaussian", "rank_one", "witness")[t % 3]
-        for _ in range(8):  # redraw degenerate zero-norm inputs
-            if kind == "gaussian":
-                vals = rng.standard_normal((nr, na)) + 1j * rng.standard_normal((nr, na))
-            elif kind == "rank_one":
-                ang = rng.standard_normal(na) + 1j * rng.standard_normal(na)
-                rad = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
-                vals = np.outer(rad, ang)
-            else:
-                vals = witnesses[(t // 3) % len(witnesses)]
-            gf = GridFunction(grid, vals)
-            denom = grid_mixed_norm(gf, pq)
-            if denom > 0.0 and math.isfinite(denom):
-                break
+        if kind == "gaussian":
+            vals = rng.standard_normal((nr, na)) + 1j * rng.standard_normal((nr, na))
+        elif kind == "rank_one":
+            ang = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+            rad = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
+            vals = np.outer(rad, ang)
         else:
+            vals = witnesses[(t // 3) % len(witnesses)]
+        gf = GridFunction(grid, vals)
+        denom = grid_mixed_norm(gf, pq)
+        if not (denom > 0.0 and math.isfinite(denom)):
             continue
         ratio = grid_mixed_norm(op(gf), pq) / denom
         trace.append((kind, float(ratio)))

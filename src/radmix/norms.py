@@ -42,6 +42,7 @@ __all__ = [
     "NormEstimate",
     "QuadratureConfig",
     "dilation_convergence",
+    "discrete_mixed_norm",
     "mixed_norm",
     "mixed_norm_truncated",
     "radial_integral",
@@ -203,69 +204,63 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
 def radial_integral(f: AnalyticFunction, theta: float, p, cfg: QuadratureConfig,
                     lo: float = 0.0, hi: float = 1.0,
                     angle_offset: float = 0.0) -> float:
-    """int_lo^hi |f(r e^(i theta))|^p dr; for p = inf, the radial supremum.
-
-    The mesh grades dyadically toward ``hi``.  The supremum branch samples a
-    graded set of about ``sup_sample_count`` radii, at most 344 (the
-    deepest grading, MAX_GRADING_LEVELS + 1 cells of 8 nodes), and runs one
-    golden-section pass around the discrete maximiser.
-    """
+    """int_lo^hi |f(r e^(i theta))|^p dr for finite p, on a mesh graded
+    dyadically toward ``hi``; p = inf raises ``ValueError``."""
     p = ExtendedExponent.of(p)
-    if p.is_finite:
-        r, w = graded_radial_mesh(cfg.radial_levels, lo=lo, hi=hi)
-        vals = _ray_profile(f, theta, r, angle_offset)
-        return float(np.sum(w * vals ** float(p)))
-    levels = min(max(4, cfg.sup_sample_count // 8), MAX_GRADING_LEVELS)
-    r, _ = graded_radial_mesh(levels, lo=lo, hi=hi)
+    if not p.is_finite:
+        raise ValueError("the ray integral is defined for finite p")
+    r, w = graded_radial_mesh(cfg.radial_levels, lo=lo, hi=hi)
     vals = _ray_profile(f, theta, r, angle_offset)
-    k = int(np.argmax(vals))
-    a = r[k - 1] if k > 0 else lo
-    b = r[k + 1] if k + 1 < len(r) else 0.5 * (r[k] + hi)
-    refined = _golden_max(
-        lambda t: _ray_profile(f, theta, np.array([t]), angle_offset)[0], a, b)
-    return float(max(vals[k], refined))
+    return float(np.sum(w * vals ** float(p)))
 
 
-def _sup_over_angles(f, p_val: float | None, count: int, levels: int,
-                     offset: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    """sup over theta of the radial p-integral over [lo, hi] (or of the
-    radial sup if p is None)."""
+def _radial_values(vals: np.ndarray, radial_w: np.ndarray, p) -> np.ndarray:
+    """Per-ray sum of vals^p dr over the last axis (the max for p = inf)."""
+    return (vals ** float(p)) @ radial_w if p.is_finite else vals.max(axis=-1)
+
+
+def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
+                        angular_w: np.ndarray, pq) -> float:
+    """Mixed norm of samples vals[angle, radius] >= 0.
+
+    The L^p sum (or max) along each row against ``radial_w``, then the L^q
+    mean (or max) of those values against ``angular_w``.
+    """
+    pq = as_pair(pq)
+    inner = _radial_values(vals, radial_w, pq.p)
+    pf = float(pq.p) if pq.p.is_finite else 1.0
+    if not pq.q.is_finite:
+        return float(inner.max()) ** (1.0 / pf)
+    qf = float(pq.q)
+    return float(angular_w @ inner ** (qf / pf)) ** (1.0 / qf)
+
+
+def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
+                 offset: float, lo: float = 0.0, hi: float = 1.0) -> float:
+    """One quadrature level of the mixed norm with radii in [lo, hi].
+
+    q finite: the panel-graded angular rule of ``count`` cells and
+    ``discrete_mixed_norm``.  q = inf: the sup over ``count`` midpoint
+    angles and the singular directions, refined by a golden-section pass
+    around the discrete maximiser.
+    """
+    r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
+    if pq.q.is_finite:
+        thetas, ang_w = _angular_rule(f, count, levels, offset)
+        return discrete_mixed_norm(_abs_values(f, thetas, r, offset), w, ang_w,
+                                   pq)
+    p = pq.p
     specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(count), specials])
-    r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
-    vals = _abs_values(f, thetas, r, offset)
-    if p_val is None:
-        per_angle = vals.max(axis=1)
-    else:
-        per_angle = (vals ** p_val) @ w
+    per_angle = _radial_values(_abs_values(f, thetas, r, offset), w, p)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
 
     def ray(t: float) -> float:
-        prof = _ray_profile(f, t, r, offset)
-        return float(prof.max()) if p_val is None else float((prof ** p_val) @ w)
+        return float(_radial_values(_ray_profile(f, t, r, offset), w, p))
 
-    best = _golden_max(ray, thetas[k] - h, thetas[k] + h)
-    top = max(float(per_angle[k]), best)
-    return top if p_val is None else top ** (1.0 / p_val)
-
-
-def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, hi: float) -> float:
-    p, q = pq.p, pq.q
-    if not q.is_finite:
-        return _sup_over_angles(f, float(p) if p.is_finite else None,
-                                count, levels, offset, hi=hi)
-    thetas, ang_w = _angular_rule(f, count, levels, offset)
-    r, w = graded_radial_mesh(levels, hi=hi)
-    vals = _abs_values(f, thetas, r, offset)
-    qf = float(q)
-    if p.is_finite:
-        inner = (vals ** float(p)) @ w
-        outer = float(ang_w @ inner ** (qf / float(p)))
-    else:
-        outer = float(ang_w @ vals.max(axis=1) ** qf)
-    return outer ** (1.0 / qf)
+    top = max(float(per_angle[k]), _golden_max(ray, thetas[k] - h, thetas[k] + h))
+    return top ** (1.0 / float(p)) if p.is_finite else top
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:
@@ -316,7 +311,7 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
     for level in range(top + 1):
         v = _level_value(f, pq, base_count << level, cfg.radial_levels + level,
-                         angle_offset, hi)
+                         angle_offset, hi=hi)
         trace.append((level, v))
         values.append(v)
         if not math.isfinite(v):
@@ -359,8 +354,8 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
         raise ValueError("tail norm is defined for finite p")
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
-    return _sup_over_angles(f, float(p), cfg.sup_sample_count,
-                            cfg.radial_levels, 0.0, lo=rho)
+    return _level_value(f, ExponentPair.of(p, "inf"),
+                        cfg.sup_sample_count, cfg.radial_levels, 0.0, lo=rho)
 
 
 def weak_lp_norm(samples: Sequence[float], p: float) -> float:

@@ -206,15 +206,13 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
     cache = cache or NormCache(cfg)
     reports: list = []
 
-    def monomial_family():
-        return [((("mon", n)), Monomial(n)) for n in MONOMIAL_BUDGET]
-
     def cesaro_family(alpha: Fraction, budget=CESARO_BUDGET):
         a = float(alpha)
         return [((("ces", n, a)), cesaro_power(n, a)) for n in budget]
 
-    if not contained and dst.p > src.p:
-        trace = _ratio_trace(cache, monomial_family(), src, dst)
+    if (contained and not excluded) or (not contained and dst.p > src.p):
+        trace = _ratio_trace(
+            cache, [(("mon", n), Monomial(n)) for n in MONOMIAL_BUDGET], src, dst)
         reports.append(WitnessReport(
             "monomial", trace, classify_ratio_trace([v for _, v in trace])))
     if not contained and dst.reciprocal_sum() < src.reciprocal_sum():
@@ -242,9 +240,6 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
             concl = "inconclusive"
         reports.append(WitnessReport("cesaro_power", trace, concl))
     if contained and not excluded:
-        trace = _ratio_trace(cache, monomial_family(), src, dst)
-        reports.append(WitnessReport(
-            "monomial", trace, classify_ratio_trace([v for _, v in trace])))
         s0 = src.reciprocal_sum()
         if s0 > 0:
             f = power_singularity(float(s0) / 2.0)

@@ -42,6 +42,20 @@ def test_grid_mass_and_shape():
         PolarGrid.build(64, 63)
 
 
+def test_grid_arrays_are_read_only_copies():
+    # writing a grid in place would leave cached mode tables stale
+    radii = GRID.radii.copy()
+    g = PolarGrid.of(radii, GRID.angles.copy(), GRID.radial_weights.copy())
+    radii[0] = 0.5
+    assert g.radii[0] == GRID.radii[0]
+    for grid in (g, GRID):
+        for name in ("radii", "angles", "radial_weights", "weights"):
+            with pytest.raises(ValueError):
+                getattr(grid, name)[:] *= 2
+    gf = sample_on_grid(Monomial(3), g)
+    assert abs(project(gf, 0.5, g) - project(Monomial(3), 0.5, g)) < 1e-12
+
+
 def test_grid_rejects_radii_beyond_grading_depth():
     # 43 cells of 8 nodes is the deepest grading the meshes honour
     assert PolarGrid.build(64, 344).shape == (344, 64)

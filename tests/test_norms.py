@@ -1,9 +1,9 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from radmix import (
@@ -15,6 +15,7 @@ from radmix import (
     TaylorPolynomial,
     dilate,
     dilation_convergence,
+    discrete_mixed_norm,
     evaluate,
     mixed_norm,
     mixed_norm_truncated,
@@ -60,18 +61,11 @@ def test_radial_integral_against_scipy():
         assert radial_integral(f, theta, 2, CFG) == pytest.approx(oracle, rel=1e-8)
 
 
-def test_radial_sup_branch():
-    # p = inf returns the radial supremum; for z^n that approaches 1
-    v = radial_integral(Monomial(6), 0.1, "inf", CFG)
-    assert 1 - 1e-6 < v <= 1.0
-    bump_like = TaylorPolynomial([0.2, 0, 1.0])  # max inside handled by golden pass
-    v = radial_integral(bump_like, 0.0, "inf", CFG)
-    assert v == pytest.approx(1.2, rel=1e-8)
-    # the default 512 samples would need 64 graded levels; the branch takes
-    # the deepest grading, 42, as a config asking for 336 samples does
-    assert CFG.sup_sample_count // 8 > MAX_GRADING_LEVELS
-    capped = replace(CFG, sup_sample_count=8 * MAX_GRADING_LEVELS)
-    assert radial_integral(bump_like, 0.0, "inf", capped) == v
+def test_radial_integral_rejects_inf():
+    # the radial sup is the p = inf branch of mixed_norm's level, not a ray
+    # integral
+    with pytest.raises(ValueError):
+        radial_integral(Monomial(6), 0.1, "inf", CFG)
 
 
 def test_graded_mesh_rejects_depth_beyond_cap():
@@ -215,6 +209,39 @@ def test_weak_lp_homogeneous(samples, p, c):
     base = weak_lp_norm(samples, p)
     scaled = weak_lp_norm([c * s for s in samples], p)
     assert scaled == pytest.approx(c * base, rel=1e-12, abs=1e-12)
+
+
+_EXPONENTS = (1.0, 1.5, 2.0, 3.0, 8.0, "inf")
+
+
+def _unit_mass(raw):
+    w = np.asarray(raw)
+    return w / w.sum()
+
+
+@settings(max_examples=50, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                  elements=st.floats(1e-3, 100.0) | st.just(0.0)),
+       st.data(), st.floats(0.01, 10.0))
+def test_discrete_mixed_norm_holder_and_homogeneity(vals, data, c):
+    na, nr = vals.shape
+    rw = _unit_mass(data.draw(st.lists(st.floats(0.1, 1.0), min_size=nr,
+                                       max_size=nr)))
+    aw = _unit_mass(data.draw(st.lists(st.floats(0.1, 1.0), min_size=na,
+                                       max_size=na)))
+    p1, p2, q1, q2 = (data.draw(st.sampled_from(_EXPONENTS)) for _ in range(4))
+    order = {e: k for k, e in enumerate(_EXPONENTS)}
+    p1, p2 = sorted((p1, p2), key=order.get)
+    q1, q2 = sorted((q1, q2), key=order.get)
+
+    def norm(p, q, v=vals):
+        return discrete_mixed_norm(v, rw, aw, (p, q))
+
+    # unit-mass weights: the norm grows with either exponent
+    assert norm(p1, q1) <= norm(p2, q1) * (1 + 1e-12)
+    assert norm(p1, q1) <= norm(p1, q2) * (1 + 1e-12)
+    assert norm(p1, q1, c * vals) == pytest.approx(c * norm(p1, q1), rel=1e-12)
+    assert norm("inf", "inf") == vals.max()
 
 
 def test_weak_interpolation_bound_stable():
