@@ -25,10 +25,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functions import AnalyticFunction, DomainError, evaluate
+from .functions import (AnalyticFunction, DomainError, Monomial, RationalBump,
+                        _integer, evaluate)
 from .meshes import angular_distance, graded_radial_mesh, uniform_angles
 from .norms import discrete_mixed_norm
-from .witnesses import in_stolz_wedge
+from .witnesses import in_stolz_wedge, power_singularity
 
 __all__ = [
     "GridFunction",
@@ -51,19 +52,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarGrid:
-    """Quadrature nodes on the disc for the unit-mass area measure.
+    """Quadrature nodes radii[i] e^(i angles[j]) for the unit-mass area measure.
 
-    ``weights[i, j]`` belongs to the node radii[i] * e^(i angles[j]) and the
-    weights sum to one.  ``radial_weights`` are the plain dr weights on
-    [0, 1] used by the discrete mixed norms.
+    ``angles`` are 2 pi j / n_angles (the FFT applies and ``project`` need
+    them uniform), ``radial_weights`` the plain dr weights on [0, 1] of the
+    mixed norms, ``weights`` the area weights 2 r w / n_angles.  Bad inputs
+    raise ``ValueError``.  Arrays are read-only, so a cached ``mode_table``
+    cannot go stale.  Grids compare and hash by identity.
     """
 
     radii: np.ndarray
-    angles: np.ndarray
     radial_weights: np.ndarray
-    weights: np.ndarray
+    n_angles: int
+
+    def __post_init__(self):
+        r, w = (np.array(a, dtype=float) for a in (self.radii, self.radial_weights))
+        m = _integer(self.n_angles, "angle count")
+        if not (m >= 1 and r.ndim == 1 and w.shape == r.shape
+                and np.all(np.diff(r) > 0.0) and np.all((r >= 0.0) & (r < 1.0))):
+            raise ValueError("a grid needs an angle and radii increasing strictly "
+                             "inside [0, 1), with one weight each")
+        if not (abs(float(np.sum(2.0 * r * w)) - 1.0) <= 1e-10 and np.all(w >= 0)):
+            raise ValueError("area weights failed the unit-mass check")
+        r.flags.writeable = w.flags.writeable = False
+        for name, value in (("radii", r), ("radial_weights", w), ("n_angles", m)):
+            object.__setattr__(self, name, value)
 
     @staticmethod
     def build(n_angles: int = 64, n_radii: int = 64,
@@ -72,47 +87,27 @@ class PolarGrid:
             raise ValueError("radial count must be a multiple of the cell size")
         # the mesh refuses fewer than 2 or more than MAX_GRADING_LEVELS + 1 cells
         r, w = graded_radial_mesh(n_radii // nodes_per_cell - 1, nodes_per_cell)
-        return PolarGrid.of(r, uniform_angles(n_angles), w)
+        return PolarGrid(r, w, n_angles)
 
-    @staticmethod
-    def of(radii: np.ndarray, angles: np.ndarray,
-           radial_weights: np.ndarray) -> "PolarGrid":
-        """The grid on these nodes, with the area weights 2 r w / m.
+    @cached_property
+    def angles(self) -> np.ndarray:
+        return np.broadcast_to(uniform_angles(self.n_angles), self.n_angles)
 
-        The radii must increase strictly inside [0, 1), the angles must be
-        ``uniform_angles(m)`` to within 1e-12 (the FFT applies and
-        ``project`` rely on them) and the weights must give the disc unit
-        mass; otherwise ``ValueError``.  The grid keeps read-only copies of
-        its arrays, so a ``GridFunction``'s cached ``mode_table`` cannot go
-        stale.
-        """
-        radii, angles, radial_weights = (
-            np.array(a, dtype=float) for a in (radii, angles, radial_weights))
-        if not (np.all((radii >= 0.0) & (radii < 1.0))
-                and np.all(np.diff(radii) > 0.0)):
-            raise ValueError("radii must increase strictly inside [0, 1)")
-        m = len(angles)
-        if not (m > 0 and np.shape(angles) == (m,)
-                and np.max(np.abs(angles - uniform_angles(m))) <= 1e-12):
-            raise ValueError("angles must be the uniform angles 2 pi l / m")
-        area = np.repeat((2.0 * radii * radial_weights / m)[:, None], m, axis=1)
-        if not (abs(float(area.sum()) - 1.0) <= 1e-10 and np.all(area >= 0)):
-            raise ValueError("area weights failed the unit-mass check")
-        for a in (radii, angles, radial_weights, area):
-            a.flags.writeable = False
-        return PolarGrid(radii=radii, angles=angles,
-                         radial_weights=radial_weights, weights=area)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        area = 2.0 * self.radii * self.radial_weights / self.n_angles
+        return np.broadcast_to(area[:, None], self.shape)
 
     @property
     def shape(self):
-        return (len(self.radii), len(self.angles))
+        return (len(self.radii), self.n_angles)
 
     def nodes(self) -> np.ndarray:
         """Complex node matrix indexed (radius, angle)."""
         return self.radii[:, None] * np.exp(1j * self.angles[None, :])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex samples on a polar grid, indexed (radius, angle).
 
@@ -165,8 +160,8 @@ def _on_grid(f, grid: PolarGrid) -> GridFunction:
     if not isinstance(f, GridFunction):
         return sample_on_grid(f, grid)
     g = f.grid
-    if g is grid or (np.array_equal(g.radii, grid.radii)
-                     and np.array_equal(g.angles, grid.angles)
+    if g is grid or (g.n_angles == grid.n_angles
+                     and np.array_equal(g.radii, grid.radii)
                      and np.array_equal(g.radial_weights, grid.radial_weights)):
         return f
     raise ValueError("grid function lives on a different grid")
@@ -280,10 +275,9 @@ def apply_kernel_operator(kernel, gf: GridFunction) -> GridFunction:
     T_i * sum_{j >= i} f_j + sum_{j < i} T_j * f_j, two cumulative sums.
     """
     grid = gf.grid
-    m = len(grid.angles)
-    delta = 2.0 * np.pi * np.arange(m) / m
+    m = grid.n_angles
     x = (1.0 - grid.radii)[:, None]
-    t_hat = np.fft.fft(kernel(delta[None, :], 0.0, x, x), axis=1)
+    t_hat = np.fft.fft(kernel(grid.angles[None, :], 0.0, x, x), axis=1)
     f_hat = np.fft.fft(gf.values * (grid.radial_weights / m)[:, None], axis=1)
     out_hat = t_hat * np.cumsum(f_hat[::-1], axis=0)[::-1]
     out_hat[1:] += np.cumsum(t_hat * f_hat, axis=0)[:-1]
@@ -301,7 +295,7 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
     frequencies, which P removes.  The radial moments are m times the column
     sums of the input's ``mode_table``.
     """
-    m = len(grid.angles)
+    m = grid.n_angles
     half = m // 2
     k = np.arange(half)
     out_factors = (k + 1.0)[None, :] * grid.radii[:, None] ** k[None, :]
@@ -318,7 +312,7 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
 
 def grid_mixed_norm(gf: GridFunction, pq) -> float:
     """Discrete mixed norm: plain-dr radial weights, uniform angular mean."""
-    m = len(gf.grid.angles)
+    m = gf.grid.n_angles
     return discrete_mixed_norm(np.abs(gf.values).T, gf.grid.radial_weights,
                                np.full(m, 1.0 / m), pq)
 
@@ -376,8 +370,6 @@ def circle_maximal(samples: Sequence[float]) -> np.ndarray:
 # -- randomised operator-norm lower bounds -------------------------------------
 
 def _witness_draws(grid: PolarGrid):
-    from .witnesses import power_singularity  # local to avoid cycles
-    from .functions import Monomial, RationalBump
     fns = [
         Monomial(0), Monomial(1), Monomial(4), Monomial(16),
         power_singularity(0.3), power_singularity(0.6), power_singularity(0.9),
@@ -450,8 +442,15 @@ def load_grid_function(csv_path, sidecar_path=None) -> GridFunction:
     sidecar_path = Path(sidecar_path) if sidecar_path else \
         csv_path.with_suffix(csv_path.suffix + ".json")
     meta = json.loads(sidecar_path.read_text())
-    grid = PolarGrid.of(np.asarray(meta["radii"]), np.asarray(meta["angles"]),
-                        np.asarray(meta["radial_weights"]))
+    try:
+        radii, angles, weights = (np.array(meta[k], dtype=float)
+                                  for k in ("radii", "angles", "radial_weights"))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed grid sidecar: {exc!r}") from None
+    grid = PolarGrid(radii, weights, angles.size)
+    if not (angles.shape == grid.angles.shape
+            and np.max(np.abs(angles - grid.angles)) <= 1e-12):
+        raise ValueError("sidecar angles must be the uniform angles 2 pi l / m")
     rows = []
     for line in csv_path.read_text().splitlines():
         rows.append([complex(float(re), float(im))

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .bergman import (
     project,
     sample_on_grid,
 )
-from .exponents import ExponentPair, ExtendedExponent
+from .exponents import ExponentPair, ExtendedExponent, parse_fraction
 from .functions import from_spec
 from .norms import QuadratureConfig, mixed_norm
 from .theorems import (
@@ -168,7 +167,7 @@ def cmd_scan(args) -> int:
 
 def cmd_scan_functional(args) -> int:
     cfg = _config_from_args(args, default_tol=0.005)
-    zs = [float(Fraction(t)) for t in args.z_list.split(",")]
+    zs = [float(parse_fraction(t)) for t in args.z_list.split(",")]
     rows = []
     for which in ("point", "derivative"):
         fit = evaluation_functional_fit(
@@ -220,9 +219,9 @@ def cmd_witness(args) -> int:
     params = embedding_params(args.p, args.K)
     manifest = _config_hash(cfg, args.seed, {"cmd": "witness", "p": args.p,
                                              "K": args.K})
-    margins = params.disc_margins()
+    low = min(params.disc_margins(), default=math.inf)  # one bump: no pair
     _emit_csv(_witness_rows(params), WITNESS_HEADER, manifest, args.out_file, (
-        f"disc_disjoint: {min(margins) > 0} (min margin {min(margins):.3e})",
+        f"disc_disjoint: {low > 0} (min margin {low:.3e})",
         f"height_ratio_sum: {_fmt(params.height_ratio_sum())} "
         f"(+ tail <= {_fmt(embedding_tail_bound(args.p, args.K))})",
         f"theta_below_pi: {all(abs(t) < math.pi for t in params.theta)}"))

@@ -8,11 +8,27 @@ suffer float drift.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 ExponentLike = Union[int, float, str, Fraction, "ExtendedExponent"]
+
+
+def parse_fraction(text: str) -> Fraction:
+    """A decimal or p/q string as an exact Fraction that a float can hold.
+
+    Malformed text, a zero denominator and a magnitude beyond the float
+    range all raise ``ValueError``.
+    """
+    try:
+        x = Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    if abs(x) > sys.float_info.max:
+        raise ValueError(f"{text!r} is beyond the float range")
+    return x
 
 
 @dataclass(frozen=True)
@@ -27,6 +43,8 @@ class ExtendedExponent:
                 raise TypeError("finite exponent must be a Fraction")
             if self.value < 1:
                 raise ValueError(f"exponent must be >= 1, got {self.value}")
+            if self.value > sys.float_info.max:
+                raise ValueError(f"exponent {self.value} is beyond the float range")
 
     # -- construction ------------------------------------------------------
 
@@ -38,7 +56,7 @@ class ExtendedExponent:
             s = x.strip().lower()
             if s in ("inf", "infinity", "oo"):
                 return ExtendedExponent(None)
-            return ExtendedExponent(Fraction(s))
+            return ExtendedExponent(parse_fraction(s))
         if isinstance(x, Fraction):
             return ExtendedExponent(x)
         if isinstance(x, int):

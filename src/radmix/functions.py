@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -130,12 +131,10 @@ def _integer(x, what: str) -> int:
 
 
 def _real(x, what: str) -> float:
-    """x as a finite float; bools, strings and non-finite values are refused.
-
-    An int beyond the float range raises OverflowError.
-    """
+    """x as a finite float; bools, strings, non-finite values and numbers
+    beyond the float range are refused."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real) \
-            or not math.isfinite(x):
+            or not abs(x) <= sys.float_info.max:
         raise ValueError(f"{what} must be a finite real number, got {x!r}")
     return float(x)
 

@@ -33,9 +33,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exponents import ExponentPair, ExtendedExponent, as_pair
+from .functions import AnalyticFunction, Sum, _integer, _real, dilate
 # ``evaluate`` is not called here; perfbench's traced run wraps
 # ``norms.evaluate``, so the name stays importable from this module.
-from .functions import AnalyticFunction, Sum, dilate, evaluate  # noqa: F401
+from .functions import evaluate  # noqa: F401
 from .meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
 
 __all__ = [
@@ -65,6 +66,9 @@ class QuadratureConfig:
     sup_sample_count: int = 512
 
     def __post_init__(self):
+        for f in fields(self):
+            check = _real if f.name == "rel_tol" else _integer
+            object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
         if self.theta_count < 8:
             raise ValueError("theta_count must be at least 8")
         if not 4 <= self.radial_levels <= MAX_GRADING_LEVELS:

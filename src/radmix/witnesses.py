@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -28,6 +29,8 @@ from .functions import (
     PowerSingularity,
     RationalBump,
     Sum,
+    _integer,
+    _real,
 )
 
 __all__ = [
@@ -69,22 +72,57 @@ def embedding_tail_bound(p: float, start: int) -> float:
     return (7.0 / 15.0) * (2.0 * p - 1.0) ** (1.0 / p) * (2.0 / 7.0) ** start
 
 
+# up to this count the disc margins, about 3 r_k^3 / 8, stay normal floats
+_MAX_BUMPS = 340
+
+
 @dataclass(frozen=True)
 class EmbeddingParams:
-    """The finite sections of the bump-sum embedding construction.
+    """The first ``count`` bumps of the embedding construction at exponent p.
 
-    r, a are also carried as exact rationals; eps uses floats (it involves
-    p-th roots) with relative error at the double-precision level.
+    ``r``, ``a``, ``eps`` and ``theta`` are derived: r and a rounded from
+    their exact rationals, eps in floats (it involves p-th roots) with
+    relative error at the double-precision level.  Bad inputs or a failed
+    side condition (summable height ratios, pole angles in (-pi, pi), unit
+    normalisation, disjoint discs) raise ``ValueError``.
     """
 
     p: float
     count: int
-    r: tuple
-    a: tuple
-    eps: tuple
-    theta: tuple
-    r_exact: tuple
-    a_exact: tuple
+
+    def __post_init__(self):
+        p, count = _real(self.p, "exponent p"), _integer(self.count, "bump count")
+        if not (p >= 1.0 and 1 <= count <= _MAX_BUMPS):
+            raise ValueError(f"the construction needs p >= 1 and 1 <= count <= "
+                             f"{_MAX_BUMPS}, got p = {p}, count = {count}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "count", count)
+        if not self.height_ratio_total_bound() < 1.0:
+            raise ValueError("height/radius^2 series reached 1")
+        if not all(abs(t) < math.pi for t in self.theta):
+            raise ValueError("a pole angle left (-pi, pi)")
+        for k in range(count):
+            if not abs(normalization_integral(self, k) - 1.0) <= 1e-10:
+                raise ValueError(f"bump {k} normalisation off")
+        if not all(m > 0.0 for m in self.disc_margins()):
+            raise ValueError("bump discs overlap")
+
+    @cached_property
+    def r(self) -> tuple:
+        return tuple(math.ldexp(1.0, -(k + 1)) for k in range(self.count))
+
+    @cached_property
+    def a(self) -> tuple:
+        return tuple((14 ** (k + 1) + 1) / 14 ** (k + 1) for k in range(self.count))
+
+    @cached_property
+    def eps(self) -> tuple:
+        return tuple(math.exp(_eps_log(k, self.p)) for k in range(self.count))
+
+    @cached_property
+    def theta(self) -> tuple:
+        s = [math.asin(rk) for rk in self.r]
+        return tuple(sk + 2.0 * acc for sk, acc in zip(s, accumulate(s, initial=0.0)))
 
     def height_ratio_sum(self) -> float:
         """sum_{k < count} eps_k / r_k^2 (the sequence-norm loss factor)."""
@@ -94,81 +132,42 @@ class EmbeddingParams:
         """Partial sum plus the geometric tail bound for the full series."""
         return self.height_ratio_sum() + embedding_tail_bound(self.p, self.count)
 
-    def disc_margins(self, digits: int = 50) -> list:
+    def disc_margins(self) -> list:
         """min over pairs j < k of |c_j - c_k| - (r_j + r_k), per k.
 
-        Computed in ``digits``-digit arithmetic: consecutive margins decay
-        like r_k^3 and drown in double precision near k = 15.
+        Consecutive margins decay like r_k^3 (0.9 digits per bump) and drown
+        in double precision near k = 15, so they are computed with 30 digits
+        to spare beyond ``count``.
         """
-        with mpmath.workdps(digits):
+        with mpmath.workdps(self.count + 30):
             rs = [mpmath.mpf(2) ** -(k + 1) for k in range(self.count)]
             aa = [1 + mpmath.mpf(14) ** -(k + 1) for k in range(self.count)]
-            th = []
-            acc = mpmath.mpf(0)
-            for k in range(self.count):
-                th.append(mpmath.asin(rs[k]) + 2 * acc)
-                acc += mpmath.asin(rs[k])
+            sn = [mpmath.asin(x) for x in rs]
+            th = [x + 2 * acc for x, acc in zip(sn, accumulate(sn, initial=0))]
             centers = [aa[k] * mpmath.exp(1j * th[k]) for k in range(self.count)]
-            margins = []
-            for k in range(1, self.count):
-                m = min(
-                    abs(centers[j] - centers[k]) - (rs[j] + rs[k])
-                    for j in range(k)
-                )
-                margins.append(float(m))
-        return margins
+            return [float(min(abs(centers[j] - centers[k]) - (rs[j] + rs[k])
+                              for j in range(k)))
+                    for k in range(1, self.count)]
 
 
 def normalization_integral(params: EmbeddingParams, k: int) -> float:
     """int_{a_k - r_k}^1 eps_k^p / (a_k - r)^(2p) dr via the antiderivative.
 
-    Equals 1 exactly; evaluated in floats as an end-to-end check of the
-    parameter formulas.
+    Equals 1 exactly; evaluated in logarithms (the antiderivative's powers
+    overflow a float) as an end-to-end check of the parameter formulas.
     """
     p = params.p
-    eps_p = math.exp(p * _eps_log(k, p))
-    a1 = float(params.a_exact[k] - 1)          # 14^-(k+1)
-    rk = float(params.r_exact[k])
-    return eps_p / (2.0 * p - 1.0) * (a1 ** (1.0 - 2.0 * p) - rk ** (1.0 - 2.0 * p))
+    t = (k + 1) * (2.0 * p - 1.0)
+    # with a_k - 1 = 14^-(k+1) and r_k = 2^-(k+1) the antiderivative's
+    # bracket (a_k - 1)^(1-2p) - r_k^(1-2p) is 14^t (1 - 7^-t)
+    log_value = (p * _eps_log(k, p) - math.log(2.0 * p - 1.0)
+                 + t * math.log(14.0) + math.log1p(-(7.0 ** -t)))
+    return math.exp(min(log_value, 700.0))  # a huge p can round past exp's range
 
 
-def embedding_params(p: float, count: int, verify: bool = True) -> EmbeddingParams:
-    """The exact parameter sequences for the first ``count`` bumps.
-
-    With ``verify`` (the default) the construction-time invariants are
-    checked and a failure raises; they are regression guards and should
-    never fire.
-    """
-    if p < 1:
-        raise ValueError("the construction needs p >= 1")
-    if count < 1:
-        raise ValueError("need at least one bump")
-    r_exact = tuple(Fraction(1, 2 ** (k + 1)) for k in range(count))
-    a_exact = tuple(1 + Fraction(1, 14 ** (k + 1)) for k in range(count))
-    eps = tuple(math.exp(_eps_log(k, p)) for k in range(count))
-    theta = []
-    acc = 0.0
-    for k in range(count):
-        theta.append(math.asin(float(r_exact[k])) + 2.0 * acc)
-        acc += math.asin(float(r_exact[k]))
-    params = EmbeddingParams(
-        p=float(p), count=count,
-        r=tuple(float(x) for x in r_exact),
-        a=tuple(float(x) for x in a_exact),
-        eps=eps, theta=tuple(theta),
-        r_exact=r_exact, a_exact=a_exact,
-    )
-    if verify:
-        if not params.height_ratio_total_bound() < 1.0:
-            raise AssertionError("height/radius^2 series reached 1")
-        if not all(abs(t) < math.pi for t in theta):
-            raise AssertionError("a pole angle left (-pi, pi)")
-        if min(params.disc_margins()) <= 0.0:
-            raise AssertionError("bump discs overlap")
-        for k in range(count):
-            if abs(normalization_integral(params, k) - 1.0) > 1e-10:
-                raise AssertionError(f"bump {k} normalisation off")
-    return params
+def embedding_params(p: float, count: int) -> EmbeddingParams:
+    """The parameter sequences for the first ``count`` bumps."""
+    return EmbeddingParams(p, count)
 
 
 def embedding_function(params: EmbeddingParams, alphas) -> AnalyticFunction:

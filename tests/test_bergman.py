@@ -45,7 +45,7 @@ def test_grid_mass_and_shape():
 def test_grid_arrays_are_read_only_copies():
     # writing a grid in place would leave cached mode tables stale
     radii = GRID.radii.copy()
-    g = PolarGrid.of(radii, GRID.angles.copy(), GRID.radial_weights.copy())
+    g = PolarGrid(radii, GRID.radial_weights.copy(), 64)
     radii[0] = 0.5
     assert g.radii[0] == GRID.radii[0]
     for grid in (g, GRID):
@@ -54,6 +54,28 @@ def test_grid_arrays_are_read_only_copies():
                 getattr(grid, name)[:] *= 2
     gf = sample_on_grid(Monomial(3), g)
     assert abs(project(gf, 0.5, g) - project(Monomial(3), 0.5, g)) < 1e-12
+
+
+def test_grid_constructor_checks_its_inputs():
+    w = GRID.radial_weights
+    for radii, weights, n_angles in [
+            ([0.9, 0.1], [1.0, 1.0], 2),            # decreasing radii
+            (GRID.radii, 2 * w, 64),                # twice the unit mass
+            (GRID.radii, w[:-1], 64),               # one weight short
+            (GRID.radii[::-1], w[::-1], 64),        # unit mass, radii reversed
+            (GRID.radii, w, 0),                     # no angle
+            (GRID.radii, w, 64.0)]:                 # a float angle count
+        with pytest.raises(ValueError):
+            PolarGrid(radii, weights, n_angles)
+
+
+def test_grids_compare_and_hash_by_identity():
+    other = PolarGrid.build(64, 64)
+    assert GRID == GRID and GRID != other
+    assert len({GRID, other, GRID}) == 2
+    gf = sample_on_grid(Monomial(1), GRID)
+    assert gf == gf and gf != sample_on_grid(Monomial(1), GRID)
+    assert hash(gf) == hash(gf)
 
 
 def test_grid_rejects_radii_beyond_grading_depth():
@@ -383,8 +405,7 @@ def test_grid_function_on_other_nodes_rejected():
     with pytest.raises(ValueError):
         bergman_projection_operator(other)(gf)
     # an equal grid built separately (as from a sidecar file) is accepted
-    same = PolarGrid.of(GRID.radii.copy(), GRID.angles.copy(),
-                        GRID.radial_weights.copy())
+    same = PolarGrid(GRID.radii.copy(), GRID.radial_weights.copy(), 64)
     assert abs(project(gf, 0.5, same) - 0.125) < 1e-9
     assert duality_pairing(gf, gf, same) == pytest.approx(0.25, abs=1e-12)
 
@@ -461,6 +482,9 @@ def test_grid_sidecar_tampering_raises_value_error(tmp_path):
         "radius 1": dict(meta, radii=meta["radii"][:-1] + [1.0]),
         "doubled weight": dict(meta, radial_weights=[2 * meta["radial_weights"][0]]
                                + meta["radial_weights"][1:]),
+        "missing radial weights": {k: v for k, v in meta.items()
+                                   if k != "radial_weights"},
+        "radii not a list": dict(meta, radii={"r": meta["radii"]}),
     }
     for bad in tampered.values():
         sidecar.write_text(json.dumps(bad))
@@ -489,8 +513,6 @@ def test_grid_sidecar_angle_tampering_raises_value_error(tmp_path):
         sidecar.write_text(json.dumps(dict(meta, angles=bad)))
         with pytest.raises(ValueError):
             load_grid_function(path)
-    with pytest.raises(ValueError):
-        PolarGrid.of(small.radii, small.angles[::-1], small.radial_weights)
 
 
 def test_stolz_wedge_inequalities():

@@ -168,3 +168,38 @@ def test_config_file_and_grid_parsing(capsys, tmp_path):
                             "--function", MONOMIAL1, "--p", "1", "--q", "1"],
                            capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("config", [{"theta_count": "64"}, {"rel_tol": None},
+                                    {"theta_count": 64.5}])
+def test_mistyped_config_exits_1_without_output(capsys, tmp_path, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run_cli(["--config", str(cfg_path), "norm", "--function",
+                              MONOMIAL1, "--p", "1", "--q", "1"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["norm", "--function", MONOMIAL1, "--p", "1/0", "--q", "2"],
+    ["norm", "--function", MONOMIAL1, "--p", "1e400", "--q", "2"],
+    ["scan-inclusion", "--exponents", "1,1/0"],
+    ["scan-functional", "--p", "2", "--q", "2", "--z-list", "0.5,1/0"],
+    ["scan-functional", "--p", "2", "--q", "2", "--z-list", "0.5,1e400"],
+    ["witness", "--p", "inf", "--K", "4"],
+    ["witness", "--p", "nan", "--K", "4"],
+    ["witness", "--p", "2", "--K", "2000"],
+])
+def test_bad_number_exits_1_without_output(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_witness_table_of_one_bump(capsys):
+    code, out, _ = run_cli(["witness", "--p", "2", "--K", "1"], capsys)
+    assert code == 0
+    assert "# disc_disjoint: True (min margin inf)" in out.splitlines()

@@ -14,8 +14,9 @@ def test_parsing_and_float():
 
 
 def test_range_enforced():
-    with pytest.raises(ValueError):
-        ExtendedExponent.of(0.5)
+    for x in (0.5, "1/0", "1e400", 10 ** 400, Fraction(10 ** 400)):
+        with pytest.raises(ValueError):
+            ExtendedExponent.of(x)
 
 
 def test_conjugates():

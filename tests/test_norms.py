@@ -40,6 +40,11 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.5)
     with pytest.raises(ValueError):
         QuadratureConfig.from_dict({"bogus": 1})
+    for bad in ({"theta_count": "64"}, {"theta_count": 64.5},
+                {"refine_max": True}, {"rel_tol": None}, {"rel_tol": "0.01"},
+                {"rel_tol": 10 ** 400}):
+        with pytest.raises(ValueError):
+            QuadratureConfig.from_dict(bad)
     d = CFG.to_dict()
     assert QuadratureConfig.from_dict(d) == CFG
 

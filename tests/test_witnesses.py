@@ -3,9 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radmix import (
     CesaroPower,
+    EmbeddingParams,
     PowerSingularity,
     QuadratureConfig,
     RationalBump,
@@ -103,6 +105,37 @@ def test_embedding_parameter_formulas():
         embedding_params(2, 0)
 
 
+def test_embedding_params_beyond_float_powers():
+    # 14^((k+1)(2p-1)) overflows a float here, and the disc margins of 56 or
+    # more bumps are below 50 digits; both build and keep their invariants
+    for p, count in ((10, 16), (4, 40), (2, 60)):
+        params = embedding_params(p, count)
+        assert (params.p, params.count) == (float(p), count)
+        margins = params.disc_margins()
+        assert len(margins) == count - 1 and min(margins) > 0.0
+        assert params.height_ratio_total_bound() < 1.0
+    # the inputs are the whole state: equal inputs give equal parameters
+    assert EmbeddingParams(2, 4) == embedding_params(2.0, 4)
+    assert hash(EmbeddingParams(2, 4)) == hash(embedding_params(2.0, 4))
+    for p, count in ((math.inf, 4), (math.nan, 4), (10 ** 400, 4), (2, 2000),
+                     (2, 4.0), ("2", 4), (True, 4)):
+        with pytest.raises(ValueError):
+            EmbeddingParams(p, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.one_of(st.floats(1.0, 12.0), st.sampled_from([0.5, math.nan,
+                                                          math.inf])),
+       count=st.integers(1, 40))
+def test_embedding_params_build_or_raise_value_error(p, count):
+    try:
+        params = embedding_params(p, count)
+    except ValueError:
+        assert not 1.0 <= p < math.inf
+        return
+    assert len(params.r) == len(params.eps) == len(params.theta) == count
+
+
 def test_embedding_invariants_all_p():
     for p in (1, 2, 4):
         params = embedding_params(p, 16)
@@ -124,7 +157,7 @@ def test_embedding_invariants_all_p():
 def test_embedding_tail_bound_formula():
     for p in (1, 2, 4):
         # partial sums of eps_k / r_k^2 beyond K are below the certificate
-        params = embedding_params(p, 40, verify=False)
+        params = embedding_params(p, 40)
         for K in (8, 16, 24):
             tail = sum(params.eps[k] / params.r[k] ** 2 for k in range(K, 40))
             assert tail <= embedding_tail_bound(p, K)
