@@ -174,37 +174,38 @@ def bergman_kernel(z, w):
     return (1.0 - np.asarray(z, dtype=complex) * np.conjugate(w)) ** -2
 
 
-def kernel_capped(r, theta, rho, phi):
+def kernel_capped(r, rho, d):
     """Angular-distance kernel capped at the diagonal by 1 - r rho.
 
-    0 for angular gap >= 1, gap^(-2) in the midrange, (1 - r rho)^(-2) once
-    the gap drops below 1 - r rho.  Majorises |K| up to the factor 4 on the
-    gap <= 1 region.  This is the depth form at x = y = 1 - r rho.
+    d is the angular gap ``angular_distance(theta - phi)``.  0 for gap >= 1,
+    gap^(-2) in the midrange, (1 - r rho)^(-2) once the gap drops below
+    1 - r rho.  Majorises |K| up to the factor 4 on the gap <= 1 region.
+    This is the depth form at x = y = 1 - r rho.
     """
     cap = 1.0 - np.asarray(r, dtype=float) * np.asarray(rho, dtype=float)
-    return kernel_capped_depth(theta, phi, cap, cap)
+    return kernel_capped_depth(d, cap, cap)
 
 
-def kernel_capped_depth(theta, phi, x, y):
+def kernel_capped_depth(d, x, y):
     """Boundary-depth form of the capped kernel: the cap is max(x, y)."""
-    d = angular_distance(np.asarray(theta, dtype=float) - phi)
+    d = np.asarray(d, dtype=float)
     m = np.maximum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     with np.errstate(divide="ignore"):
         return np.where(d < 1.0, np.maximum(d, m) ** -2.0, 0.0)
 
 
-def kernel_offdiag(theta, phi, x, y):
+def kernel_offdiag(d, x, y):
     """Off-diagonal part: gap^(-2) on 1 >= gap >= max(x, y), else 0."""
-    d = angular_distance(np.asarray(theta, dtype=float) - phi)
+    d = np.asarray(d, dtype=float)
     m = np.maximum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     with np.errstate(divide="ignore"):
         return np.where((d <= 1.0) & (d >= m), d ** -2.0, 0.0)
 
 
-def kernel_offdiag_dilated(n: int, theta, phi, x, y):
+def kernel_offdiag_dilated(n: int, d, x, y):
     """Dyadic dilate: 2^(-2n) times the off-diagonal kernel at depth 2^-n."""
     s = 2.0 ** -n
-    return s * s * kernel_offdiag(theta, phi, s * np.asarray(x, dtype=float),
+    return s * s * kernel_offdiag(d, s * np.asarray(x, dtype=float),
                                   s * np.asarray(y, dtype=float))
 
 
@@ -263,21 +264,23 @@ def project(f, z, grid: PolarGrid):
 def apply_kernel_operator(kernel, gf: GridFunction) -> GridFunction:
     """Integrate a depth-form comparison kernel against a grid function.
 
-    The kernel is called as ``kernel(theta, phi, x, y)`` with the boundary
-    depths x = 1 - r of the output and y = 1 - rho of the input node, and is
-    integrated against the unit-mass product measure dy dphi / 2 pi.
+    The kernel is called as ``kernel(d, x, y)`` with the angular gap
+    d = ``angular_distance(theta - phi)`` and the boundary depths x = 1 - r
+    of the output and y = 1 - rho of the input node, and is integrated
+    against the unit-mass product measure dy dphi / 2 pi.
 
-    Kernels must be stationary in the angle difference and see the depths
-    only through max(x, y) (all catalogued depth kernels do).  The angular
-    sum is then a circular convolution done by FFT, and since the radii
-    increase, max(x_i, y_j) is x_i for j >= i and x_j for j < i: with T_i
-    the angular profile at depth x_i, output row i is
+    Taking the gap, a kernel is stationary in the angle difference; it must
+    also see the depths only through max(x, y) (all catalogued depth kernels
+    do).  The angular sum is then a circular convolution done by FFT, and
+    since the radii increase, max(x_i, y_j) is x_i for j >= i and x_j for
+    j < i: with T_i the angular profile at depth x_i, output row i is
     T_i * sum_{j >= i} f_j + sum_{j < i} T_j * f_j, two cumulative sums.
     """
     grid = gf.grid
     m = grid.n_angles
     x = (1.0 - grid.radii)[:, None]
-    t_hat = np.fft.fft(kernel(grid.angles[None, :], 0.0, x, x), axis=1)
+    gap = angular_distance(grid.angles)[None, :]
+    t_hat = np.fft.fft(kernel(gap, x, x), axis=1)
     f_hat = np.fft.fft(gf.values * (grid.radial_weights / m)[:, None], axis=1)
     out_hat = t_hat * np.cumsum(f_hat[::-1], axis=0)[::-1]
     out_hat[1:] += np.cumsum(t_hat * f_hat, axis=0)[:-1]

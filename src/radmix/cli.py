@@ -24,16 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bergman import (
-    PolarGrid,
-    bergman_projection_operator,
-    duality_pairing,
-    operator_norm_estimate,
-    project,
-    sample_on_grid,
-)
+from .bergman import (PolarGrid, bergman_kernel, bergman_projection_operator,
+                      duality_pairing, kernel_capped, kernel_capped_depth,
+                      kernel_offdiag, kernel_offdiag_dilated,
+                      operator_norm_estimate, project, sample_on_grid)
 from .exponents import ExponentPair, ExtendedExponent, parse_fraction
-from .functions import from_spec
+from .functions import Lacunary, Monomial, from_spec
+from .meshes import angular_distance, graded_radial_mesh
 from .norms import QuadratureConfig, mixed_norm
 from .theorems import (
     NormCache,
@@ -41,7 +38,8 @@ from .theorems import (
     evaluation_functional_fit,
     inclusion_witness_scan,
 )
-from .witnesses import embedding_params, embedding_tail_bound
+from .witnesses import (embedding_params, embedding_tail_bound,
+                        power_singularity, projection_blowup_density)
 
 DEFAULT_EXPONENT_GRID = "1,4/3,2,4,inf"
 
@@ -68,7 +66,7 @@ def _emit_csv(rows: list, header: list, manifest: str, out_path: str | None,
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(str(c) for c in row) + "\n")
+        buf.write(",".join(_fmt(c) for c in row) + "\n")
     for line in comments:
         buf.write(f"# {line}\n")
     buf.write(f"# manifest: {manifest}\n")
@@ -101,11 +99,11 @@ def _load_function(spec: str):
 
 
 def _fmt(x) -> str:
+    """One output cell: empty for None, repr of a real, str of the rest."""
     if x is None:
         return ""
     if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return "inf" if math.isinf(x) else repr(x)
+        return repr(float(x))
     return str(x)
 
 
@@ -172,8 +170,8 @@ def cmd_scan_functional(args) -> int:
     for which in ("point", "derivative"):
         fit = evaluation_functional_fit(
             ExponentPair.of(args.p, args.q), which, zs, cfg)
-        rows.append([args.p, args.q, which, _fmt(fit.slope),
-                     _fmt(fit.intercept), _fmt(fit.residual)])
+        rows.append([args.p, args.q, which, fit.slope, fit.intercept,
+                     fit.residual])
     manifest = _config_hash(cfg, args.seed, {"cmd": "scan-functional",
                                              "p": args.p, "q": args.q})
     _emit_csv(rows, ["p", "q", "functional", "slope", "intercept", "residual"],
@@ -198,7 +196,7 @@ def cmd_project(args) -> int:
     if not isinstance(points, list):
         raise ValueError("--points must be a JSON list")
     zs = np.array([_parse_point(pt) for pt in points], dtype=complex)
-    rows = [[_fmt(z.real), _fmt(z.imag), _fmt(val.real), _fmt(val.imag)]
+    rows = [[z.real, z.imag, val.real, val.imag]
             for z, val in zip(zs, project(f, zs, grid))]
     manifest = _config_hash(cfg, args.seed, {"cmd": "project",
                                              "grid": args.grid or "64x64"})
@@ -210,8 +208,8 @@ WITNESS_HEADER = ["k", "r_k", "a_k", "eps_k", "theta_k"]
 
 
 def _witness_rows(params) -> list:
-    return [[k, _fmt(params.r[k]), _fmt(params.a[k]), _fmt(params.eps[k]),
-             _fmt(params.theta[k])] for k in range(params.count)]
+    return [[k, params.r[k], params.a[k], params.eps[k], params.theta[k]]
+            for k in range(params.count)]
 
 
 def cmd_witness(args) -> int:
@@ -228,9 +226,137 @@ def cmd_witness(args) -> int:
     return 0
 
 
+# -- verification tables ------------------------------------------------------
+# Each table is computed by one function at the configuration pinned here:
+# ``report`` writes its rows and the acceptance criteria assert their
+# thresholds on the same rows.
+
+MONOMIAL_CFG = QuadratureConfig(theta_count=16, radial_levels=12,
+                                refine_max=4, rel_tol=1e-4)
+FRONTIER_CFG = QuadratureConfig(theta_count=64, radial_levels=12,
+                                refine_max=12, rel_tol=0.02)
+FIT_CFG = QuadratureConfig(radial_levels=14, refine_max=8, rel_tol=5e-3)
+LACUNARY_CFG = QuadratureConfig(radial_levels=14, refine_max=6, rel_tol=0.01)
+SCAN_CFG = QuadratureConfig(theta_count=64, radial_levels=12, refine_max=8,
+                            rel_tol=0.02)
+BLOWUP_POINTS = (0.8, 0.9, 0.95, 0.975)
+BLOWUP_GRID = {"n_angles": 4096, "n_radii": 224, "nodes_per_cell": 16}
+
+
+def monomial_rows(ns) -> list:
+    """(p, q, n, norm, closed form (1 + n p)^(-1/p)) of z^n for each n in ns."""
+    return [[p, q, n,
+             mixed_norm(Monomial(n), ExponentPair.of(p, q), MONOMIAL_CFG).value,
+             (1.0 + n * float(p)) ** (-1.0 / float(p))]
+            for p in (1, 2, 4) for q in (1, 2, 4, "inf") for n in ns]
+
+
+def frontier_rows() -> list:
+    """(p, q, alpha, converged, divergence exponent) of (1 - z)^-alpha at
+    alpha = 0.9 and 1.1 times the membership threshold 1/p + 1/q."""
+    rows = []
+    for p, q in itertools.product((1, 2, 4), repeat=2):
+        for c in (0.9, 1.1):
+            alpha = c * (1.0 / p + 1.0 / q)
+            est = mixed_norm(power_singularity(alpha), ExponentPair.of(p, q),
+                             FRONTIER_CFG)
+            rows.append([p, q, alpha, est.converged, est.divergence_exponent])
+    return rows
+
+
+def functional_rows() -> list:
+    """(p, q, functional, slope, residual) of the point and derivative
+    exponent fits at z = 1 - 2^-k, k = 3..8; one NormCache per pair."""
+    zs = [1.0 - 2.0 ** -k for k in range(3, 9)]
+    rows = []
+    for p, q in ((2, 2), (2, 4), (4, 2)):
+        cache = NormCache(FIT_CFG)
+        for which in ("point", "derivative"):
+            fit = evaluation_functional_fit(ExponentPair.of(p, q), which, zs,
+                                            FIT_CFG, cache=cache)
+            rows.append([p, q, which, fit.slope, fit.residual])
+    return rows
+
+
+def lacunary_rows(rng) -> list:
+    """(p, draw, min, max, max/min) over q in {1, 2, 4, inf} of the ratio of
+    a random 13-node lacunary series' norm to (sum |c_k|^p 2^-k)^(1/p),
+    20 draws per p."""
+    rows = []
+    for p in (1, 2):
+        for draw in range(20):
+            coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+            f = Lacunary(tuple((2 ** k, coeffs[k]) for k in range(13)))
+            rhs = sum(abs(coeffs[k]) ** p / 2 ** k for k in range(13)) ** (1 / p)
+            ratios = [mixed_norm(f, ExponentPair.of(p, q), LACUNARY_CFG).value
+                      / rhs for q in (1, 2, 4, "inf")]
+            rows.append([p, draw, min(ratios), max(ratios),
+                         max(ratios) / min(ratios)])
+    return rows
+
+
+def kernel_chain_violations(rng, n: int) -> dict:
+    """Counts, over n random tuples, of points breaking the kernel chain:
+    |K| <= 4 D on gaps <= 1, H~/4 <= D <= H~ in depth form, H <= H~ and
+    H~ <= 3 sum_{m <= 40} H_m (depths x, y drawn from [1e-12, 1))."""
+    r, rho = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    th, ph = rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 2 * np.pi, n)
+    x, y = rng.uniform(1e-12, 1, n), rng.uniform(1e-12, 1, n)
+    d = angular_distance(th - ph)
+    K = np.abs(bergman_kernel(r * np.exp(1j * th), rho * np.exp(1j * ph)))
+    Ht = kernel_capped_depth(d, x, y)
+    Dxy = kernel_capped(1 - x, 1 - y, d)
+    dyadic = sum(kernel_offdiag_dilated(m, d, x, y) for m in range(41))
+    return {
+        "bergman_capped_violations":
+            int(np.sum((d <= 1.0) & (K > 4 * kernel_capped(r, rho, d)))),
+        "depth_sandwich_violations":
+            int(np.sum(Ht / 4 > Dxy) + np.sum(Dxy > Ht)),
+        "offdiag_below_capped_violations":
+            int(np.sum(kernel_offdiag(d, x, y) > Ht)),
+        "dyadic_sum_violations": int(np.sum(Ht > 3 * dyadic)),
+    }
+
+
+def wedge_violations(rng, n: int) -> dict:
+    """Counts, over n random pairs z, w in the boundary wedge, of pairs
+    breaking 1 <= |1 - z| / (1 - |z|) <= sqrt(5)/2, |arg u| <= atan(1/2) and
+    Re u^2 >= 0.6 |u|^2 for u = (1 - z) / (1 - w)."""
+    t1 = rng.uniform(0, 0.5, n)
+    r1 = rng.uniform(0, 1, n) * (1 - 2 * t1)
+    t2 = rng.uniform(0, 0.5, n)
+    r2 = rng.uniform(0, 1, n) * (1 - 2 * t2)
+    z = r1 * np.exp(1j * t1)
+    ratio = np.abs(1 - z) / (1 - np.abs(z))
+    u = (1 - z) / (1 - r2 * np.exp(1j * t2))
+    return {
+        "wedge_modulus_violations":
+            int(np.sum((ratio < 1.0) | (ratio > math.sqrt(5) / 2))),
+        "wedge_argument_violations":
+            int(np.sum(np.abs(np.angle(u)) > math.atan(0.5))),
+        "wedge_realpart_violations":
+            int(np.sum((u * u).real < 0.6 * np.abs(u * u))),
+    }
+
+
+def blowup_profile(p, grid: PolarGrid) -> tuple:
+    """(|P f(a)| at BLOWUP_POINTS, the log-log slope of |P f(a)| against
+    1 - a, the largest p-integral of |f| over 64 rays through the wedge) for
+    the wedge-supported density f at exponent p."""
+    dens = projection_blowup_density(p)
+    gf = sample_on_grid(dens, grid)
+    a = np.array(BLOWUP_POINTS)
+    values = np.array([abs(project(gf, x, grid)) for x in a])
+    slope = float(np.polyfit(np.log(1 - a), np.log(values), 1)[0])
+    r, w = graded_radial_mesh(20)
+    worst_ray = max(float(w @ np.abs(dens(r, t)) ** p)
+                    for t in (np.arange(64) + 0.5) / 64 * 0.5)
+    return values, slope, worst_ray
+
+
 def cmd_report(args) -> int:
-    # Each table runs at the configuration its acceptance criterion pins;
-    # --config/--tol only affect the generic norm machinery defaults.
+    # --config/--tol reach only the manifest and the hashes of the witness
+    # and blow-up tables; every other table runs at its pinned config
     cfg = _config_from_args(args)
     out = Path(args.out or "report")
     out.mkdir(parents=True, exist_ok=True)
@@ -244,50 +370,18 @@ def cmd_report(args) -> int:
                   str(path))
         artifacts.append(str(path))
 
-    # monomial norms against the closed form
-    rows = []
-    from .functions import Monomial
-    mono_cfg = QuadratureConfig(theta_count=16, radial_levels=12,
-                                refine_max=4, rel_tol=1e-4)
-    for p in (1, 2, 4):
-        for q in (1, 2, 4, "inf"):
-            for n in (0, 1, 4, 16, 64):
-                est = mixed_norm(Monomial(n), ExponentPair.of(p, q), mono_cfg)
-                exact = (1.0 + n * float(p)) ** (-1.0 / float(p))
-                rows.append([p, q, n, _fmt(est.value), _fmt(exact)])
-    emit("monomial_norms.csv", rows, ["p", "q", "n", "value", "closed_form"],
-         mono_cfg, "monomial")
+    def emit_json(name: str, doc: dict):
+        path = out / name
+        path.write_text(json.dumps(doc, indent=2, default=float, sort_keys=True))
+        artifacts.append(str(path))
 
-    # membership frontier of the boundary power singularity
-    from .witnesses import power_singularity
-    rows = []
-    frontier_cfg = QuadratureConfig(theta_count=64, radial_levels=12,
-                                    refine_max=12, rel_tol=0.02)
-    for p in (1, 2, 4):
-        for q in (1, 2, 4):
-            s = 1.0 / p + 1.0 / q
-            for c in (0.9, 1.1):
-                est = mixed_norm(power_singularity(c * s),
-                                 ExponentPair.of(p, q), frontier_cfg)
-                rows.append([p, q, _fmt(c * s), est.converged,
-                             _fmt(est.divergence_exponent)])
-    emit("frontier.csv", rows,
+    emit("monomial_norms.csv", monomial_rows((0, 1, 4, 16, 64)),
+         ["p", "q", "n", "value", "closed_form"], MONOMIAL_CFG, "monomial")
+    emit("frontier.csv", frontier_rows(),
          ["p", "q", "alpha", "converged", "divergence_exponent"],
-         frontier_cfg, "frontier")
-
-    # functional slopes
-    rows = []
-    zs = [1.0 - 2.0 ** -k for k in range(3, 9)]
-    fit_cfg = QuadratureConfig(radial_levels=14, refine_max=8, rel_tol=5e-3)
-    for (p, q) in ((2, 2), (2, 4), (4, 2)):
-        for which in ("point", "derivative"):
-            fit = evaluation_functional_fit(ExponentPair.of(p, q), which, zs,
-                                            fit_cfg)
-            rows.append([p, q, which, _fmt(fit.slope), _fmt(fit.residual)])
-    emit("functional_slopes.csv", rows,
-         ["p", "q", "functional", "slope", "residual"], fit_cfg, "functional")
-
-    # embedding parameter tables
+         FRONTIER_CFG, "frontier")
+    emit("functional_slopes.csv", functional_rows(),
+         ["p", "q", "functional", "slope", "residual"], FIT_CFG, "functional")
     for p in (1, 2, 4):
         emit(f"witness_p{p}.csv", _witness_rows(embedding_params(p, 16)),
              WITNESS_HEADER, cfg, f"witness{p}")
@@ -309,100 +403,32 @@ def cmd_report(args) -> int:
     low, _ = operator_norm_estimate(op, ExponentPair.of(2, 2), grid,
                                     trials=12, seed=args.seed)
     checks["projection_norm_lower_bound_22"] = low
-    path = out / "projection.json"
-    path.write_text(json.dumps(checks, indent=2, default=float,
-                               sort_keys=True))
-    artifacts.append(str(path))
+    emit_json("projection.json", checks)
 
-    # lacunary ratio brackets
-    from .functions import Lacunary
-    rng = np.random.default_rng(args.seed)
-    lac_cfg = QuadratureConfig(radial_levels=14, refine_max=6, rel_tol=0.01)
-    rows = []
-    for p in (1, 2):
-        for draw in range(20):
-            coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-            f = Lacunary(tuple((2 ** k, coeffs[k]) for k in range(13)))
-            rhs = sum(abs(coeffs[k]) ** p / 2 ** k for k in range(13)) ** (1 / p)
-            ratios = [mixed_norm(f, ExponentPair.of(p, q), lac_cfg).value / rhs
-                      for q in (1, 2, 4, "inf")]
-            rows.append([p, draw, _fmt(min(ratios)), _fmt(max(ratios)),
-                         _fmt(max(ratios) / min(ratios))])
-    emit("lacunary.csv", rows,
+    emit("lacunary.csv", lacunary_rows(np.random.default_rng(args.seed)),
          ["p", "draw", "ratio_min", "ratio_max", "q_bracket_width"],
-         lac_cfg, "lacunary")
+         LACUNARY_CFG, "lacunary")
+    rng, n = np.random.default_rng(args.seed), 10 ** 6
+    emit_json("kernel_chain.json", {"tuples": n,
+                                    **kernel_chain_violations(rng, n),
+                                    **wedge_violations(rng, n)})
 
-    # pointwise kernel chain and wedge inequalities, seeded
-    from .bergman import (kernel_capped, kernel_capped_depth, kernel_offdiag,
-                          kernel_offdiag_dilated, bergman_kernel)
-    from .meshes import angular_distance
-    rng = np.random.default_rng(args.seed)
-    n = 10 ** 6
-    r, rho = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
-    th, ph = rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 2 * np.pi, n)
-    x, y = rng.uniform(1e-12, 1, n), rng.uniform(1e-12, 1, n)
-    d = angular_distance(th - ph)
-    K = np.abs(bergman_kernel(r * np.exp(1j * th), rho * np.exp(1j * ph)))
-    D = kernel_capped(r, th, rho, ph)
-    Ht = kernel_capped_depth(th, ph, x, y)
-    Dxy = kernel_capped(1 - x, th, 1 - y, ph)
-    H = kernel_offdiag(th, ph, x, y)
-    S = np.zeros(n)
-    for m_ in range(41):
-        S += kernel_offdiag_dilated(m_, th, ph, x, y)
-    t1 = rng.uniform(0, 0.5, n)
-    r1 = rng.uniform(0, 1, n) * (1 - 2 * t1)
-    t2 = rng.uniform(0, 0.5, n)
-    r2 = rng.uniform(0, 1, n) * (1 - 2 * t2)
-    z1 = r1 * np.exp(1j * t1)
-    z2 = r2 * np.exp(1j * t2)
-    ratio1 = np.abs(1 - z1) / (1 - np.abs(z1))
-    quot = (1 - z1) / (1 - z2)
-    q2 = quot * quot
-    chain = {
-        "tuples": n,
-        "bergman_capped_violations": int(np.sum((d <= 1.0) & (K > 4 * D))),
-        "depth_sandwich_violations": int(np.sum(Ht / 4 > Dxy) + np.sum(Dxy > Ht)),
-        "offdiag_below_capped_violations": int(np.sum(H > Ht)),
-        "dyadic_sum_violations": int(np.sum(Ht > 3 * S)),
-        "wedge_modulus_violations": int(np.sum((ratio1 < 1.0)
-                                               | (ratio1 > math.sqrt(5) / 2))),
-        "wedge_argument_violations": int(np.sum(np.abs(np.angle(quot))
-                                                > math.atan(0.5))),
-        "wedge_realpart_violations": int(np.sum(q2.real < 0.6 * np.abs(q2))),
-    }
-    path = out / "kernel_chain.json"
-    path.write_text(json.dumps(chain, indent=2, sort_keys=True))
-    artifacts.append(str(path))
-
-    # projected wedge-density blow-up: values, slope, ray bound
-    from .witnesses import projection_blowup_density
-    from .meshes import graded_radial_mesh
+    bgrid = PolarGrid.build(**BLOWUP_GRID)
     rows = []
-    avals = np.array([0.8, 0.9, 0.95, 0.975])
-    rmesh, wmesh = graded_radial_mesh(20)
-    bgrid = PolarGrid.build(4096, 224, nodes_per_cell=16)
     for p in (2, 4):
-        dens = projection_blowup_density(p)
-        gf = sample_on_grid(dens, bgrid)
-        pv = np.array([abs(project(gf, a, bgrid)) for a in avals])
-        slope = float(np.polyfit(np.log(1 - avals), np.log(pv), 1)[0])
-        worst_ray = max(float(wmesh @ np.abs(dens(rmesh, t)) ** p)
-                        for t in (np.arange(64) + 0.5) / 64 * 0.5)
-        for a, v in zip(avals, pv):
-            rows.append([p, _fmt(float(a)), _fmt(float(v)), _fmt(slope),
-                         _fmt(worst_ray), _fmt(dens.ray_integral_bound())])
+        values, slope, worst_ray = blowup_profile(p, bgrid)
+        bound = projection_blowup_density(p).ray_integral_bound()
+        rows += [[p, a, v, slope, worst_ray, bound]
+                 for a, v in zip(BLOWUP_POINTS, values)]
     emit("blowup.csv", rows, ["p", "a", "abs_P", "loglog_slope",
                               "worst_ray_integral", "ray_bound"], cfg, "blowup")
 
     # inclusion and compactness scans over the five-point exponent grid
-    scan_cfg = QuadratureConfig(theta_count=64, radial_levels=12,
-                                refine_max=8, rel_tol=0.02)
-    cache = NormCache(scan_cfg)
+    cache = NormCache(SCAN_CFG)
     egrid = _parse_exponent_grid(DEFAULT_EXPONENT_GRID)
     for name, (cells, header) in SCANS.items():
-        emit(f"{name}_scan.csv", _scan_rows(cells, egrid, scan_cfg, cache),
-             header, scan_cfg, name)
+        emit(f"{name}_scan.csv", _scan_rows(cells, egrid, SCAN_CFG, cache),
+             header, SCAN_CFG, name)
 
     manifest = {
         "command": "report",

@@ -106,6 +106,8 @@ class ExponentFit:
             raise ValueError("an exponent fit needs at least 4 usable points")
         x = np.array([p[0] for p in pts])
         y = np.array([p[1] for p in pts])
+        if np.unique(x).size < 2:
+            raise ValueError("an exponent fit needs two distinct abscissae")
         slope, intercept = np.polyfit(x, y, 1)
         residual = float(np.max(np.abs(y - (slope * x + intercept))))
         return ExponentFit(float(slope), float(intercept), residual, pts)
@@ -387,6 +389,10 @@ def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
     """
     if which not in ("point", "derivative"):
         raise ValueError("which must be 'point' or 'derivative'")
+    if not (all(0.0 < z < 1.0 for z in z_list)
+            and len(set(z_list)) == len(z_list)):
+        raise ValueError(f"the z values must be distinct and lie in (0, 1), "
+                         f"got {list(z_list)}")
     pq = as_pair(pq)
     cache = cache or NormCache(cfg)
     pts = []

@@ -102,7 +102,13 @@ class EmbeddingParams:
         if not all(abs(t) < math.pi for t in self.theta):
             raise ValueError("a pole angle left (-pi, pi)")
         for k in range(count):
-            if not abs(normalization_integral(self, k) - 1.0) <= 1e-10:
+            # the log-sum in normalization_integral has terms up to
+            # |p log eps_k| + (k+1)(2p-1) log 14, and its rounding (0.5 to
+            # 1.25 ulp of that size) outgrows 1e-10 for large p and k
+            size = (p * abs(_eps_log(k, p))
+                    + (k + 1) * (2.0 * p - 1.0) * math.log(14.0))
+            tol = max(1e-10, 4.0 * 2.0 ** -53 * size)
+            if not abs(normalization_integral(self, k) - 1.0) <= tol:
                 raise ValueError(f"bump {k} normalisation off")
         if not all(m > 0.0 for m in self.disc_margins()):
             raise ValueError("bump discs overlap")

@@ -1,5 +1,8 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
+Criteria 1-4, 7, 9a, 9b and 10 assert their thresholds on the rows of the
+table functions in `radmix.cli`, the rows `radmix report` writes.
+
 Each test prints a single `[criterion N] PASS|FAIL (time)` line.  Two
 sub-assertions are expected to fail and are kept faithful to their stated
 thresholds rather than loosened; the analysis lives in the project notes:
@@ -22,7 +25,10 @@ import pytest
 
 import radmix as rm
 from radmix import ExponentPair, QuadratureConfig
-from radmix.meshes import angular_distance, graded_radial_mesh
+from radmix.cli import (BLOWUP_GRID, SCAN_CFG, blowup_profile, frontier_rows,
+                        functional_rows, kernel_chain_violations, lacunary_rows,
+                        monomial_rows, wedge_violations)
+from radmix.meshes import angular_distance
 from radmix.theorems import NormCache, compactness_witness_scan, inclusion_witness_scan
 
 SEED = 20260810
@@ -36,73 +42,43 @@ def _report(num: str, ok: bool, t0: float, detail: str = "") -> bool:
 
 def test_criterion_01_monomial_closed_form():
     t0 = time.time()
-    cfg = QuadratureConfig(theta_count=16, radial_levels=12, refine_max=4,
-                           rel_tol=1e-4)
-    worst = 0.0
-    for p in (1, 2, 4):
-        for q in (1, 2, 4, "inf"):
-            for n in range(65):
-                v = rm.mixed_norm(rm.Monomial(n), (p, q), cfg).value
-                exact = (1 + n * p) ** (-1 / p)
-                worst = max(worst, abs(v - exact) / exact)
+    worst = max(abs(v - exact) / exact
+                for *_, v, exact in monomial_rows(range(65)))
     ok = worst <= 1e-4 and time.time() - t0 <= 30
     assert _report("1", ok, t0, f"worst rel err {worst:.2e}")
 
 
 def test_criterion_02_membership_frontier():
     t0 = time.time()
-    cfg = QuadratureConfig(theta_count=64, radial_levels=12, refine_max=12,
-                           rel_tol=0.02)
     ok = True
-    for p in (1, 2, 4):
-        for q in (1, 2, 4):
-            s = 1 / p + 1 / q
-            for c, member in ((0.9, True), (1.1, False)):
-                est = rm.mixed_norm(rm.power_singularity(c * s), (p, q), cfg)
-                ok &= est.converged == member
-                if not member:
-                    ok &= (est.divergence_exponent is not None
-                           and est.divergence_exponent > 0)
+    for p, q, alpha, converged, exponent in frontier_rows():
+        member = alpha < 1 / p + 1 / q
+        ok &= converged == member
+        if not member:
+            ok &= exponent is not None and exponent > 0
     ok &= time.time() - t0 <= 120
     assert _report("2", ok, t0, "18 verdicts at the iff-threshold")
 
 
 def test_criterion_03_lacunary_q_independence():
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
-    cfg = QuadratureConfig(radial_levels=14, refine_max=6, rel_tol=0.01)
-    worst_width = 0.0
-    ok = True
-    for p in (1, 2):
-        for _ in range(20):
-            coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-            f = rm.Lacunary(tuple((2 ** k, coeffs[k]) for k in range(13)))
-            rhs = sum(abs(coeffs[k]) ** p / 2 ** k for k in range(13)) ** (1 / p)
-            ratios = [rm.mixed_norm(f, (p, q), cfg).value / rhs
-                      for q in (1, 2, 4, "inf")]
-            width = max(ratios) / min(ratios)
-            worst_width = max(worst_width, width)
-            ok &= width <= 4.0
-            ok &= all(0.25 <= r <= 4.0 for r in ratios)
+    rows = lacunary_rows(np.random.default_rng(SEED))
+    worst_width = max(width for *_, width in rows)
+    ok = all(width <= 4.0 and 0.25 <= lo and hi <= 4.0
+             for _, _, lo, hi, width in rows)
     ok &= time.time() - t0 <= 120
     assert _report("3", ok, t0, f"worst q-bracket width {worst_width:.2f}x")
 
 
 def test_criterion_04_functional_exponents():
     t0 = time.time()
-    cfg = QuadratureConfig(radial_levels=14, refine_max=8, rel_tol=5e-3)
-    zs = [1 - 2.0 ** -k for k in range(3, 9)]
+    rows = functional_rows()
     ok = True
     details = []
-    for (p, q) in ((2, 2), (2, 4), (4, 2)):
-        cache = NormCache(cfg)
-        fp = rm.evaluation_functional_fit((p, q), "point", zs, cfg, cache=cache)
-        fd = rm.evaluation_functional_fit((p, q), "derivative", zs, cfg,
-                                          cache=cache)
-        target = 1 / p + 1 / q
-        ok &= abs(fp.slope - target) <= 0.1
-        ok &= abs(fd.slope - fp.slope - 1.0) <= 0.1
-        details.append(f"({p},{q}): {fp.slope:.3f}/{fd.slope - fp.slope:.3f}")
+    for (p, q, _, sp, _), (_, _, _, sd, _) in zip(rows[::2], rows[1::2]):
+        ok &= abs(sp - (1 / p + 1 / q)) <= 0.1
+        ok &= abs(sd - sp - 1.0) <= 0.1
+        details.append(f"({p},{q}): {sp:.3f}/{sd - sp:.3f}")
     ok &= time.time() - t0 <= 120
     assert _report("4", ok, t0, "; ".join(details))
 
@@ -131,8 +107,6 @@ def test_criterion_05_embedding_construction():
 
 
 GRID5 = [1, Fraction(4, 3), 2, 4, "inf"]
-SCAN_CFG = QuadratureConfig(theta_count=64, radial_levels=12, refine_max=8,
-                            rel_tol=0.02)
 
 
 @pytest.fixture(scope="module")
@@ -208,24 +182,8 @@ def test_criterion_06b_excluded_point_growth(inclusion_scan_results):
 
 def test_criterion_07_kernel_chain():
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
-    n = 10 ** 6
-    r, rho = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
-    th, ph = rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 2 * np.pi, n)
-    x, y = rng.uniform(1e-12, 1, n), rng.uniform(1e-12, 1, n)
-    d = angular_distance(th - ph)
-    K = np.abs(rm.bergman_kernel(r * np.exp(1j * th), rho * np.exp(1j * ph)))
-    D = rm.kernel_capped(r, th, rho, ph)
-    v1 = int(np.sum((d <= 1.0) & (K > 4 * D)))
-    Ht = rm.kernel_capped_depth(th, ph, x, y)
-    Dxy = rm.kernel_capped(1 - x, th, 1 - y, ph)
-    v2 = int(np.sum(Ht / 4 > Dxy) + np.sum(Dxy > Ht))
-    H = rm.kernel_offdiag(th, ph, x, y)
-    v3 = int(np.sum(H > Ht))
-    S = np.zeros(n)
-    for m in range(41):
-        S += rm.kernel_offdiag_dilated(m, th, ph, x, y)
-    v4 = int(np.sum(Ht > 3 * S))
+    v1, v2, v3, v4 = kernel_chain_violations(np.random.default_rng(SEED),
+                                             10 ** 6).values()
     ok = v1 == v2 == v3 == v4 == 0 and time.time() - t0 <= 30
     assert _report("7", ok, t0, f"violations {v1}/{v2}/{v3}/{v4} of 1e6")
 
@@ -243,16 +201,15 @@ def test_criterion_08_projection_identity_and_pairing():
                    f"identity err {worst_p:.1e}, pairing err {worst_d:.1e}")
 
 
-def test_criterion_09a_blowup_slope():
+@pytest.fixture(scope="module")
+def blowup_profiles():
+    grid = rm.PolarGrid.build(**BLOWUP_GRID)
+    return {p: blowup_profile(p, grid) for p in (2, 4)}
+
+
+def test_criterion_09a_blowup_slope(blowup_profiles):
     t0 = time.time()
-    avals = np.array([0.8, 0.9, 0.95, 0.975])
-    slopes = {}
-    for p in (2, 4):
-        dens = rm.projection_blowup_density(p)
-        grid = rm.PolarGrid.build(4096, 224, nodes_per_cell=16)
-        gf = rm.sample_on_grid(dens, grid)
-        pv = np.array([abs(rm.project(gf, a, grid)) for a in avals])
-        slopes[p] = float(np.polyfit(np.log(1 - avals), np.log(pv), 1)[0])
+    slopes = {p: slope for p, (_, slope, _) in blowup_profiles.items()}
     ok = all(abs(slopes[p] + 1 / p) <= 0.15 for p in (2, 4))
     detail = (f"slopes {slopes[2]:.3f} (target -0.5), {slopes[4]:.3f} "
               "(target -0.25); see notes: the honest projection's slope at "
@@ -261,40 +218,20 @@ def test_criterion_09a_blowup_slope():
     assert ok, "blow-up slope outside -1/p +- 0.15: " + detail
 
 
-def test_criterion_09b_blowup_growth_and_ray_bound():
+def test_criterion_09b_blowup_growth_and_ray_bound(blowup_profiles):
     t0 = time.time()
-    avals = np.array([0.8, 0.9, 0.95, 0.975])
     ok = True
-    r, w = graded_radial_mesh(20)
-    for p in (2, 4):
-        dens = rm.projection_blowup_density(p)
-        grid = rm.PolarGrid.build(4096, 224, nodes_per_cell=16)
-        gf = rm.sample_on_grid(dens, grid)
-        pv = np.array([abs(rm.project(gf, a, grid)) for a in avals])
-        ok &= bool(np.all(np.diff(pv) > 0))          # |P(f)(a)| grows
-        for th in (np.arange(64) + 0.5) / 64 * 0.5:  # 64 sampled rays
-            val = float(w @ np.abs(dens(r, th)) ** p)
-            ok &= val <= dens.ray_integral_bound()
+    for p, (values, _, worst_ray) in blowup_profiles.items():
+        ok &= bool(np.all(np.diff(values) > 0))      # |P(f)(a)| grows
+        ok &= worst_ray <= rm.projection_blowup_density(p).ray_integral_bound()
     ok &= time.time() - t0 <= 120
     assert _report("9b", ok, t0, "growth + ray-wise p-integral bound")
 
 
 def test_criterion_10_wedge_monte_carlo():
     t0 = time.time()
-    rng = np.random.default_rng(SEED)
-    n = 10 ** 6
-    t1 = rng.uniform(0, 0.5, n)
-    r1 = rng.uniform(0, 1, n) * (1 - 2 * t1)
-    t2 = rng.uniform(0, 0.5, n)
-    r2 = rng.uniform(0, 1, n) * (1 - 2 * t2)
-    z = r1 * np.exp(1j * t1)
-    wv = r2 * np.exp(1j * t2)
-    ratio1 = np.abs(1 - z) / (1 - np.abs(z))
-    c1 = int(np.sum((ratio1 < 1.0) | (ratio1 > math.sqrt(5) / 2)))
-    quot = (1 - z) / (1 - wv)
-    c2 = int(np.sum(np.abs(np.angle(quot)) > math.atan(0.5)))
-    q2 = quot * quot
-    c3 = int(np.sum(q2.real < 0.6 * np.abs(q2)))
+    c1, c2, c3 = wedge_violations(np.random.default_rng(SEED),
+                                  10 ** 6).values()
     ok = c1 == c2 == c3 == 0 and time.time() - t0 <= 30
     assert _report("10", ok, t0, f"violations {c1}/{c2}/{c3} of 1e6 pairs")
 
@@ -347,7 +284,7 @@ def test_criterion_11_property_suites():
     dth, wm = 2 * np.pi / m, 1.0 / k
     lhs = 0.0
     for i in range(m):
-        hmat = rm.kernel_offdiag(th[i], th[:, None, None],
+        hmat = rm.kernel_offdiag(angular_distance(th[i] - th[:, None, None]),
                                  mids[None, :, None], mids[None, None, :])
         tf = np.einsum("jkl,jl->k", hmat, fv) * wm * dth
         lhs += dth * wm * float(np.sum(gv[i] * tf))

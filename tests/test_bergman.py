@@ -29,6 +29,7 @@ from radmix import (
     stolz_wedge_inequalities,
     QuadratureConfig,
 )
+from radmix.cli import kernel_chain_violations
 from radmix.meshes import angular_distance
 
 GRID = PolarGrid.build(64, 64)
@@ -105,40 +106,23 @@ def test_projection_reproduces_polynomials():
 
 def test_kernel_branch_values():
     # capped kernel branch arithmetic
-    assert kernel_capped(0.3, 0.0, 0.4, 1.7) == 0.0          # gap >= 1
-    assert kernel_capped(0.9, 0.5, 0.9, 0.0) == pytest.approx(4.0)
-    assert kernel_capped(0.5, 0.1, 0.5, 0.0) == pytest.approx(1 / 0.75 ** 2)
+    assert kernel_capped(0.3, 0.4, 1.7) == 0.0               # gap >= 1
+    assert kernel_capped(0.9, 0.9, 0.5) == pytest.approx(4.0)
+    assert kernel_capped(0.5, 0.5, 0.1) == pytest.approx(1 / 0.75 ** 2)
     # depth-capped kernel
-    assert kernel_capped_depth(0.0, 0.1, 0.3, 0.2) == pytest.approx(1 / 0.09)
+    assert kernel_capped_depth(0.1, 0.3, 0.2) == pytest.approx(1 / 0.09)
     # off-diagonal kernel vanishes when the depth exceeds the gap
-    assert kernel_offdiag(0.0, 0.1, 0.3, 0.2) == 0.0
+    assert kernel_offdiag(0.1, 0.3, 0.2) == 0.0
     d, x, y = 0.4, 0.3, 0.2
-    assert kernel_offdiag(0.0, d, x, y) == kernel_capped_depth(0.0, d, x, y)
+    assert kernel_offdiag(d, x, y) == kernel_capped_depth(d, x, y)
     # dilation identity
-    assert kernel_offdiag_dilated(2, 0.0, 0.4, 0.3, 0.2) == pytest.approx(
-        2.0 ** -4 * kernel_offdiag(0.0, 0.4, 2.0 ** -2 * 0.3, 2.0 ** -2 * 0.2))
+    assert kernel_offdiag_dilated(2, 0.4, 0.3, 0.2) == pytest.approx(
+        2.0 ** -4 * kernel_offdiag(0.4, 2.0 ** -2 * 0.3, 2.0 ** -2 * 0.2))
 
 
 def test_kernel_chain_random_tuples():
-    rng = np.random.default_rng(123)
-    n = 20000
-    r, rho = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
-    th, ph = rng.uniform(0, 2 * np.pi, n), rng.uniform(0, 2 * np.pi, n)
-    x, y = rng.uniform(1e-9, 1, n), rng.uniform(1e-9, 1, n)
-    d = angular_distance(th - ph)
-    K = np.abs(bergman_kernel(r * np.exp(1j * th), rho * np.exp(1j * ph)))
-    D = kernel_capped(r, th, rho, ph)
-    assert not np.any((d <= 1.0) & (K > 4 * D))
-    Ht = kernel_capped_depth(th, ph, x, y)
-    Dxy = kernel_capped(1 - x, th, 1 - y, ph)
-    assert not np.any(Ht / 4 > Dxy)
-    assert not np.any(Dxy > Ht)
-    H = kernel_offdiag(th, ph, x, y)
-    assert not np.any(H > Ht)
-    S = np.zeros(n)
-    for m in range(41):
-        S += kernel_offdiag_dilated(m, th, ph, x, y)
-    assert not np.any(Ht > 3 * S)
+    counts = kernel_chain_violations(np.random.default_rng(123), 20000)
+    assert counts == dict.fromkeys(counts, 0)
 
 
 def test_apply_kernel_operator_unit_mass():
@@ -160,10 +144,10 @@ def test_apply_kernel_operator_matches_double_sum():
                      + 1j * rng.standard_normal(grid.shape))
     x = 1.0 - grid.radii
     th = grid.angles
-    dilate = lambda t, p, x, y: kernel_offdiag_dilated(3, t, p, x, y)
+    dilate = lambda d, x, y: kernel_offdiag_dilated(3, d, x, y)
+    gap = angular_distance(th[:, None, None, None] - th[None, None, :, None])
     for kernel in (kernel_offdiag, kernel_capped_depth, dilate):
-        k = kernel(th[:, None, None, None], th[None, None, :, None],
-                   x[None, :, None, None], x[None, None, None, :])  # (a, i, b, j)
+        k = kernel(gap, x[None, :, None, None], x[None, None, None, :])  # (a, i, b, j)
         direct = np.einsum("aibj,jb,j->ia", k, f.values, grid.radial_weights / m)
         got = apply_kernel_operator(kernel, f).values
         assert np.max(np.abs(got - direct)) < 1e-12 * np.max(np.abs(direct))
@@ -232,7 +216,7 @@ def test_bilinear_bound_discretised():
     wm = 1.0 / k
     lhs = 0.0
     for i in range(m):
-        hmat = kernel_offdiag(th[i], th[:, None, None],
+        hmat = kernel_offdiag(angular_distance(th[i] - th[:, None, None]),
                               mids[None, :, None], mids[None, None, :])
         tf = np.einsum("jkl,jl->k", hmat, fv) * wm * dth
         lhs += dth * wm * float(np.sum(gv[i] * tf))
@@ -284,7 +268,7 @@ def test_dilated_operator_norm_bound():
 
     def op_hn(n):
         return lambda gf: apply_kernel_operator(
-            lambda t, p, x, y: kernel_offdiag_dilated(n, t, p, x, y), gf)
+            lambda d, x, y: kernel_offdiag_dilated(n, d, x, y), gf)
 
     base, _ = operator_norm_estimate(op_h, (2, 2), GRID, trials=12, seed=11)
     for n in (1, 2, 3):

@@ -199,6 +199,18 @@ def test_bad_number_exits_1_without_output(capsys, args):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("z_list", ["0.5,0.5,0.5,0.5", "0,0.5,0.6,0.7",
+                                    "0.5,0.6,0.7,1"])
+def test_scan_functional_bad_z_list_exits_1_without_output(capsys, z_list):
+    # an exponent fit needs distinct abscissae, and the point family is
+    # dilated by z, so each z must lie in (0, 1)
+    code, out, err = run_cli(["scan-functional", "--p", "2", "--q", "2",
+                              "--z-list", z_list], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the z values must be distinct")
+
+
 def test_witness_table_of_one_bump(capsys):
     code, out, _ = run_cli(["witness", "--p", "2", "--K", "1"], capsys)
     assert code == 0

@@ -169,6 +169,9 @@ def test_exponent_fit_garbage_rejected():
     fit = ExponentFit.fit([(x, 2 * x + 1) for x in (0.0, 1.0, 2.0, 3.0)])
     assert fit.slope == pytest.approx(2.0)
     assert fit.residual < 1e-12
+    # one repeated abscissa determines no slope
+    with pytest.raises(ValueError):
+        ExponentFit.fit([(0.5, y) for y in (1.0, 2.0, 3.0, 4.0)])
 
 
 def test_point_functional_slopes():

@@ -123,6 +123,19 @@ def test_embedding_params_beyond_float_powers():
             EmbeddingParams(p, count)
 
 
+def test_embedding_params_large_p(monkeypatch):
+    # the normalisation log-sum rounds in proportion to its terms, which grow
+    # with p and k; the check's tolerance grows with them
+    for p, count in ((300, 250), (1000, 100), (10000, 16)):
+        assert EmbeddingParams(p, count).count == count
+    # a genuine error in eps_k is still refused
+    import radmix.witnesses as wit
+    eps_log = wit._eps_log
+    monkeypatch.setattr(wit, "_eps_log", lambda k, p: eps_log(k, p) + 1e-9)
+    with pytest.raises(ValueError, match="normalisation off"):
+        EmbeddingParams(2, 16)
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=st.one_of(st.floats(1.0, 12.0), st.sampled_from([0.5, math.nan,
                                                           math.inf])),
