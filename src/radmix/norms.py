@@ -22,13 +22,19 @@ directions of the representation (a needle-thin radial profile, e.g. of a
 bump function aimed at one boundary point, would otherwise be invisible to
 any uniform scan), and a golden-section pass refines around the discrete
 maximiser.
+
+Each quadrature level is streamed: |f| is evaluated on one block of angles
+at a time, a block holding about ``_CHUNK_BUDGET`` samples, and each block
+is reduced at once to its per-ray radial values.  Only the vector of
+per-angle values reaches the angular reduction, so the angle x radius grid
+of a level is never held in memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,8 +57,13 @@ __all__ = [
     "weak_lp_norm",
 ]
 
-# Cap on the number of function evaluations held in memory at once.
-_CHUNK_BUDGET = 1 << 22
+# About this many |f| samples are evaluated and reduced per block of angles,
+# so the deepest q = inf levels (16,385 angles x 144 radii) never hold their
+# 18.9 MB sample grid.  Measured with perfbench: at 16,384 samples the
+# temporaries of a block grow large enough that the allocator faults in fresh
+# pages for them (about 100 page faults per cheap scan estimate), and at 4,096
+# the fixed cost of each kernel call dominates the small levels.
+_CHUNK_BUDGET = 12288
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,8 @@ class QuadratureConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "QuadratureConfig":
+        if not isinstance(d, Mapping):
+            raise ValueError("config must be a JSON object")
         unknown = set(d) - {f.name for f in fields(QuadratureConfig)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -101,12 +114,18 @@ class NormEstimate:
     by at most rel_tol.
     ``divergence_exponent`` (the growth rate of the estimates against the
     reciprocal boundary cutoff) is only set when the refinement diverged.
+    ``stop`` says why the refinement stopped: ``tol`` (two levels agreed),
+    ``growth`` (sustained growth, divergent), ``nonfinite`` (a level
+    overflowed, divergent), ``refine_max`` (the configured number of
+    refinements ran out) or ``depth_cap`` (the radial grading cannot deepen
+    further).
     """
 
     value: float
     trace: list = field(default_factory=list)
     converged: bool = False
     divergence_exponent: float | None = None
+    stop: str = ""
 
     def to_dict(self) -> dict:
         return {
@@ -114,17 +133,8 @@ class NormEstimate:
             "converged": self.converged,
             "trace": [[lvl, v] for lvl, v in self.trace],
             "divergence_exponent": self.divergence_exponent,
+            "stop": self.stop,
         }
-
-
-def _abs_values(f: AnalyticFunction, thetas: np.ndarray, radii: np.ndarray,
-                offset: float) -> np.ndarray:
-    """|f| on the polar grid thetas x radii, chunked over angles."""
-    out = np.empty((len(thetas), len(radii)))
-    step = max(1, _CHUNK_BUDGET // max(1, len(radii)))
-    for k in range(0, len(thetas), step):
-        out[k:k + step] = f.abs_on_polar(radii, thetas[k:k + step] + offset)
-    return out
 
 
 def _ray_profile(f: AnalyticFunction, theta: float, radii: np.ndarray,
@@ -223,6 +233,35 @@ def _radial_values(vals: np.ndarray, radial_w: np.ndarray, p) -> np.ndarray:
     return (vals ** float(p)) @ radial_w if p.is_finite else vals.max(axis=-1)
 
 
+def _ray_values(f: AnalyticFunction, thetas: np.ndarray, radii: np.ndarray,
+                radial_w: np.ndarray, p, offset: float) -> np.ndarray:
+    """``_radial_values`` of |f| along each ray in ``thetas``.
+
+    |f| is evaluated on one block of angles at a time and reduced at once,
+    so no angle x radius grid is built.  The angles are cut into
+    ceil(samples / ``_CHUNK_BUDGET``) blocks of nearly equal size, so no
+    block is a small remainder that pays a kernel call for a few angles.
+    """
+    out = np.empty(len(thetas))
+    blocks = math.ceil(len(thetas) * len(radii) / _CHUNK_BUDGET)
+    step = math.ceil(len(thetas) / blocks)
+    for k in range(0, len(thetas), step):
+        block = f.abs_on_polar(radii, thetas[k:k + step] + offset)
+        out[k:k + step] = _radial_values(block, radial_w, p)
+    return out
+
+
+def _angular_norm(inner: np.ndarray, angular_w: np.ndarray | None,
+                  pq: ExponentPair) -> float:
+    """The mixed norm from per-ray values ``inner`` (``_radial_values``):
+    their L^q mean against ``angular_w``, or their max for q = inf."""
+    pf = float(pq.p) if pq.p.is_finite else 1.0
+    if not pq.q.is_finite:
+        return float(inner.max()) ** (1.0 / pf)
+    qf = float(pq.q)
+    return float(angular_w @ inner ** (qf / pf)) ** (1.0 / qf)
+
+
 def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
                         angular_w: np.ndarray, pq) -> float:
     """Mixed norm of samples vals[angle, radius] >= 0.
@@ -231,40 +270,34 @@ def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
     mean (or max) of those values against ``angular_w``.
     """
     pq = as_pair(pq)
-    inner = _radial_values(vals, radial_w, pq.p)
-    pf = float(pq.p) if pq.p.is_finite else 1.0
-    if not pq.q.is_finite:
-        return float(inner.max()) ** (1.0 / pf)
-    qf = float(pq.q)
-    return float(angular_w @ inner ** (qf / pf)) ** (1.0 / qf)
+    return _angular_norm(_radial_values(vals, radial_w, pq.p), angular_w, pq)
 
 
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
                  offset: float, lo: float = 0.0, hi: float = 1.0) -> float:
     """One quadrature level of the mixed norm with radii in [lo, hi].
 
-    q finite: the panel-graded angular rule of ``count`` cells and
-    ``discrete_mixed_norm``.  q = inf: the sup over ``count`` midpoint
-    angles and the singular directions, refined by a golden-section pass
-    around the discrete maximiser.
+    q finite: the q-mean over the panel-graded angular rule of ``count``
+    cells.  q = inf: the max over ``count`` midpoint angles and the singular
+    directions, and over a golden-section pass around the discrete
+    maximiser.  Either way the per-ray values are streamed (``_ray_values``).
     """
     r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
     if pq.q.is_finite:
         thetas, ang_w = _angular_rule(f, count, levels, offset)
-        return discrete_mixed_norm(_abs_values(f, thetas, r, offset), w, ang_w,
-                                   pq)
-    p = pq.p
+        return _angular_norm(_ray_values(f, thetas, r, w, pq.p, offset), ang_w,
+                             pq)
     specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(count), specials])
-    per_angle = _radial_values(_abs_values(f, thetas, r, offset), w, p)
+    per_angle = _ray_values(f, thetas, r, w, pq.p, offset)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
 
     def ray(t: float) -> float:
-        return float(_radial_values(_ray_profile(f, t, r, offset), w, p))
+        return float(_radial_values(_ray_profile(f, t, r, offset), w, pq.p))
 
-    top = max(float(per_angle[k]), _golden_max(ray, thetas[k] - h, thetas[k] + h))
-    return top ** (1.0 / float(p)) if p.is_finite else top
+    golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
+    return _angular_norm(np.append(per_angle, golden), None, pq)
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:
@@ -311,17 +344,18 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
     grow = 1.0 + cfg.rel_tol
     trace: list = []
     values: list = []
-    diverged = False
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
+    stop = "refine_max" if top == cfg.refine_max else "depth_cap"
     for level in range(top + 1):
         v = _level_value(f, pq, base_count << level, cfg.radial_levels + level,
                          angle_offset, hi=hi)
         trace.append((level, v))
         values.append(v)
         if not math.isfinite(v):
-            diverged = True
+            stop = "nonfinite"
             break
         if level >= 1 and _agree(values[-2], values[-1], cfg.rel_tol):
+            stop = "tol"
             break
         # growth factors need positive values (zeros are underflow)
         if len(values) >= 6 and min(values[-6:]) > 0.0:
@@ -332,14 +366,15 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
             # boundary-singular integral also gains a little at every
             # refinement, yet its gains decay geometrically.
             if all(gi > grow for gi in g) and g[-1] - 1.0 > 0.6 * (g[0] - 1.0):
-                diverged = True
+                stop = "growth"
                 break
-    if diverged:
+    if stop in ("nonfinite", "growth"):
         return NormEstimate(
             value=math.inf, trace=trace, converged=False,
-            divergence_exponent=_fit_growth(trace, cfg.radial_levels))
-    converged = len(values) >= 2 and _agree(values[-2], values[-1], cfg.rel_tol)
-    return NormEstimate(value=values[-1], trace=trace, converged=converged)
+            divergence_exponent=_fit_growth(trace, cfg.radial_levels),
+            stop=stop)
+    return NormEstimate(value=values[-1], trace=trace, converged=stop == "tol",
+                        stop=stop)
 
 
 def mixed_norm_truncated(f: AnalyticFunction, pq, R: float,
@@ -369,11 +404,13 @@ def weak_lp_norm(samples: Sequence[float], p: float) -> float:
     thresholds is attained just below a sample value, so a descending sort
     gives it exactly.
     """
-    if p < 1:
+    if not p >= 1:
         raise ValueError("weak norm needs p >= 1")
     arr = np.asarray(samples, dtype=float)
     if arr.size == 0:
         raise ValueError("empty sample list")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("samples must be finite")
     if np.any(arr < 0):
         raise ValueError("samples must be nonnegative")
     s = np.sort(arr)[::-1]

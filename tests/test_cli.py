@@ -171,7 +171,8 @@ def test_config_file_and_grid_parsing(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("config", [{"theta_count": "64"}, {"rel_tol": None},
-                                    {"theta_count": 64.5}])
+                                    {"theta_count": 64.5}, [], None, "abc",
+                                    [["theta_count", 64]]])
 def test_mistyped_config_exits_1_without_output(capsys, tmp_path, config):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,14 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from radmix import (
+    CesaroPower,
+    ExponentPair,
     Lacunary,
     Monomial,
     PowerSingularity,
     QuadratureConfig,
+    RationalBump,
+    Scaled,
     Sum,
     TaylorPolynomial,
     dilate,
@@ -25,7 +30,8 @@ from radmix import (
     tail_sup_norm,
     weak_lp_norm,
 )
-from radmix.meshes import MAX_GRADING_LEVELS, graded_radial_mesh
+from radmix import norms
+from radmix.meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
 
 CFG = QuadratureConfig()
 LN2 = 0.6931471805599453  # oracle: int_0^1 dr/(1+r), closed form
@@ -40,6 +46,9 @@ def test_config_validation():
         QuadratureConfig(rel_tol=0.5)
     with pytest.raises(ValueError):
         QuadratureConfig.from_dict({"bogus": 1})
+    for bad in ([], None, "abc", 3, [["theta_count", 64]]):
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            QuadratureConfig.from_dict(bad)
     for bad in ({"theta_count": "64"}, {"theta_count": 64.5},
                 {"refine_max": True}, {"rel_tol": None}, {"rel_tol": "0.01"},
                 {"rel_tol": 10 ** 400}):
@@ -85,7 +94,7 @@ def test_monomial_norm_closed_form():
         for q in (1, 2, 4, "inf"):
             for n in (0, 1, 7):
                 est = mixed_norm(Monomial(n), (p, q), CFG)
-                assert est.converged
+                assert est.converged and est.stop == "tol"
                 assert est.value == pytest.approx((1 + n * p) ** (-1 / p), rel=1e-6)
     # p = inf: sup_r r^n = 1 up to the mesh cap
     est = mixed_norm(Monomial(5), ("inf", 2), CFG)
@@ -117,6 +126,7 @@ def test_all_zero_levels_are_not_convergence():
     est = mixed_norm(Monomial(10 ** 9), (2, 2), CFG)
     assert est.trace[0] == (0, 0.0) and est.trace[1] == (1, 0.0)
     assert not est.converged
+    assert est.stop == "refine_max" and len(est.trace) == CFG.refine_max + 1
 
 
 def test_refinement_stops_at_grading_depth_cap():
@@ -125,13 +135,14 @@ def test_refinement_stops_at_grading_depth_cap():
     est = mixed_norm(power_singularity(1.5), (2, 2),
                      QuadratureConfig(radial_levels=40))
     assert [lvl for lvl, _ in est.trace] == [0, 1, 2]
-    assert not est.converged
+    assert not est.converged and est.stop == "depth_cap"
     est = mixed_norm(power_singularity(1.5), (2, 2),
                      QuadratureConfig(radial_levels=42))
     assert len(est.trace) == 1 and not est.converged
+    assert est.stop == "depth_cap"
     # a member still converges within the cap
     est = mixed_norm(Monomial(1), (2, 2), QuadratureConfig(radial_levels=40))
-    assert est.converged
+    assert est.converged and est.stop == "tol"
     assert est.value == pytest.approx(3 ** -0.5, rel=1e-9)
     with pytest.raises(ValueError):
         QuadratureConfig(radial_levels=43)
@@ -144,8 +155,19 @@ def test_divergence_detection_reports_exponent():
     assert math.isinf(est.value)
     assert est.divergence_exponent is not None and est.divergence_exponent > 0
     assert len(est.trace) >= 6
+    assert est.stop == "growth"
     d = est.to_dict()
     assert d["value"] is None and d["divergence_exponent"] > 0
+    assert d["stop"] == "growth"
+
+
+def test_overflowing_level_stops_as_nonfinite():
+    # (1 - z)^(-200) overflows on the singular ray at the first level
+    with np.errstate(over="ignore"):
+        est = mixed_norm(PowerSingularity(200.0), (2, "inf"), CFG)
+    assert est.stop == "nonfinite" and est.trace == [(0, math.inf)]
+    assert not est.converged and math.isinf(est.value)
+    assert est.to_dict()["stop"] == "nonfinite"
 
 
 def test_truncated_norm():
@@ -203,8 +225,12 @@ def test_weak_lp_norm():
         assert weak_lp_norm(x ** (-1 / a), a) == pytest.approx(1.0, abs=5e-3)
     with pytest.raises(ValueError):
         weak_lp_norm([], 2)
-    with pytest.raises(ValueError):
-        weak_lp_norm([1.0], 0.5)
+    for bad_p in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            weak_lp_norm([1.0], bad_p)
+    for bad in ([math.nan, 1.0], [math.inf], [2.0, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            weak_lp_norm(bad, 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,3 +347,59 @@ def test_dilation_sup_norm_bound():
     base = mixed_norm(f, (2, "inf"), CFG).value
     dil = mixed_norm(dilate(f, 0.9), (2, "inf"), CFG).value
     assert dil <= 0.9 ** (-1 / 2) * base
+
+
+_LEVEL_FUNCTIONS = (
+    PowerSingularity(0.75),
+    CesaroPower(8, 1.5),
+    Monomial(5),
+    Lacunary(((1, 1.0), (4, -0.5j), (16, 0.25 + 0.25j))),
+    RationalBump(0.05, 1.02, 2.0),
+    Scaled(PowerSingularity(0.5), 0.9),
+    Sum(((1.0, PowerSingularity(0.4)), (0.5j, Monomial(3)))),
+)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@pytest.mark.parametrize("pq", [(2, 3), (1.5, "inf"), ("inf", 2),
+                                ("inf", "inf")])
+@pytest.mark.parametrize("f", _LEVEL_FUNCTIONS, ids=lambda f: type(f).__name__)
+def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
+    # the streamed level equals discrete_mixed_norm on the full |f| grid;
+    # budget 1 evaluates one angle per block
+    if budget is not None:
+        monkeypatch.setattr(norms, "_CHUNK_BUDGET", budget)
+    pq = ExponentPair.of(*pq)
+    count, levels, offset = 256, 12, 0.3
+    r, w = graded_radial_mesh(levels)
+    if pq.q.is_finite:
+        thetas, ang_w = norms._angular_rule(f, count, levels, offset)
+    else:
+        specials = [t - offset for t in f.singular_angles()]
+        thetas = np.concatenate([midpoint_angles(count), specials])
+        ang_w = np.full(len(thetas), 1.0 / len(thetas))
+    full = discrete_mixed_norm(f.abs_on_polar(r, thetas + offset), w, ang_w, pq)
+    level = norms._level_value(f, pq, count, levels, offset)
+    if pq.q.is_finite:
+        assert level == pytest.approx(full, rel=1e-14)
+        return
+    # q = inf adds the golden-section pass to the discrete maximum
+    assert level >= full * (1 - 1e-14)
+    monkeypatch.setattr(norms, "_golden_max", lambda *args: -math.inf)
+    level = norms._level_value(f, pq, count, levels, offset)
+    assert level == pytest.approx(full, rel=1e-14)
+
+
+def test_streamed_level_memory():
+    # the deepest q = inf levels of the inclusion scan: 512 << 5 angles plus
+    # the singular direction, 17 grading levels; the |f| grid alone would
+    # take 16,385 x 144 x 8 bytes = 18.9 MB
+    f, count, levels = PowerSingularity(0.75), 512 << 5, 17
+    assert (count + 1) * len(graded_radial_mesh(levels)[0]) * 8 > 18e6
+    tracemalloc.start()
+    try:
+        norms._level_value(f, ExponentPair.of(2, "inf"), count, levels, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
