@@ -17,11 +17,18 @@ growth across refinements; the growth rate against the effective boundary
 cutoff is reported as a fitted exponent.
 
 Supremum branches (p or q infinite) replace the corresponding integral by a
-maximum over samples.  The angular sample set is seeded with the singular
-directions of the representation (a needle-thin radial profile, e.g. of a
-bump function aimed at one boundary point, would otherwise be invisible to
-any uniform scan), and a golden-section pass refines around the discrete
-maximiser.
+maximum over samples.  A q = inf level does not scan all of its angles: it
+takes the per-ray values on a fixed coarse ring of ``sup_sample_count``
+midpoint angles and on the singular directions of the representation (a
+needle-thin radial profile, e.g. of a bump function aimed at one boundary
+point, would otherwise be invisible to any uniform scan).  It then samples
+the level's fine midpoint rule only within one coarse step of the largest
+local maxima of the ring and of the singular directions, and a
+golden-section pass refines around the discrete maximiser.  The fine
+samples are a subset of the full fine rule, so none falls on a singular
+direction; a peak narrower than one coarse step that no singular direction
+declares can fall between the coarse rays and be missed.  Every peaked
+representation of the catalogue declares its direction.
 
 Each quadrature level is streamed: |f| is evaluated on one block of angles
 at a time, a block holding about ``_CHUNK_BUDGET`` samples, and each block
@@ -119,6 +126,9 @@ class NormEstimate:
     overflowed, divergent), ``refine_max`` (the configured number of
     refinements ran out) or ``depth_cap`` (the radial grading cannot deepen
     further).
+    ``evaluations`` counts, per level, the |f| samples the level took (the
+    golden-section pass of a q = inf level included); it is a diagnostic
+    and stays out of ``to_dict``.
     """
 
     value: float
@@ -126,6 +136,7 @@ class NormEstimate:
     converged: bool = False
     divergence_exponent: float | None = None
     stop: str = ""
+    evaluations: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -150,6 +161,9 @@ def _graded_to_zero(length: float, levels: int):
 
 # Panels span this many uniform cells on each side of a singular direction.
 _PANEL_CELLS = 4
+# A q = inf level refines around this many of the largest local maxima of its
+# coarse ring, besides the singular directions.
+_SUP_PEAKS = 8
 
 
 def _angular_rule(f: AnalyticFunction, count: int, levels: int,
@@ -273,31 +287,87 @@ def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
     return _angular_norm(_radial_values(vals, radial_w, pq.p), angular_w, pq)
 
 
+def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
+                 ) -> np.ndarray:
+    """Indices into ``midpoint_angles(count)`` within one coarse step of a
+    candidate: the ``_SUP_PEAKS`` largest cyclic local maxima of the coarse
+    per-ray values ``ring`` (taken at ``midpoint_angles(len(ring))``) and
+    every singular direction in ``specials``."""
+    coarse = len(ring)
+    peaks = np.flatnonzero((ring >= np.roll(ring, 1))
+                           & (ring >= np.roll(ring, -1)))
+    peaks = peaks[np.argsort(ring[peaks], kind="stable")[-_SUP_PEAKS:]]
+    step = 2.0 * math.pi / coarse
+    centres = np.concatenate([(peaks + 0.5) * step, specials])
+    h = 2.0 * math.pi / count
+    first = np.ceil((centres - step) / h - 0.5)
+    last = np.floor((centres + step) / h - 0.5)
+    idx = first[:, None] + np.arange(int((last - first).max()) + 1)
+    # a mask, not np.unique: its first call loads about 1.8 MB
+    hit = np.zeros(count, dtype=bool)
+    hit[idx[idx <= last[:, None]].astype(int) % count] = True
+    return np.flatnonzero(hit)
+
+
+# a decorator builds its error state once; a with-block per level costs more
+@np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, lo: float = 0.0, hi: float = 1.0) -> float:
-    """One quadrature level of the mixed norm with radii in [lo, hi].
+                 offset: float, lo: float = 0.0, hi: float = 1.0,
+                 coarse: int | None = None) -> tuple:
+    """One quadrature level of the mixed norm with radii in [lo, hi]: the
+    value and the number of |f| samples it took.
 
     q finite: the q-mean over the panel-graded angular rule of ``count``
-    cells.  q = inf: the max over ``count`` midpoint angles and the singular
-    directions, and over a golden-section pass around the discrete
-    maximiser.  Either way the per-ray values are streamed (``_ray_values``).
+    cells.  q = inf: ``_sup_level`` on the coarse ring of ``coarse`` rays
+    (by default ``count``).  Either way the per-ray values are streamed
+    (``_ray_values``).  A modulus or a power beyond the float range is inf,
+    without a warning, so the refinement stops there as ``nonfinite``.
     """
     r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
-    if pq.q.is_finite:
-        thetas, ang_w = _angular_rule(f, count, levels, offset)
-        return _angular_norm(_ray_values(f, thetas, r, w, pq.p, offset), ang_w,
-                             pq)
+    if not pq.q.is_finite:
+        return _sup_level(f, pq, count, coarse or count, r, w, offset)
+    thetas, ang_w = _angular_rule(f, count, levels, offset)
+    return (_angular_norm(_ray_values(f, thetas, r, w, pq.p, offset), ang_w,
+                          pq), len(thetas) * len(r))
+
+
+def _sup_level(f: AnalyticFunction, pq: ExponentPair, count: int, coarse: int,
+               r: np.ndarray, w: np.ndarray, offset: float) -> tuple:
+    """The q = inf level and its sample count.
+
+    The per-ray values on the coarse ring ``midpoint_angles(coarse)`` and
+    the singular directions pick the candidates of ``_sup_windows``; the
+    level is the max over the singular directions, over the midpoints of
+    ``midpoint_angles(count)`` within one coarse step of a candidate, and
+    over a golden-section pass around their maximiser.  A peak narrower
+    than one coarse step that no singular direction declares can fall
+    between the coarse rays and be missed.
+    """
     specials = np.array([t - offset for t in f.singular_angles()])
-    thetas = np.concatenate([midpoint_angles(count), specials])
+    thetas = np.concatenate([midpoint_angles(coarse), specials])
     per_angle = _ray_values(f, thetas, r, w, pq.p, offset)
+    rays = len(thetas)
+    if not np.isfinite(per_angle).all():
+        # an overflowing ray ends the refinement; no window can undo it
+        return _angular_norm(per_angle, None, pq), rays * len(r)
+    if count != coarse:
+        fine = midpoint_angles(count)[
+            _sup_windows(per_angle[:coarse], specials, count)]
+        thetas = np.concatenate([fine, specials])
+        per_angle = np.concatenate(
+            [_ray_values(f, fine, r, w, pq.p, offset), per_angle[coarse:]])
+        rays += len(fine)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
 
     def ray(t: float) -> float:
+        nonlocal rays
+        rays += 1
         return float(_radial_values(_ray_profile(f, t, r, offset), w, pq.p))
 
     golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
-    return _angular_norm(np.append(per_angle, golden), None, pq)
+    return (_angular_norm(np.append(per_angle, golden), None, pq),
+            rays * len(r))
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:
@@ -344,13 +414,16 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
     grow = 1.0 + cfg.rel_tol
     trace: list = []
     values: list = []
+    evaluations: list = []
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
     stop = "refine_max" if top == cfg.refine_max else "depth_cap"
     for level in range(top + 1):
-        v = _level_value(f, pq, base_count << level, cfg.radial_levels + level,
-                         angle_offset, hi=hi)
+        v, n = _level_value(f, pq, base_count << level,
+                            cfg.radial_levels + level, angle_offset, hi=hi,
+                            coarse=base_count)
         trace.append((level, v))
         values.append(v)
+        evaluations.append(n)
         if not math.isfinite(v):
             stop = "nonfinite"
             break
@@ -372,9 +445,9 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
         return NormEstimate(
             value=math.inf, trace=trace, converged=False,
             divergence_exponent=_fit_growth(trace, cfg.radial_levels),
-            stop=stop)
+            stop=stop, evaluations=evaluations)
     return NormEstimate(value=values[-1], trace=trace, converged=stop == "tol",
-                        stop=stop)
+                        stop=stop, evaluations=evaluations)
 
 
 def mixed_norm_truncated(f: AnalyticFunction, pq, R: float,
@@ -394,7 +467,7 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
     return _level_value(f, ExponentPair.of(p, "inf"),
-                        cfg.sup_sample_count, cfg.radial_levels, 0.0, lo=rho)
+                        cfg.sup_sample_count, cfg.radial_levels, 0.0, lo=rho)[0]
 
 
 def weak_lp_norm(samples: Sequence[float], p: float) -> float:

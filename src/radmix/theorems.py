@@ -166,17 +166,26 @@ def classify_ratio_trace(ratios: Sequence[float]) -> str:
 
 class NormCache:
     """Memoised mixed norms keyed by (function key, exponent pair, offset),
-    and the point bounds built from them."""
+    and the point bounds built from them.
+
+    ``hits`` and ``misses`` count the ``norm`` lookups answered from the
+    store and those that computed a new estimate.
+    """
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
         self._store: dict = {}
         self._point_bounds: dict = {}
+        self.hits = 0
+        self.misses = 0
 
     def norm(self, key, f: AnalyticFunction, pq: ExponentPair,
              angle_offset: float = 0.0) -> NormEstimate:
         k = (key, str(pq), angle_offset)
-        if k not in self._store:
+        if k in self._store:
+            self.hits += 1
+        else:
+            self.misses += 1
             self._store[k] = mixed_norm(f, pq, self.cfg,
                                         angle_offset=angle_offset)
         return self._store[k]

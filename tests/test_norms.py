@@ -32,6 +32,7 @@ from radmix import (
 )
 from radmix import norms
 from radmix.meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
+from radmix.witnesses import embedding_function, embedding_params
 
 CFG = QuadratureConfig()
 LN2 = 0.6931471805599453  # oracle: int_0^1 dr/(1+r), closed form
@@ -162,12 +163,15 @@ def test_divergence_detection_reports_exponent():
 
 
 def test_overflowing_level_stops_as_nonfinite():
-    # (1 - z)^(-200) overflows on the singular ray at the first level
-    with np.errstate(over="ignore"):
-        est = mixed_norm(PowerSingularity(200.0), (2, "inf"), CFG)
-    assert est.stop == "nonfinite" and est.trace == [(0, math.inf)]
-    assert not est.converged and math.isinf(est.value)
-    assert est.to_dict()["stop"] == "nonfinite"
+    # (1 - z)^(-alpha) overflows near the singular ray at the first level;
+    # the level says so by its value, not by a warning (Tier-1 runs with
+    # warnings as errors)
+    for alpha, pq in ((200.0, (2, "inf")), (400.0, (2, 2)),
+                      (200.0, ("inf", 2))):
+        est = mixed_norm(PowerSingularity(alpha), pq, CFG)
+        assert est.stop == "nonfinite" and est.trace == [(0, math.inf)]
+        assert not est.converged and math.isinf(est.value)
+        assert est.to_dict()["stop"] == "nonfinite"
 
 
 def test_truncated_norm():
@@ -379,14 +383,14 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
         thetas = np.concatenate([midpoint_angles(count), specials])
         ang_w = np.full(len(thetas), 1.0 / len(thetas))
     full = discrete_mixed_norm(f.abs_on_polar(r, thetas + offset), w, ang_w, pq)
-    level = norms._level_value(f, pq, count, levels, offset)
+    level, _ = norms._level_value(f, pq, count, levels, offset)
     if pq.q.is_finite:
         assert level == pytest.approx(full, rel=1e-14)
         return
     # q = inf adds the golden-section pass to the discrete maximum
     assert level >= full * (1 - 1e-14)
     monkeypatch.setattr(norms, "_golden_max", lambda *args: -math.inf)
-    level = norms._level_value(f, pq, count, levels, offset)
+    level, _ = norms._level_value(f, pq, count, levels, offset)
     assert level == pytest.approx(full, rel=1e-14)
 
 
@@ -403,3 +407,105 @@ def test_streamed_level_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def _dense_sup_level(f, pq, count, levels, offset):
+    # the q = inf level over every midpoint of the fine rule and the
+    # singular directions, then the golden pass around their maximiser
+    r, w = graded_radial_mesh(levels)
+    p = float(pq.p) if pq.p.is_finite else 1.0
+
+    def inner(vals):
+        return vals.max(axis=-1) if not pq.p.is_finite else vals ** p @ w
+
+    specials = [t - offset for t in f.singular_angles()]
+    thetas = np.concatenate([midpoint_angles(count), specials])
+    per_angle = inner(f.abs_on_polar(r, thetas + offset))
+    k = int(np.argmax(per_angle))
+    h = 2.0 * math.pi / count
+    golden = norms._golden_max(
+        lambda t: float(inner(f.abs_on_polar(r, np.array([t + offset]))[0])),
+        thetas[k] - h, thetas[k] + h)
+    return max(float(per_angle.max()), golden) ** (1.0 / p)
+
+
+_SUP_CASES = [
+    pytest.param(PowerSingularity(0.75), 0.0, id="PowerSingularity"),
+    pytest.param(CesaroPower(8, 1.5), 0.0, id="CesaroPower"),
+    pytest.param(Monomial(5), 0.0, id="Monomial"),
+    # theta0 = 2 lies between two rays of the 512-ray coarse ring
+    pytest.param(RationalBump(0.05, 1.02, 2.0), 0.0, id="RationalBump"),
+    pytest.param(embedding_function(embedding_params(2, 16), [1.0] * 9), 0.0,
+                 id="embedding_section"),
+    # a broad peak at theta = 1.234, which no singular direction declares
+    pytest.param(TaylorPolynomial([1.0, 0.5 * np.exp(-1.234j)]), 0.0,
+                 id="undeclared_peak"),
+    # the point family's dilated kernel, mesh rotated
+    pytest.param(dilate(power_singularity(1.5), 0.97), -0.7,
+                 id="dilated_kernel"),
+]
+
+
+@pytest.mark.parametrize("pq", [(2, "inf"), ("inf", "inf")])
+@pytest.mark.parametrize("f, offset", _SUP_CASES)
+def test_local_sup_level_matches_dense_scan(f, offset, pq):
+    # refining only near the coarse maxima and the singular directions
+    # finds the maximum of the full doubled scan at every level
+    pq = ExponentPair.of(*pq)
+    coarse = CFG.sup_sample_count
+    for level in range(5):
+        count, levels = coarse << level, CFG.radial_levels + level
+        local, n = norms._level_value(f, pq, count, levels, offset,
+                                      coarse=coarse)
+        dense = _dense_sup_level(f, pq, count, levels, offset)
+        assert local == pytest.approx(dense, rel=1e-14, abs=0.0)
+        assert n < (count + 40) * len(graded_radial_mesh(levels)[0])
+
+
+def test_sup_windows_cover_largest_peaks_and_singular_directions():
+    # every fine midpoint within one coarse step of the 8 largest cyclic
+    # local maxima of the coarse values or of a singular direction, and no
+    # other; the directions may lie outside [0, 2 pi)
+    coarse, count = 64, 64 * 8
+    ring = np.random.default_rng(5).random(coarse)
+    specials = np.array([0.0, -0.3, 7.0])
+    peaks = [j for j in range(coarse)
+             if ring[j] >= max(ring[j - 1], ring[(j + 1) % coarse])]
+    assert len(peaks) > 8
+    top = sorted(peaks, key=lambda j: ring[j])[-8:]
+    step = 2.0 * math.pi / coarse
+    centres = [(j + 0.5) * step for j in top] + list(specials)
+    fine = midpoint_angles(count)
+    expected = [i for i in range(count)
+                if min(abs((fine[i] - c + math.pi) % (2 * math.pi) - math.pi)
+                       for c in centres) <= step]
+    got = norms._sup_windows(ring, specials, count)
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_local_sup_level_on_lacunary_series(seed, p):
+    # the seeded 13-node series of criterion 3: many comparable local
+    # maxima and no singular direction; the local level may miss the dense
+    # maximum only by less than the refinement tolerance
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
+    f = Lacunary(tuple((2 ** k, coeffs[k]) for k in range(13)))
+    pq, coarse = ExponentPair.of(p, "inf"), CFG.sup_sample_count
+    for level in range(5):
+        count, levels = coarse << level, CFG.radial_levels + level
+        local, _ = norms._level_value(f, pq, count, levels, 0.0,
+                                      coarse=coarse)
+        dense = _dense_sup_level(f, pq, count, levels, 0.0)
+        assert local == pytest.approx(dense, rel=CFG.rel_tol)
+
+
+def test_local_sup_level_evaluation_budget():
+    # the divergent (2, inf) power singularity of the inclusion scan runs
+    # every level; its deepest level stays within 3x the samples of level 0
+    from radmix.cli import SCAN_CFG
+    est = mixed_norm(PowerSingularity(0.75), (2, "inf"), SCAN_CFG)
+    assert est.stop == "growth" and len(est.evaluations) == len(est.trace)
+    assert est.evaluations[-1] < 3 * est.evaluations[0]
+    assert "evaluations" not in est.to_dict()

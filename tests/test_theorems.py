@@ -201,6 +201,18 @@ def test_point_bound_computed_once_per_cache():
     assert lookups
 
 
+def test_norm_cache_counts_hits_and_misses():
+    cache = NormCache(CFG)
+    lookups = []
+    norm = cache.norm
+    cache.norm = lambda *a, **kw: lookups.append(a) or norm(*a, **kw)
+    for cell in [(2, 2, 2, 4), (2, 2, 4, 4), (2, 4, 2, 2), (2, 2, 2, 4)]:
+        inclusion_witness_scan(*cell, CFG, cache)
+    assert cache.hits > 0 and cache.misses > 0
+    assert cache.hits + cache.misses == len(lookups)
+    assert cache.misses == len(cache._store)
+
+
 def test_point_functional_sup_space_is_flat():
     zs = [1 - 2.0 ** -k for k in range(3, 9)]
     fit = evaluation_functional_fit(("inf", "inf"), "point", zs, CFG)
