@@ -195,6 +195,17 @@ class AnalyticFunction:
         """
         return ()
 
+    def top_exponent(self) -> int:
+        """The highest power of z in a finite series (for a Cesaro power,
+        in its inner sum); 0 for the other representations.
+
+        Along a circle, |f| of such a series varies on angular scales down
+        to about 2 pi / N for the top exponent N, so its peaks need not lie
+        at a singular direction; supremum-type norms scan a ring of angles
+        fine enough to see them.
+        """
+        return 0
+
 
 @dataclass(frozen=True)
 class Monomial(AnalyticFunction):
@@ -217,6 +228,9 @@ class Monomial(AnalyticFunction):
 
     def _abs_polar(self, r, theta):
         return np.tile(r ** self.n, (len(theta), 1))
+
+    def top_exponent(self):
+        return self.n
 
     def rotate(self, phi):
         return Sum(((complex(np.exp(1j * phi)) ** self.n, self),))
@@ -246,6 +260,9 @@ class TaylorPolynomial(AnalyticFunction):
 
     def _abs_polar(self, r, theta):
         return _series_abs(range(len(self.coeffs)), self.coeffs, r, theta)
+
+    def top_exponent(self):
+        return max(len(self.coeffs) - 1, 0)
 
     def rotate(self, phi):
         w = complex(np.exp(1j * phi))
@@ -313,6 +330,9 @@ class CesaroPower(AnalyticFunction):
     def singular_angles(self):
         return (0.0,)
 
+    def top_exponent(self):
+        return self.n
+
 
 @dataclass(frozen=True)
 class Lacunary(AnalyticFunction):
@@ -349,6 +369,9 @@ class Lacunary(AnalyticFunction):
     def _abs_polar(self, r, theta):
         exponents, coeffs = zip(*self.nodes)
         return _series_abs(exponents, coeffs, r, theta)
+
+    def top_exponent(self):
+        return self.nodes[-1][0]
 
     def rotate(self, phi):
         w = complex(np.exp(1j * phi))
@@ -416,6 +439,9 @@ class Scaled(AnalyticFunction):
     def singular_angles(self):
         return self.inner.singular_angles()
 
+    def top_exponent(self):
+        return self.inner.top_exponent()
+
 
 @dataclass(frozen=True)
 class Sum(AnalyticFunction):
@@ -447,6 +473,9 @@ class Sum(AnalyticFunction):
         # first-seen order, without repeats
         return tuple(dict.fromkeys(
             t for _, g in self.terms for t in g.singular_angles()))
+
+    def top_exponent(self):
+        return max((g.top_exponent() for _, g in self.terms), default=0)
 
 
 # -- operations ------------------------------------------------------------------

@@ -18,17 +18,20 @@ cutoff is reported as a fitted exponent.
 
 Supremum branches (p or q infinite) replace the corresponding integral by a
 maximum over samples.  A q = inf level does not scan all of its angles: it
-takes the per-ray values on a fixed coarse ring of ``sup_sample_count``
-midpoint angles and on the singular directions of the representation (a
-needle-thin radial profile, e.g. of a bump function aimed at one boundary
-point, would otherwise be invisible to any uniform scan).  It then samples
-the level's fine midpoint rule only within one coarse step of the largest
-local maxima of the ring and of the singular directions, and a
-golden-section pass refines around the discrete maximiser.  The fine
-samples are a subset of the full fine rule, so none falls on a singular
-direction; a peak narrower than one coarse step that no singular direction
-declares can fall between the coarse rays and be missed.  Every peaked
-representation of the catalogue declares its direction.
+takes the per-ray values on a coarse ring of midpoint angles and on the
+singular directions of the representation (a needle-thin radial profile,
+e.g. of a bump function aimed at one boundary point, would otherwise be
+invisible to any uniform scan).  The ring has ``sup_sample_count`` rays,
+doubled until it holds four rays per unit of the representation's top
+exponent (``AnalyticFunction.top_exponent``: a series of top exponent N
+oscillates on angular scales down to 2 pi / N), and at most as many as the
+level's fine rule.  The level then samples its fine midpoint rule only
+within one coarse step of the largest local maxima of the ring and of the
+singular directions, and a golden-section pass refines around the discrete
+maximiser.  The fine samples are a subset of the full fine rule, so none
+falls on a singular direction.  A peak narrower than one coarse step that
+neither a singular direction nor the top exponent accounts for can fall
+between the coarse rays and be missed.
 
 Each quadrature level is streamed: |f| is evaluated on one block of angles
 at a time, a block holding about ``_CHUNK_BUDGET`` samples, and each block
@@ -164,6 +167,13 @@ _PANEL_CELLS = 4
 # A q = inf level refines around this many of the largest local maxima of its
 # coarse ring, besides the singular directions.
 _SUP_PEAKS = 8
+# The coarse ring of a q = inf level holds at least this many rays per unit
+# of the representation's top exponent, about four per period of its fastest
+# oscillation along a circle.
+_SUP_RAYS_PER_EXPONENT = 4
+# Golden-section steps of the q = inf pass, which evaluates _GOLDEN_ITERS + 2
+# rays.
+_GOLDEN_ITERS = 28
 
 
 def _angular_rule(f: AnalyticFunction, count: int, levels: int,
@@ -208,7 +218,7 @@ def _angular_rule(f: AnalyticFunction, count: int, levels: int,
 
 
 def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
-                iters: int = 28) -> float:
+                iters: int = _GOLDEN_ITERS) -> float:
     """Golden-section maximisation; returns the best value seen."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -294,11 +304,19 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
     per-ray values ``ring`` (taken at ``midpoint_angles(len(ring))``) and
     every singular direction in ``specials``."""
     coarse = len(ring)
-    peaks = np.flatnonzero((ring >= np.roll(ring, 1))
-                           & (ring >= np.roll(ring, -1)))
-    peaks = peaks[np.argsort(ring[peaks], kind="stable")[-_SUP_PEAKS:]]
+    # argmax passes, not a sort: the first call of a numpy sort routine
+    # faults in about 180 kB of its code
+    is_peak = (ring >= np.roll(ring, 1)) & (ring >= np.roll(ring, -1))
+    heights = np.where(is_peak, ring, -np.inf)
+    peaks = []
+    for _ in range(_SUP_PEAKS):
+        k = int(np.argmax(heights))
+        if heights[k] == -np.inf:
+            break
+        peaks.append(k)
+        heights[k] = -np.inf
     step = 2.0 * math.pi / coarse
-    centres = np.concatenate([(peaks + 0.5) * step, specials])
+    centres = np.concatenate([(np.array(peaks) + 0.5) * step, specials])
     h = 2.0 * math.pi / count
     first = np.ceil((centres - step) / h - 0.5)
     last = np.floor((centres + step) / h - 0.5)
@@ -318,10 +336,11 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     value and the number of |f| samples it took.
 
     q finite: the q-mean over the panel-graded angular rule of ``count``
-    cells.  q = inf: ``_sup_level`` on the coarse ring of ``coarse`` rays
-    (by default ``count``).  Either way the per-ray values are streamed
-    (``_ray_values``).  A modulus or a power beyond the float range is inf,
-    without a warning, so the refinement stops there as ``nonfinite``.
+    cells.  q = inf: ``_sup_level``, its coarse ring built up from
+    ``coarse`` rays (by default ``count``).  Either way the per-ray values
+    are streamed (``_ray_values``).  A modulus or a power beyond the float
+    range is inf, without a warning, so the refinement stops there as
+    ``nonfinite``.
     """
     r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
     if not pq.q.is_finite:
@@ -331,18 +350,31 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
                           pq), len(thetas) * len(r))
 
 
+def _sup_ring(f: AnalyticFunction, coarse: int, count: int) -> int:
+    """Rays of the coarse ring of a q = inf level of ``count`` rays:
+    ``coarse << j`` for the least j giving ``_SUP_RAYS_PER_EXPONENT`` rays
+    per unit of ``f.top_exponent()``, capped at ``count``."""
+    need = min(_SUP_RAYS_PER_EXPONENT * f.top_exponent(), count)
+    while coarse < need:
+        coarse <<= 1
+    return min(coarse, count)
+
+
 def _sup_level(f: AnalyticFunction, pq: ExponentPair, count: int, coarse: int,
                r: np.ndarray, w: np.ndarray, offset: float) -> tuple:
     """The q = inf level and its sample count.
 
-    The per-ray values on the coarse ring ``midpoint_angles(coarse)`` and
-    the singular directions pick the candidates of ``_sup_windows``; the
-    level is the max over the singular directions, over the midpoints of
-    ``midpoint_angles(count)`` within one coarse step of a candidate, and
-    over a golden-section pass around their maximiser.  A peak narrower
-    than one coarse step that no singular direction declares can fall
+    The per-ray values on the coarse ring ``midpoint_angles(ring)``, ring =
+    ``_sup_ring(f, coarse, count)``, and on the singular directions pick the
+    candidates of ``_sup_windows``; the level is the max over the singular
+    directions, over the midpoints of ``midpoint_angles(count)`` within one
+    coarse step of a candidate, and over a golden-section pass around their
+    maximiser.  The ring of a series holds about four rays per period of
+    its top exponent; once it reaches ``count`` the level scans every
+    midpoint.  A narrower peak that no singular direction declares can fall
     between the coarse rays and be missed.
     """
+    coarse = _sup_ring(f, coarse, count)
     specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(coarse), specials])
     per_angle = _ray_values(f, thetas, r, w, pq.p, offset)
@@ -361,13 +393,11 @@ def _sup_level(f: AnalyticFunction, pq: ExponentPair, count: int, coarse: int,
     h = 2.0 * math.pi / count
 
     def ray(t: float) -> float:
-        nonlocal rays
-        rays += 1
         return float(_radial_values(_ray_profile(f, t, r, offset), w, pq.p))
 
     golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, golden), None, pq),
-            rays * len(r))
+            (rays + _GOLDEN_ITERS + 2) * len(r))
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
-import mpmath
 import numpy as np
 
 from .functions import (
@@ -145,6 +144,10 @@ class EmbeddingParams:
         in double precision near k = 15, so they are computed with 30 digits
         to spare beyond ``count``.
         """
+        # imported here: mpmath adds about 3.7 MB of resident memory to every
+        # process that imports radmix, and only this check uses it
+        import mpmath
+
         with mpmath.workdps(self.count + 30):
             rs = [mpmath.mpf(2) ** -(k + 1) for k in range(self.count)]
             aa = [1 + mpmath.mpf(14) ** -(k + 1) for k in range(self.count)]

@@ -484,14 +484,21 @@ def test_sup_windows_cover_largest_peaks_and_singular_directions():
 
 
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_local_sup_level_on_lacunary_series(seed, p):
-    # the seeded 13-node series of criterion 3: many comparable local
-    # maxima and no singular direction; the local level may miss the dense
-    # maximum only by less than the refinement tolerance
+# seeds 3 and 4 of the 3^k series read 0.2-1.2% low on the 512-ray ring alone
+@pytest.mark.parametrize("seed", [0, 3, 4])
+@pytest.mark.parametrize("base, nodes", [
+    (2, 13),  # criterion 3: top exponent 4,096, scanned densely
+    (3, 9),   # top exponent 6,561: far narrower peaks than the 512-ray ring
+    (3, 6),   # top exponent 243: a 1,024-ray ring from level 2 on
+    (5, 5),   # top exponent 625: 4,096 rays at level 4; 1,024 miss peaks
+])
+def test_local_sup_level_on_lacunary_series(base, nodes, seed, p):
+    # seeded lacunary series: many comparable local maxima and no singular
+    # direction; the ring widens with the top exponent, so the local level
+    # may miss the dense maximum only by less than the refinement tolerance
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    f = Lacunary(tuple((2 ** k, coeffs[k]) for k in range(13)))
+    coeffs = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
+    f = Lacunary(tuple((base ** k, coeffs[k]) for k in range(nodes)))
     pq, coarse = ExponentPair.of(p, "inf"), CFG.sup_sample_count
     for level in range(5):
         count, levels = coarse << level, CFG.radial_levels + level
@@ -499,6 +506,23 @@ def test_local_sup_level_on_lacunary_series(seed, p):
                                       coarse=coarse)
         dense = _dense_sup_level(f, pq, count, levels, 0.0)
         assert local == pytest.approx(dense, rel=CFG.rel_tol)
+
+
+def test_sup_ring_resolves_the_top_exponent():
+    # four rays per unit of the top exponent, doubling the base ring and
+    # capped at the level's own rule
+    assert norms._sup_ring(PowerSingularity(0.75), 512, 8192) == 512
+    assert norms._sup_ring(Monomial(128), 512, 8192) == 512
+    assert norms._sup_ring(Monomial(129), 512, 8192) == 1024
+    assert norms._sup_ring(CesaroPower(256, 1.5), 512, 8192) == 1024
+    assert norms._sup_ring(TaylorPolynomial([1.0] * 300), 512, 8192) == 2048
+    assert norms._sup_ring(RationalBump(0.05, 1.02, 2.0), 512, 8192) == 512
+    series = Lacunary(((1, 1.0), (3, 1.0), (243, 1.0)))
+    assert norms._sup_ring(series, 512, 8192) == 1024
+    assert norms._sup_ring(Sum(((1.0, PowerSingularity(0.5)),
+                                (1.0, dilate(series, 0.9)))), 512, 8192) == 1024
+    assert norms._sup_ring(Lacunary(((6561, 1.0),)), 512, 8192) == 8192
+    assert norms._sup_ring(Monomial(10 ** 9), 512, 512) == 512
 
 
 def test_local_sup_level_evaluation_budget():
