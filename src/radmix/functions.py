@@ -12,14 +12,18 @@ adding a representation means adding one class.  Everything is immutable and
 every operation is pure, so values can be shared freely between workers.
 
 Evaluation is vectorised over numpy arrays of points.  The norm quadratures
-need only the modulus on a polar grid of angles x radii, which
-``AnalyticFunction.abs_on_polar`` returns.  A representation may add a
-modulus kernel for it (``_abs_polar``): real arithmetic in r and theta that
-never forms the complex point.  Without one, the modulus of ``_eval`` at
-the points r e^(i theta) is used, so a new class needs no kernel to be
-correct.  Differentiation uses the closed form of each representation; an
-independent contour-quadrature fallback (``cauchy_derivative``) is provided
-for cross-checking.
+need only the modulus on a polar grid of angles x radii.
+``AnalyticFunction.polar_kernel(r)`` checks the radii once and returns a
+kernel theta -> |f| on theta x r; a quadrature level binds one and applies
+it to every block of angles it samples, and ``abs_on_polar(r, theta)`` is
+``polar_kernel(r)(theta)``.  A representation may bind its own kernel
+(``_polar``): it computes its radial factors (powers r^n, the chord terms
+of (1 - r)^2 + 4 r sin^2(theta / 2)) once per binding, and each call is real
+arithmetic in theta that never forms the complex point.  Without one, the
+modulus of ``_eval`` at the points r e^(i theta) is used, so a new class
+needs no kernel to be correct.  Differentiation uses the closed form of each
+representation; an independent contour-quadrature fallback
+(``cauchy_derivative``) is provided for cross-checking.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -100,25 +105,27 @@ def _principal_power(w: np.ndarray, exponent: float) -> np.ndarray:
     return np.exp(exponent * np.log(w))
 
 
-def _series_abs(exponents, coeffs, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """|sum_k coeffs[k] (r e^(i theta))^exponents[k]| on theta x r.
+def _series_abs(exponents, coeffs, r: np.ndarray):
+    """theta -> |sum_k coeffs[k] (r e^(i theta))^exponents[k]| on theta x r.
 
     One matrix product of the (T x K) phases e^(i n_k theta) with the
-    (K x R) radial terms a_k r^(n_k).
+    (K x R) radial terms a_k r^(n_k), which are computed here once.
     """
     n = np.asarray(exponents, dtype=float)
     radial = np.asarray(coeffs, dtype=complex)[:, None] * r[None, :] ** n[:, None]
-    return np.abs(np.exp(1j * np.outer(theta, n)) @ radial)
+    return lambda theta: np.abs(np.exp(1j * np.outer(theta, n)) @ radial)
 
 
-def _chord2(diff: np.ndarray, prod: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """|a - b e^(i phi)|^2 on phi x (a, b) for a, b >= 0, from diff = a - b
-    and prod = a b.
+def _chord2(diff: np.ndarray, prod: np.ndarray):
+    """phi -> |a - b e^(i phi)|^2 on phi x (a, b) for a, b >= 0, from
+    diff = a - b and prod = a b; the terms in (a, b) are computed here once.
 
     The form (a - b)^2 + 4 a b sin^2(phi / 2) keeps full relative accuracy
     where b e^(i phi) approaches a; a^2 - 2 a b cos(phi) + b^2 cancels there.
     """
-    return diff[None, :] ** 2 + 4.0 * prod[None, :] * np.sin(0.5 * phi)[:, None] ** 2
+    diff2 = diff ** 2
+    prod4 = 4.0 * prod
+    return lambda phi: diff2 + prod4 * np.sin(0.5 * phi)[:, None] ** 2
 
 
 # -- field coercion ------------------------------------------------------------
@@ -162,25 +169,32 @@ class AnalyticFunction:
 
     Every subclass is a frozen dataclass defining ``_eval`` and ``_deriv``:
     the values and the closed-form derivative at an array of points already
-    checked to lie inside the disc.  A subclass may override ``_abs_polar``
-    with a modulus kernel.
+    checked to lie inside the disc.  A subclass may override ``_polar``
+    with its own modulus kernel.
     """
 
-    def abs_on_polar(self, r, theta) -> np.ndarray:
-        """|f(r e^(i theta))| on the grid theta x r, one row per angle.
+    def polar_kernel(self, r) -> Callable[[np.ndarray], np.ndarray]:
+        """The kernel theta -> |f(r e^(i theta))| on the grid theta x r, one
+        row per angle, for the radii ``r`` bound once.
 
-        ``r`` and ``theta`` are 1-d arrays; every radius must lie in [0, 1).
+        ``r`` is a 1-d array, checked here: every radius must lie in [0, 1).
+        The kernel takes a 1-d float array of angles.
         """
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         outside = ~((r >= 0.0) & (r < 1.0))
         if np.any(outside):
             raise DomainError(f"polar radius outside [0, 1) (r = {r[outside][0]})")
-        return self._abs_polar(r, theta)
+        return self._polar(r)
 
-    def _abs_polar(self, r, theta):
-        """The modulus kernel, for radii already checked; |_eval| by default."""
-        return np.abs(self._eval(r[None, :] * np.exp(1j * theta[:, None])))
+    def abs_on_polar(self, r, theta) -> np.ndarray:
+        """|f(r e^(i theta))| on the grid theta x r, one row per angle:
+        ``polar_kernel(r)(theta)``."""
+        return self.polar_kernel(r)(np.asarray(theta, dtype=float))
+
+    def _polar(self, r):
+        """The modulus kernel for radii already checked; |_eval| by default."""
+        return lambda theta: np.abs(
+            self._eval(r[None, :] * np.exp(1j * theta[:, None])))
 
     def rotate(self, phi: float) -> "AnalyticFunction":
         """The rotation z -> f(e^(i phi) z), for representations that support it."""
@@ -226,8 +240,9 @@ class Monomial(AnalyticFunction):
             return np.zeros_like(z)
         return self.n * z ** (self.n - 1)
 
-    def _abs_polar(self, r, theta):
-        return np.tile(r ** self.n, (len(theta), 1))
+    def _polar(self, r):
+        rn = r ** self.n
+        return lambda theta: np.tile(rn, (len(theta), 1))
 
     def top_exponent(self):
         return self.n
@@ -258,8 +273,8 @@ class TaylorPolynomial(AnalyticFunction):
             acc = acc * z + k * self.coeffs[k]
         return acc
 
-    def _abs_polar(self, r, theta):
-        return _series_abs(range(len(self.coeffs)), self.coeffs, r, theta)
+    def _polar(self, r):
+        return _series_abs(range(len(self.coeffs)), self.coeffs, r)
 
     def top_exponent(self):
         return max(len(self.coeffs) - 1, 0)
@@ -285,8 +300,9 @@ class PowerSingularity(AnalyticFunction):
     def _deriv(self, z):
         return self.alpha * np.exp(-(self.alpha + 1.0) * np.log(1.0 - z))
 
-    def _abs_polar(self, r, theta):
-        return _chord2(1.0 - r, r, theta) ** (-0.5 * self.alpha)
+    def _polar(self, r):
+        chord = _chord2(1.0 - r, r)
+        return lambda theta: chord(theta) ** (-0.5 * self.alpha)
 
     def singular_angles(self):
         return (0.0,)
@@ -317,15 +333,16 @@ class CesaroPower(AnalyticFunction):
             dw = dw * z + k  # Horner for sum k z^(k-1)
         return (1.0 / self.alpha) * _principal_power(w, 1.0 / self.alpha - 1.0) * dw
 
-    def _abs_polar(self, r, theta):
+    def _polar(self, r):
         # |1 - z^m|^2 / |1 - z|^2 with m = n + 1, both in the stable chord
         # form and 1 - r^m from expm1, so the removable point z = 1 keeps
         # full accuracy
         m = self.n + 1
         with np.errstate(divide="ignore"):
             one_minus = -np.expm1(m * np.log(r))
-        num = _chord2(one_minus, r ** m, m * theta)
-        return (num / _chord2(1.0 - r, r, theta)) ** (0.5 / self.alpha)
+        num = _chord2(one_minus, r ** m)
+        den = _chord2(1.0 - r, r)
+        return lambda theta: (num(m * theta) / den(theta)) ** (0.5 / self.alpha)
 
     def singular_angles(self):
         return (0.0,)
@@ -366,9 +383,9 @@ class Lacunary(AnalyticFunction):
             acc = acc + a * n * z ** (n - 1)
         return acc
 
-    def _abs_polar(self, r, theta):
+    def _polar(self, r):
         exponents, coeffs = zip(*self.nodes)
-        return _series_abs(exponents, coeffs, r, theta)
+        return _series_abs(exponents, coeffs, r)
 
     def top_exponent(self):
         return self.nodes[-1][0]
@@ -401,8 +418,9 @@ class RationalBump(AnalyticFunction):
         phase = np.exp(-1j * self.theta0)
         return -2.0 * self.eps * phase / (z * phase - self.a) ** 3
 
-    def _abs_polar(self, r, theta):
-        return self.eps / _chord2(self.a - r, self.a * r, theta - self.theta0)
+    def _polar(self, r):
+        chord = _chord2(self.a - r, self.a * r)
+        return lambda theta: self.eps / chord(theta - self.theta0)
 
     def rotate(self, phi):
         return RationalBump(self.eps, self.a, self.theta0 - phi)
@@ -430,8 +448,8 @@ class Scaled(AnalyticFunction):
     def _deriv(self, z):
         return self.r * self.inner._deriv(self.r * z)
 
-    def _abs_polar(self, r, theta):
-        return self.inner.abs_on_polar(self.r * r, theta)
+    def _polar(self, r):
+        return self.inner.polar_kernel(self.r * r)
 
     def rotate(self, phi):
         return Scaled(self.inner.rotate(phi), self.r)
@@ -455,10 +473,18 @@ class Sum(AnalyticFunction):
             for c, f in self.terms))
 
     def _eval(self, z):
+        # A term beyond the float range makes the sum infinite there; the
+        # complex product of its inf with a weight would be NaN (inf - inf).
         acc = np.zeros_like(z)
+        overflow = None
         for c, g in self.terms:
-            acc = acc + c * g._eval(z)
-        return acc
+            v = g._eval(z)
+            big = np.isinf(v)
+            if big.any():
+                overflow = big if overflow is None else overflow | big
+                v = np.where(big, 0.0, v)
+            acc = acc + c * v
+        return acc if overflow is None else np.where(overflow, np.inf, acc)
 
     def _deriv(self, z):
         acc = np.zeros_like(z)

@@ -33,11 +33,16 @@ falls on a singular direction.  A peak narrower than one coarse step that
 neither a singular direction nor the top exponent accounts for can fall
 between the coarse rays and be missed.
 
-Each quadrature level is streamed: |f| is evaluated on one block of angles
-at a time, a block holding about ``_CHUNK_BUDGET`` samples, and each block
-is reduced at once to its per-ray radial values.  Only the vector of
-per-angle values reaches the angular reduction, so the angle x radius grid
-of a level is never held in memory.
+Each quadrature level binds one modulus kernel,
+``AnalyticFunction.polar_kernel`` at the level's radii, so the radii are
+checked and the representation's radial factors computed once per level.
+That kernel takes every sample of the level: the streamed blocks, the coarse
+ring and fine windows of a q = inf level and each ray of its golden-section
+pass.  The level is streamed: |f| is evaluated on one block of angles at a
+time, a block holding about ``_CHUNK_BUDGET`` samples, and each block is
+reduced at once to its per-ray radial values.  Only the vector of per-angle
+values reaches the angular reduction, so the angle x radius grid of a level
+is never held in memory.
 """
 
 from __future__ import annotations
@@ -71,8 +76,12 @@ __all__ = [
 # so the deepest q = inf levels (16,385 angles x 144 radii) never hold their
 # 18.9 MB sample grid.  Measured with perfbench: at 16,384 samples the
 # temporaries of a block grow large enough that the allocator faults in fresh
-# pages for them (about 100 page faults per cheap scan estimate), and at 4,096
-# the fixed cost of each kernel call dominates the small levels.
+# pages for them (about 100 page faults per cheap scan estimate).  A block
+# repeats no radial work (the level's kernel is bound once), but it pays the
+# per-call overhead of the kernel's and the reduction's array operations: at
+# 4,096 samples a lacunary_norms pass took 14% longer and an inclusion_scan
+# pass 19% (medians of 6 alternated passes in one process, 2 vCPUs, numpy
+# 2.4.6).
 _CHUNK_BUDGET = 12288
 
 
@@ -124,6 +133,8 @@ class NormEstimate:
     by at most rel_tol.
     ``divergence_exponent`` (the growth rate of the estimates against the
     reciprocal boundary cutoff) is only set when the refinement diverged.
+    ``to_dict`` writes a non-finite value, in ``value`` or in ``trace``, as
+    null, so its output is strict JSON.
     ``stop`` says why the refinement stopped: ``tol`` (two levels agreed),
     ``growth`` (sustained growth, divergent), ``nonfinite`` (a level
     overflowed, divergent), ``refine_max`` (the configured number of
@@ -145,15 +156,11 @@ class NormEstimate:
         return {
             "value": None if math.isinf(self.value) else self.value,
             "converged": self.converged,
-            "trace": [[lvl, v] for lvl, v in self.trace],
+            "trace": [[lvl, v if math.isfinite(v) else None]
+                      for lvl, v in self.trace],
             "divergence_exponent": self.divergence_exponent,
             "stop": self.stop,
         }
-
-
-def _ray_profile(f: AnalyticFunction, theta: float, radii: np.ndarray,
-                 offset: float) -> np.ndarray:
-    return f.abs_on_polar(radii, np.array([theta + offset]))[0]
 
 
 def _graded_to_zero(length: float, levels: int):
@@ -248,7 +255,7 @@ def radial_integral(f: AnalyticFunction, theta: float, p, cfg: QuadratureConfig,
     if not p.is_finite:
         raise ValueError("the ray integral is defined for finite p")
     r, w = graded_radial_mesh(cfg.radial_levels, lo=lo, hi=hi)
-    vals = _ray_profile(f, theta, r, angle_offset)
+    vals = f.abs_on_polar(r, np.array([theta + angle_offset]))[0]
     return float(np.sum(w * vals ** float(p)))
 
 
@@ -257,9 +264,11 @@ def _radial_values(vals: np.ndarray, radial_w: np.ndarray, p) -> np.ndarray:
     return (vals ** float(p)) @ radial_w if p.is_finite else vals.max(axis=-1)
 
 
-def _ray_values(f: AnalyticFunction, thetas: np.ndarray, radii: np.ndarray,
-                radial_w: np.ndarray, p, offset: float) -> np.ndarray:
-    """``_radial_values`` of |f| along each ray in ``thetas``.
+def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
+                p, offset: float) -> np.ndarray:
+    """``_radial_values`` of |f| along each ray in ``thetas``, from the
+    level's bound kernel (``AnalyticFunction.polar_kernel`` at the radii of
+    ``radial_w``).
 
     |f| is evaluated on one block of angles at a time and reduced at once,
     so no angle x radius grid is built.  The angles are cut into
@@ -267,10 +276,10 @@ def _ray_values(f: AnalyticFunction, thetas: np.ndarray, radii: np.ndarray,
     block is a small remainder that pays a kernel call for a few angles.
     """
     out = np.empty(len(thetas))
-    blocks = math.ceil(len(thetas) * len(radii) / _CHUNK_BUDGET)
+    blocks = math.ceil(len(thetas) * len(radial_w) / _CHUNK_BUDGET)
     step = math.ceil(len(thetas) / blocks)
     for k in range(0, len(thetas), step):
-        block = f.abs_on_polar(radii, thetas[k:k + step] + offset)
+        block = kernel(thetas[k:k + step] + offset)
         out[k:k + step] = _radial_values(block, radial_w, p)
     return out
 
@@ -337,16 +346,18 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
 
     q finite: the q-mean over the panel-graded angular rule of ``count``
     cells.  q = inf: ``_sup_level``, its coarse ring built up from
-    ``coarse`` rays (by default ``count``).  Either way the per-ray values
-    are streamed (``_ray_values``).  A modulus or a power beyond the float
+    ``coarse`` rays (by default ``count``).  Either way the level binds one
+    kernel (``f.polar_kernel`` at its radii) and streams the per-ray values
+    through it (``_ray_values``).  A modulus or a power beyond the float
     range is inf, without a warning, so the refinement stops there as
     ``nonfinite``.
     """
     r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
+    kernel = f.polar_kernel(r)
     if not pq.q.is_finite:
-        return _sup_level(f, pq, count, coarse or count, r, w, offset)
+        return _sup_level(f, kernel, pq, count, coarse or count, w, offset)
     thetas, ang_w = _angular_rule(f, count, levels, offset)
-    return (_angular_norm(_ray_values(f, thetas, r, w, pq.p, offset), ang_w,
+    return (_angular_norm(_ray_values(kernel, thetas, w, pq.p, offset), ang_w,
                           pq), len(thetas) * len(r))
 
 
@@ -360,9 +371,10 @@ def _sup_ring(f: AnalyticFunction, coarse: int, count: int) -> int:
     return min(coarse, count)
 
 
-def _sup_level(f: AnalyticFunction, pq: ExponentPair, count: int, coarse: int,
-               r: np.ndarray, w: np.ndarray, offset: float) -> tuple:
-    """The q = inf level and its sample count.
+def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
+               count: int, coarse: int, w: np.ndarray, offset: float) -> tuple:
+    """The q = inf level and its sample count, every sample taken by the
+    level's bound ``kernel`` at the radii of the radial weights ``w``.
 
     The per-ray values on the coarse ring ``midpoint_angles(ring)``, ring =
     ``_sup_ring(f, coarse, count)``, and on the singular directions pick the
@@ -377,27 +389,27 @@ def _sup_level(f: AnalyticFunction, pq: ExponentPair, count: int, coarse: int,
     coarse = _sup_ring(f, coarse, count)
     specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(coarse), specials])
-    per_angle = _ray_values(f, thetas, r, w, pq.p, offset)
+    per_angle = _ray_values(kernel, thetas, w, pq.p, offset)
     rays = len(thetas)
     if not np.isfinite(per_angle).all():
         # an overflowing ray ends the refinement; no window can undo it
-        return _angular_norm(per_angle, None, pq), rays * len(r)
+        return _angular_norm(per_angle, None, pq), rays * len(w)
     if count != coarse:
         fine = midpoint_angles(count)[
             _sup_windows(per_angle[:coarse], specials, count)]
         thetas = np.concatenate([fine, specials])
         per_angle = np.concatenate(
-            [_ray_values(f, fine, r, w, pq.p, offset), per_angle[coarse:]])
+            [_ray_values(kernel, fine, w, pq.p, offset), per_angle[coarse:]])
         rays += len(fine)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
 
     def ray(t: float) -> float:
-        return float(_radial_values(_ray_profile(f, t, r, offset), w, pq.p))
+        return float(_radial_values(kernel(np.array([t + offset]))[0], w, pq.p))
 
     golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, golden), None, pq),
-            (rays + _GOLDEN_ITERS + 2) * len(r))
+            (rays + _GOLDEN_ITERS + 2) * len(w))
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:

@@ -37,6 +37,19 @@ def test_norm_divergent_exit_code(capsys):
     assert doc["divergence_exponent"] > 0
 
 
+def test_norm_nonfinite_level_is_strict_json(capsys):
+    # the first level overflows; its trace value is written as null, not as
+    # the non-JSON token Infinity
+    spec = json.dumps({"repr": "PowerSingularity", "alpha": 400.0})
+    code, out, _ = run_cli(["norm", "--function", spec, "--p", "2",
+                            "--q", "inf"], capsys)
+    assert code == 2
+    doc = json.loads(out)
+    json.dumps(doc, allow_nan=False)
+    assert doc["stop"] == "nonfinite" and doc["trace"] == [[0, None]]
+    assert doc["value"] is None
+
+
 def test_norm_constant(capsys):
     spec = json.dumps({"repr": "TaylorPolynomial", "coeffs": [[1.0, 0.0]]})
     code, out, _ = run_cli(["norm", "--function", spec, "--p", "4", "--q", "1"],

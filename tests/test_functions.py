@@ -73,12 +73,17 @@ def test_domain_errors():
 def test_abs_on_polar_matches_evaluate(radii, angles):
     r, t = np.array(radii), np.array(angles)
     z = r[None, :] * np.exp(1j * t[:, None])
+    other = np.append(t[::-1], 0.25) + 1.0
     for f in ALL_REPS:
         got = f.abs_on_polar(r, t)
         assert got.shape == (len(t), len(r))
         # the absolute floor only matters where a sum cancels near a zero
         np.testing.assert_allclose(got, np.abs(evaluate(f, z)),
                                    rtol=1e-9, atol=1e-14, err_msg=repr(f))
+        # one bound kernel serves any number of angle arrays, bit for bit
+        kernel = f.polar_kernel(r)
+        assert np.array_equal(kernel(t), got), repr(f)
+        assert np.array_equal(kernel(other), f.abs_on_polar(r, other)), repr(f)
 
 
 def _mp_abs(f, z):
@@ -109,6 +114,9 @@ def test_abs_on_polar_domain_errors():
         for r in ([0.5, 1.0], [1.5], [-0.1, 0.2]):
             with pytest.raises(DomainError):
                 f.abs_on_polar(np.array(r), t)
+            # the radii are checked when the kernel is bound
+            with pytest.raises(DomainError):
+                f.polar_kernel(np.array(r))
 
 
 def test_construction_validation():

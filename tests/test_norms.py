@@ -165,10 +165,14 @@ def test_divergence_detection_reports_exponent():
 def test_overflowing_level_stops_as_nonfinite():
     # (1 - z)^(-alpha) overflows near the singular ray at the first level;
     # the level says so by its value, not by a warning (Tier-1 runs with
-    # warnings as errors)
-    for alpha, pq in ((200.0, (2, "inf")), (400.0, (2, 2)),
-                      (200.0, ("inf", 2))):
-        est = mixed_norm(PowerSingularity(alpha), pq, CFG)
+    # warnings as errors); in a Sum the overflowing term makes the sum
+    # infinite, not NaN
+    overflowing_sum = Sum(((1.0, PowerSingularity(400.0)), (1.0, Monomial(1))))
+    for f, pq in ((PowerSingularity(200.0), (2, "inf")),
+                  (PowerSingularity(400.0), (2, 2)),
+                  (PowerSingularity(200.0), ("inf", 2)),
+                  (overflowing_sum, (2, "inf"))):
+        est = mixed_norm(f, pq, CFG)
         assert est.stop == "nonfinite" and est.trace == [(0, math.inf)]
         assert not est.converged and math.isinf(est.value)
         assert est.to_dict()["stop"] == "nonfinite"
@@ -392,6 +396,34 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
     monkeypatch.setattr(norms, "_golden_max", lambda *args: -math.inf)
     level, _ = norms._level_value(f, pq, count, levels, offset)
     assert level == pytest.approx(full, rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [2, "inf"])
+def test_level_binds_one_polar_kernel(monkeypatch, q):
+    # every sample of a level, the golden-section rays of a q = inf level
+    # included, comes from one kernel bound at the level's radii
+    f = PowerSingularity(0.75)
+    bound = []
+    kernel_calls = []
+    polar_kernel = PowerSingularity.polar_kernel
+
+    def counting(self, r):
+        kernel = polar_kernel(self, r)
+        if self is f:
+            bound.append(len(r))
+
+        def counted(theta):
+            kernel_calls.append(len(theta))
+            return kernel(theta)
+        return counted
+
+    monkeypatch.setattr(PowerSingularity, "polar_kernel", counting)
+    pq = ExponentPair.of(2, q)
+    _, samples = norms._level_value(f, pq, 1024, 12, 0.3, coarse=512)
+    assert bound == [len(graded_radial_mesh(12)[0])]
+    assert sum(kernel_calls) * bound[0] == samples
+    if q == "inf":
+        assert kernel_calls.count(1) >= norms._GOLDEN_ITERS + 2
 
 
 def test_streamed_level_memory():
