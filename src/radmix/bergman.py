@@ -468,19 +468,19 @@ def duality_pairing(f, g, grid: PolarGrid) -> complex:
     return complex(np.sum(grid.weights * fv * np.conjugate(gv)))
 
 
-def stolz_wedge_inequalities(z: complex, w: complex) -> tuple:
-    """The three wedge inequalities for a pair of points.
+def stolz_wedge_inequalities(z, w) -> tuple:
+    """The three wedge inequalities, elementwise for scalars or arrays.
 
-    Returns (|1-z| / (1-|z|), argument bound ok, squared-ratio real-part
-    bound ok); the first component always lies in [1, sqrt(5)/2] on the
+    Returns (|1-z| / (1-|z|), |arg u| <= atan(1/2), Re u^2 >= 0.6 |u|^2) for
+    u = (1 - z) / (1 - w); the first always lies in [1, sqrt(5)/2] on the
     wedge.  Points outside the wedge are rejected.
     """
-    z, w = complex(z), complex(w)
-    if not (in_stolz_wedge(z) and in_stolz_wedge(w)):
-        raise ValueError("both points must lie in the boundary wedge")
-    ratio1 = abs(1.0 - z) / (1.0 - abs(z))
+    z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+    if not (np.all(in_stolz_wedge(z)) and np.all(in_stolz_wedge(w))):
+        raise ValueError("all points must lie in the boundary wedge")
+    ratio1 = np.abs(1.0 - z) / (1.0 - np.abs(z))
     quot = (1.0 - z) / (1.0 - w)
-    arg_ok = abs(np.angle(quot)) <= math.atan(0.5)
+    arg_ok = np.abs(np.angle(quot)) <= math.atan(0.5)
     q2 = quot * quot
-    re_ok = q2.real >= 0.6 * abs(q2)
-    return ratio1, bool(arg_ok), bool(re_ok)
+    re_ok = q2.real >= 0.6 * np.abs(q2)
+    return ratio1[()], arg_ok[()], re_ok[()]

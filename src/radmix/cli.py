@@ -27,16 +27,19 @@ import numpy as np
 from .bergman import (PolarGrid, bergman_kernel, bergman_projection_operator,
                       duality_pairing, kernel_capped, kernel_capped_depth,
                       kernel_offdiag, kernel_offdiag_dilated,
-                      operator_norm_estimate, project, sample_on_grid)
+                      operator_norm_estimate, project, sample_on_grid,
+                      stolz_wedge_inequalities)
 from .exponents import ExponentPair, ExtendedExponent, parse_fraction
 from .functions import Lacunary, Monomial, from_spec
 from .meshes import angular_distance, graded_radial_mesh
 from .norms import QuadratureConfig, mixed_norm
 from .theorems import (
+    BOUNDARY_LADDER,
     NormCache,
     compactness_witness_scan,
     evaluation_functional_fit,
     inclusion_witness_scan,
+    monomial_norm,
 )
 from .witnesses import (embedding_params, embedding_tail_bound,
                         power_singularity, projection_blowup_density)
@@ -247,7 +250,7 @@ def monomial_rows(ns) -> list:
     """(p, q, n, norm, closed form (1 + n p)^(-1/p)) of z^n for each n in ns."""
     return [[p, q, n,
              mixed_norm(Monomial(n), ExponentPair.of(p, q), MONOMIAL_CFG).value,
-             (1.0 + n * float(p)) ** (-1.0 / float(p))]
+             monomial_norm(n, p)]
             for p in (1, 2, 4) for q in (1, 2, 4, "inf") for n in ns]
 
 
@@ -266,14 +269,14 @@ def frontier_rows() -> list:
 
 def functional_rows() -> list:
     """(p, q, functional, slope, residual) of the point and derivative
-    exponent fits at z = 1 - 2^-k, k = 3..8; one NormCache per pair."""
-    zs = [1.0 - 2.0 ** -k for k in range(3, 9)]
+    exponent fits on the boundary ladder; one NormCache per pair."""
     rows = []
     for p, q in ((2, 2), (2, 4), (4, 2)):
         cache = NormCache(FIT_CFG)
         for which in ("point", "derivative"):
-            fit = evaluation_functional_fit(ExponentPair.of(p, q), which, zs,
-                                            FIT_CFG, cache=cache)
+            fit = evaluation_functional_fit(ExponentPair.of(p, q), which,
+                                            BOUNDARY_LADDER, FIT_CFG,
+                                            cache=cache)
             rows.append([p, q, which, fit.slope, fit.residual])
     return rows
 
@@ -320,22 +323,18 @@ def kernel_chain_violations(rng, n: int) -> dict:
 
 def wedge_violations(rng, n: int) -> dict:
     """Counts, over n random pairs z, w in the boundary wedge, of pairs
-    breaking 1 <= |1 - z| / (1 - |z|) <= sqrt(5)/2, |arg u| <= atan(1/2) and
-    Re u^2 >= 0.6 |u|^2 for u = (1 - z) / (1 - w)."""
+    failing each of the three ``stolz_wedge_inequalities``."""
     t1 = rng.uniform(0, 0.5, n)
     r1 = rng.uniform(0, 1, n) * (1 - 2 * t1)
     t2 = rng.uniform(0, 0.5, n)
     r2 = rng.uniform(0, 1, n) * (1 - 2 * t2)
-    z = r1 * np.exp(1j * t1)
-    ratio = np.abs(1 - z) / (1 - np.abs(z))
-    u = (1 - z) / (1 - r2 * np.exp(1j * t2))
+    ratio, arg_ok, re_ok = stolz_wedge_inequalities(r1 * np.exp(1j * t1),
+                                                    r2 * np.exp(1j * t2))
     return {
         "wedge_modulus_violations":
             int(np.sum((ratio < 1.0) | (ratio > math.sqrt(5) / 2))),
-        "wedge_argument_violations":
-            int(np.sum(np.abs(np.angle(u)) > math.atan(0.5))),
-        "wedge_realpart_violations":
-            int(np.sum((u * u).real < 0.6 * np.abs(u * u))),
+        "wedge_argument_violations": int(np.sum(~arg_ok)),
+        "wedge_realpart_violations": int(np.sum(~re_ok)),
     }
 
 
@@ -481,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fitted growth exponents of point functionals")
     s.add_argument("--p", required=True)
     s.add_argument("--q", required=True)
-    s.add_argument("--z-list", default="0.875,0.9375,0.96875,0.984375,"
-                   "0.9921875,0.99609375")
+    s.add_argument("--z-list", default=",".join(map(repr, BOUNDARY_LADDER)))
     s.add_argument("--out-file", default=None)
     s.set_defaults(fn=cmd_scan_functional)
 

@@ -128,6 +128,17 @@ def _chord2(diff: np.ndarray, prod: np.ndarray):
     return lambda phi: diff2 + prod4 * np.sin(0.5 * phi)[:, None] ** 2
 
 
+def _weighted_sum(z: np.ndarray, terms) -> np.ndarray:
+    """sum_k c_k v_k over (weight c_k, values v_k at the points z) pairs;
+    inf where a term is, not the NaN of inf times a complex weight."""
+    acc, overflow = np.zeros_like(z), False
+    for c, v in terms:
+        big = np.isinf(v)
+        acc = acc + c * np.where(big, 0.0, v)
+        overflow = overflow | big
+    return np.where(overflow, np.inf, acc)
+
+
 # -- field coercion ------------------------------------------------------------
 
 def _integer(x, what: str) -> int:
@@ -298,7 +309,8 @@ class PowerSingularity(AnalyticFunction):
         return np.exp(-self.alpha * np.log(1.0 - z))
 
     def _deriv(self, z):
-        return self.alpha * np.exp(-(self.alpha + 1.0) * np.log(1.0 - z))
+        return _weighted_sum(
+            z, ((self.alpha, np.exp(-(self.alpha + 1.0) * np.log(1.0 - z))),))
 
     def _polar(self, r):
         chord = _chord2(1.0 - r, r)
@@ -473,24 +485,10 @@ class Sum(AnalyticFunction):
             for c, f in self.terms))
 
     def _eval(self, z):
-        # A term beyond the float range makes the sum infinite there; the
-        # complex product of its inf with a weight would be NaN (inf - inf).
-        acc = np.zeros_like(z)
-        overflow = None
-        for c, g in self.terms:
-            v = g._eval(z)
-            big = np.isinf(v)
-            if big.any():
-                overflow = big if overflow is None else overflow | big
-                v = np.where(big, 0.0, v)
-            acc = acc + c * v
-        return acc if overflow is None else np.where(overflow, np.inf, acc)
+        return _weighted_sum(z, ((c, g._eval(z)) for c, g in self.terms))
 
     def _deriv(self, z):
-        acc = np.zeros_like(z)
-        for c, g in self.terms:
-            acc = acc + c * g._deriv(z)
-        return acc
+        return _weighted_sum(z, ((c, g._deriv(z)) for c, g in self.terms))
 
     def rotate(self, phi):
         return Sum(tuple((c, g.rotate(phi)) for c, g in self.terms))

@@ -128,9 +128,9 @@ class QuadratureConfig:
 class NormEstimate:
     """A refined quadrature result with its convergence verdict.
 
-    ``trace`` lists (refinement level, value); ``converged`` is true exactly
-    when the last two trace values are not both zero and differ relatively
-    by at most rel_tol.
+    ``trace`` lists (refinement level, value); ``converged`` is
+    ``stop == "tol"``, true exactly when the last two trace values are not
+    both zero and differ relatively by at most rel_tol.
     ``divergence_exponent`` (the growth rate of the estimates against the
     reciprocal boundary cutoff) is only set when the refinement diverged.
     ``to_dict`` writes a non-finite value, in ``value`` or in ``trace``, as
@@ -147,10 +147,13 @@ class NormEstimate:
 
     value: float
     trace: list = field(default_factory=list)
-    converged: bool = False
     divergence_exponent: float | None = None
     stop: str = ""
     evaluations: list = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "tol"
 
     def to_dict(self) -> dict:
         return {
@@ -485,11 +488,11 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
                 break
     if stop in ("nonfinite", "growth"):
         return NormEstimate(
-            value=math.inf, trace=trace, converged=False,
+            value=math.inf, trace=trace,
             divergence_exponent=_fit_growth(trace, cfg.radial_levels),
             stop=stop, evaluations=evaluations)
-    return NormEstimate(value=values[-1], trace=trace, converged=stop == "tol",
-                        stop=stop, evaluations=evaluations)
+    return NormEstimate(value=values[-1], trace=trace, stop=stop,
+                        evaluations=evaluations)
 
 
 def mixed_norm_truncated(f: AnalyticFunction, pq, R: float,

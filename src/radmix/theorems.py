@@ -34,6 +34,7 @@ from .norms import NormEstimate, QuadratureConfig, mixed_norm, radial_integral
 from .witnesses import cesaro_power, power_singularity
 
 __all__ = [
+    "BOUNDARY_LADDER",
     "ExponentFit",
     "InclusionVerdict",
     "WitnessReport",
@@ -45,6 +46,7 @@ __all__ = [
     "inclusion_region_contains",
     "inclusion_witness_scan",
     "compactness_witness_scan",
+    "monomial_norm",
     "noncompactness_witness",
     "nontangential_decay_check",
 ]
@@ -54,6 +56,14 @@ __all__ = [
 # needs n of order 2^10 to trigger, so the budget runs well past that.
 MONOMIAL_BUDGET = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 CESARO_BUDGET = (4, 16, 64, 256)
+# The points z_k = 1 - 2^-k, k = 3..8, at which the point functionals and the
+# point-bound ratios approach the boundary.
+BOUNDARY_LADDER = tuple(1.0 - 2.0 ** -k for k in range(3, 9))
+
+
+def monomial_norm(n: int, p) -> float:
+    """(1 + n p)^(-1/p), the (p, q) norm of z^n for every q; 1 when p = inf."""
+    return (1.0 + n * float(p)) ** (-1.0 / float(p))
 
 
 @dataclass
@@ -165,8 +175,9 @@ def classify_ratio_trace(ratios: Sequence[float]) -> str:
 
 
 class NormCache:
-    """Memoised mixed norms keyed by (function key, exponent pair, offset),
-    and the point bounds built from them.
+    """Memoised mixed norms keyed by (key, exponent pair, offset), and the
+    point bounds built from them.  This module's key is the function itself:
+    equal (frozen) representations hash equal and share one estimate.
 
     ``hits`` and ``misses`` count the ``norm`` lookups answered from the
     store and those that computed a new estimate.
@@ -193,11 +204,12 @@ class NormCache:
 
 def _ratio_trace(cache: NormCache, family, src: ExponentPair,
                  dst: ExponentPair) -> list:
+    """(n, target norm / source norm) over the (n, f) pairs of a family."""
     out = []
-    for label, f in family:
-        a = cache.norm(label, f, dst).value
-        b = cache.norm(label, f, src).value
-        out.append((label, a / b if b > 0 and math.isfinite(a + b) else math.inf))
+    for n, f in family:
+        a = cache.norm(f, f, dst).value
+        b = cache.norm(f, f, src).value
+        out.append((n, a / b if b > 0 and math.isfinite(a + b) else math.inf))
     return out
 
 
@@ -218,20 +230,18 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
     reports: list = []
 
     def cesaro_family(alpha: Fraction, budget=CESARO_BUDGET):
-        a = float(alpha)
-        return [((("ces", n, a)), cesaro_power(n, a)) for n in budget]
+        return [(n, cesaro_power(n, float(alpha))) for n in budget]
 
     if (contained and not excluded) or (not contained and dst.p > src.p):
         trace = _ratio_trace(
-            cache, [(("mon", n), Monomial(n)) for n in MONOMIAL_BUDGET], src, dst)
+            cache, [(n, Monomial(n)) for n in MONOMIAL_BUDGET], src, dst)
         reports.append(WitnessReport(
             "monomial", trace, classify_ratio_trace([v for _, v in trace])))
     if not contained and dst.reciprocal_sum() < src.reciprocal_sum():
         alpha = (dst.reciprocal_sum() + src.reciprocal_sum()) / 2
         f = power_singularity(float(alpha))
-        key = ("pow", float(alpha))
-        in_src = cache.norm(key, f, src)
-        in_dst = cache.norm(key, f, dst)
+        in_src = cache.norm(f, f, src)
+        in_dst = cache.norm(f, f, dst)
         ok = in_src.converged and not in_dst.converged \
             and in_dst.divergence_exponent is not None \
             and in_dst.divergence_exponent > 0
@@ -254,9 +264,8 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
         s0 = src.reciprocal_sum()
         if s0 > 0:
             f = power_singularity(float(s0) / 2.0)
-            key = ("pow", float(s0) / 2.0)
-            a = cache.norm(key, f, dst)
-            b = cache.norm(key, f, src)
+            a = cache.norm(f, f, dst)
+            b = cache.norm(f, f, src)
             both = a.converged and b.converged
             reports.append(WitnessReport(
                 f"power_singularity[{float(s0) / 2.0:.4g}]",
@@ -282,14 +291,12 @@ def noncompactness_witness(p0, q0, q, n_list: Sequence[int],
     if not p0e.is_finite:
         raise ValueError("the witness family needs a finite source p")
     rows = []
-    pf = float(p0e)
     for n in n_list:
-        scale = (n * pf + 1.0) ** (1.0 / pf)
+        unit = monomial_norm(n, p0e)
         f = Monomial(n)
-        src = scale * mixed_norm(f, ExponentPair.of(p0, q0), cfg).value
-        dst = scale * mixed_norm(f, ExponentPair.of(p0, q), cfg).value
-        small = scale * 0.5 ** n
-        rows.append((n, src, dst, small))
+        src = mixed_norm(f, ExponentPair.of(p0, q0), cfg).value / unit
+        dst = mixed_norm(f, ExponentPair.of(p0, q), cfg).value / unit
+        rows.append((n, src, dst, 0.5 ** n / unit))
     return rows
 
 
@@ -306,19 +313,12 @@ def compactness_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
     src = ExponentPair.of(p0, q0)
     dst = ExponentPair.of(p, q)
     cache = cache or NormCache(cfg)
-    # Unit-source-norm monomials; the normalising factor degenerates to 1
-    # for a sup-type source.
-    mono_vals = []
+    mono_vals = []  # target norms of unit-source-norm monomials
     for n in (16, 64, 256, 1024):
-        if src.p.is_finite:
-            pf = float(src.p)
-            scale = (n * pf + 1.0) ** (1.0 / pf)
-        else:
-            scale = 1.0
-        mono_vals.append(scale * cache.norm(("mon", n), Monomial(n), dst).value)
-    zs = [1.0 - 2.0 ** -k for k in range(3, 9)]
+        f = Monomial(n)
+        mono_vals.append(cache.norm(f, f, dst).value / monomial_norm(n, src.p))
     eta = []
-    for z in zs:
+    for z in BOUNDARY_LADDER:
         num = _point_bound(cache, src, z)
         den = _point_bound(cache, dst, z)
         eta.append(num / den if den > 0 else math.inf)
@@ -347,16 +347,11 @@ def default_point_family(pq: ExponentPair, z: float) -> list:
     and the dilated kernel-type power with twice the critical exponent.
     """
     s = float(pq.reciprocal_sum())
-    fam: list = [("mon0", Monomial(0))]
-    for c in (0.5, 0.8, 0.95):
-        if c * s > 0:
-            fam.append((f"pow{c}", power_singularity(c * s)))
-    n = 1
-    while n <= 4096:
-        fam.append((f"mon{n}", Monomial(n)))
-        n *= 4
+    fam: list = [Monomial(0)]
+    fam += [power_singularity(c * s) for c in (0.5, 0.8, 0.95) if c * s > 0]
+    fam += [Monomial(4 ** k) for k in range(7)]
     if s > 0:
-        fam.append(("kernel", dilate(power_singularity(2.0 * s), z)))
+        fam.append(dilate(power_singularity(2.0 * s), z))
     return fam
 
 
@@ -374,9 +369,8 @@ def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
         return cache._point_bounds[memo]
     best = 0.0
     zz = complex(z)
-    for label, f in default_point_family(pq, z):
-        key = (label, round(z, 12) if label == "kernel" else None)
-        denom = cache.norm(key, f, pq, angle_offset=-rotation)
+    for f in default_point_family(pq, z):
+        denom = cache.norm(f, f, pq, angle_offset=-rotation)
         if not denom.converged or denom.value <= 0:
             continue
         num = abs(derivative_at(f, zz) if derivative else evaluate(f, zz))

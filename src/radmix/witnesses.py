@@ -194,12 +194,15 @@ def embedding_function(params: EmbeddingParams, alphas) -> AnalyticFunction:
 
 # -- the boundary wedge and the projection blow-up density -------------------
 
-def in_stolz_wedge(z: complex) -> bool:
-    """Membership in the wedge {r e^(i t) : 0 < t < 1/2, 0 < r < 1 - 2t}."""
-    z = complex(z)
-    r = abs(z)
-    t = math.atan2(z.imag, z.real)
-    return 0.0 < t < 0.5 and 0.0 < r < 1.0 - 2.0 * t
+def _in_wedge_polar(r, t):
+    """Elementwise membership of r e^(i t) in the wedge below."""
+    return (t > 0.0) & (t < 0.5) & (r > 0.0) & (r < 1.0 - 2.0 * t)
+
+
+def in_stolz_wedge(z):
+    """Membership in {r e^(i t) : 0 < t < 1/2, 0 < r < 1 - 2t}, elementwise."""
+    z = np.asarray(z, dtype=complex)
+    return _in_wedge_polar(np.abs(z), np.angle(z))[()]
 
 
 class ProjectionBlowupDensity:
@@ -226,7 +229,7 @@ class ProjectionBlowupDensity:
         r = np.asarray(r, dtype=float)
         t = np.mod(np.asarray(theta, dtype=float), 2.0 * np.pi)
         r, t = np.broadcast_arrays(r, t)
-        inside = (t > 0.0) & (t < 0.5) & (r > 0.0) & (r < 1.0 - 2.0 * t)
+        inside = _in_wedge_polar(r, t)
         out = np.zeros(r.shape, dtype=complex)
         if np.any(inside):
             ti = t[inside]

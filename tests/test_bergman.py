@@ -509,3 +509,12 @@ def test_stolz_wedge_inequalities():
     assert arg_ok and re_ok
     with pytest.raises(ValueError):
         stolz_wedge_inequalities(0.9, z)
+    # arrays: elementwise, equal to the scalar answers
+    zs = np.array([z, w, 0.3 * np.exp(0.2j)])
+    ws = np.array([w, z, z])
+    ratios, arg_oks, re_oks = stolz_wedge_inequalities(zs, ws)
+    for k in range(zs.size):
+        assert (ratios[k], arg_oks[k], re_oks[k]) == \
+            stolz_wedge_inequalities(zs[k], ws[k])
+    with pytest.raises(ValueError):
+        stolz_wedge_inequalities(np.array([z, 0.9]), np.array([z, w]))

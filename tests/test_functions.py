@@ -140,6 +140,20 @@ def test_derivative_closed_forms():
     assert derivative_at(Monomial(0), 0.3) == 0.0
 
 
+def test_overflowing_derivative_is_infinite_not_nan():
+    # alpha times an overflowed power, alone or as a weighted Sum term, is
+    # an infinite modulus with no NaN part and no invalid-value warning
+    # (Tier-1 runs with warnings as errors)
+    big = PowerSingularity(400.0)
+    with np.errstate(over="ignore"):
+        for f in (big, Sum(((1.0, big), (2j, Monomial(1))))):
+            d = derivative_at(f, 0.9999)
+            assert math.isinf(abs(d)) and not math.isnan(d.imag)
+            d = derivative_at(f, np.array([0.9999, 0.5]))
+            assert not np.isnan(d).any() and np.isinf(d[0])
+            assert np.isfinite(d[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, len(ALL_REPS) - 1),
        st.floats(0.0, 0.85), st.floats(0.0, 2 * math.pi))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -159,7 +160,9 @@ def test_divergence_detection_reports_exponent():
     assert est.stop == "growth"
     d = est.to_dict()
     assert d["value"] is None and d["divergence_exponent"] > 0
-    assert d["stop"] == "growth"
+    assert d["stop"] == "growth" and d["converged"] is False
+    # the verdict is read from the stop reason, never stored beside it
+    assert "converged" not in {fld.name for fld in dataclasses.fields(est)}
 
 
 def test_overflowing_level_stops_as_nonfinite():

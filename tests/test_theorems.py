@@ -22,6 +22,7 @@ from radmix import (
     nontangential_decay_check,
     power_singularity,
 )
+from radmix.cli import SCAN_CFG
 from radmix.theorems import _point_bound, classify_ratio_trace, inclusion_holds
 
 GRID5 = [1, Fraction(4, 3), 2, 4, "inf"]
@@ -134,8 +135,9 @@ def test_monomial_ratio_bounded_by_closed_form_supremum():
         analytic = max(analytic, 1.0)
         assert closed.max() <= 1.05 * analytic
         for n in (1, 4, 16, 64):
-            a = cache.norm(("mon", n), Monomial(n), ExponentPair.of(p, q)).value
-            b = cache.norm(("mon", n), Monomial(n), ExponentPair.of(p0, q0)).value
+            f = Monomial(n)
+            a = cache.norm(f, f, ExponentPair.of(p, q)).value
+            b = cache.norm(f, f, ExponentPair.of(p0, q0)).value
             assert a / b <= closed.max() * 1.01
 
 
@@ -211,6 +213,24 @@ def test_norm_cache_counts_hits_and_misses():
     assert cache.hits > 0 and cache.misses > 0
     assert cache.hits + cache.misses == len(lookups)
     assert cache.misses == len(cache._store)
+
+
+def test_equal_functions_share_one_estimate():
+    # the inclusion scan's monomials and the point family's are the same
+    # functions; on one cache each (function, pair, offset) is computed once
+    cache = NormCache(SCAN_CFG)
+    looked_up = set()
+    norm = cache.norm
+
+    def recording(key, f, pq, angle_offset=0.0):
+        looked_up.add((f, str(pq), angle_offset))
+        return norm(key, f, pq, angle_offset)
+
+    cache.norm = recording
+    inclusion_witness_scan(4, 4, 2, 2, SCAN_CFG, cache)
+    compactness_witness_scan(4, 4, 2, 2, SCAN_CFG, cache)
+    assert cache.misses == len(looked_up) == len(cache._store)
+    assert cache.hits > 0
 
 
 def test_point_functional_sup_space_is_flat():

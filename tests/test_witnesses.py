@@ -243,3 +243,8 @@ def test_stolz_wedge_membership():
     assert not in_stolz_wedge(0.5)                  # theta = 0 excluded
     assert not in_stolz_wedge(0.3 * np.exp(0.6j))   # theta >= 1/2
     assert not in_stolz_wedge(0.0)
+    # elementwise on arrays, equal to the scalar answers
+    pts = np.array([0.5 * np.exp(0.1j), 0.9 * np.exp(0.1j), 0.5,
+                    0.3 * np.exp(0.6j), 0.0])
+    assert list(in_stolz_wedge(pts)) == [in_stolz_wedge(z) for z in pts]
+    assert list(in_stolz_wedge(pts)) == [True, False, False, False, False]
