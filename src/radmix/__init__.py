@@ -21,7 +21,6 @@ from .functions import (
     dilate,
     evaluate,
     from_spec,
-    rotate,
     taylor_coefficients,
     to_spec,
 )

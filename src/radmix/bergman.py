@@ -296,7 +296,11 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
     sum_j 2 rho_j w_j rho_j^k f_k(rho_j) / m.  This integrates the angular
     trigonometric interpolant of f exactly; its modes k >= m/2 are negative
     frequencies, which P removes.  The radial moments are m times the column
-    sums of the input's ``mode_table``.
+    sums of the input's ``mode_table``.  In the (2, 2) norm of
+    ``grid_mixed_norm`` (radii weighed by dr, not by area) P is no
+    contraction: mode k has norm (k + 1) 2 / sqrt((2k + 1) (2k + 3)) (exact
+    while the radial rule integrates degree 2k + 2), 2 / sqrt(3) at k = 0
+    for the input 2 rho, and that is the norm of P.
     """
     m = grid.n_angles
     half = m // 2
@@ -389,7 +393,7 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
     Trials cycle through Gaussian grid noise, random rank-one profiles
     g(theta) h(r), and sampled witness functions; the bound is the best
     ratio seen and the full (kind, ratio) trace is returned.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  For P at (2, 2) it finds about 1; the norm is 2/sqrt(3).
     """
     rng = np.random.default_rng(seed)
     nr, na = grid.shape
@@ -418,20 +422,22 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
 
 # -- duality pairing and the boundary-wedge inequalities ------------------------
 
-def save_grid_function(gf: GridFunction, csv_path, sidecar_path=None) -> None:
+def _sidecar(csv_path: Path) -> Path:
+    return csv_path.with_suffix(csv_path.suffix + ".json")
+
+
+def save_grid_function(gf: GridFunction, csv_path) -> None:
     """Write grid samples as radius-major CSV plus a JSON grid sidecar.
 
     Rows run over radii, columns over angles, each cell `re+imj`; the
-    sidecar (default: csv_path + '.json') carries the radii, angles and
-    radial weights needed to rebuild the grid exactly.
+    sidecar (csv_path + '.json') carries the radii, angles and radial
+    weights needed to rebuild the grid exactly.
     """
     csv_path = Path(csv_path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else \
-        csv_path.with_suffix(csv_path.suffix + ".json")
     lines = [",".join(f"{float(c.real)!r} {float(c.imag)!r}" for c in row)
              for row in gf.values]
     csv_path.write_text("\n".join(lines) + "\n")
-    sidecar_path.write_text(json.dumps({
+    _sidecar(csv_path).write_text(json.dumps({
         "radii": list(map(float, gf.grid.radii)),
         "angles": list(map(float, gf.grid.angles)),
         "radial_weights": list(map(float, gf.grid.radial_weights)),
@@ -439,12 +445,10 @@ def save_grid_function(gf: GridFunction, csv_path, sidecar_path=None) -> None:
     }))
 
 
-def load_grid_function(csv_path, sidecar_path=None) -> GridFunction:
+def load_grid_function(csv_path) -> GridFunction:
     """Inverse of :func:`save_grid_function`; the round trip is lossless."""
     csv_path = Path(csv_path)
-    sidecar_path = Path(sidecar_path) if sidecar_path else \
-        csv_path.with_suffix(csv_path.suffix + ".json")
-    meta = json.loads(sidecar_path.read_text())
+    meta = json.loads(_sidecar(csv_path).read_text())
     try:
         radii, angles, weights = (np.array(meta[k], dtype=float)
                                   for k in ("radii", "angles", "radial_weights"))

@@ -14,9 +14,9 @@ every operation is pure, so values can be shared freely between workers.
 Evaluation is vectorised over numpy arrays of points.  The norm quadratures
 need only the modulus on a polar grid of angles x radii.
 ``AnalyticFunction.polar_kernel(r)`` checks the radii once and returns a
-kernel theta -> |f| on theta x r; a quadrature level binds one and applies
-it to every block of angles it samples, and ``abs_on_polar(r, theta)`` is
-``polar_kernel(r)(theta)``.  A representation may bind its own kernel
+kernel theta -> |f| on theta x r, the one way to sample |f| on rays: each
+quadrature level and ``norms.radial_integral`` bind one and apply it to every
+block of angles they sample.  A representation may bind its own kernel
 (``_polar``): it computes its radial factors (powers r^n, the chord terms
 of (1 - r)^2 + 4 r sin^2(theta / 2)) once per binding, and each call is real
 arithmetic in theta that never forms the complex point.  Without one, the
@@ -53,7 +53,6 @@ __all__ = [
     "dilate",
     "evaluate",
     "from_spec",
-    "rotate",
     "taylor_coefficients",
     "to_spec",
 ]
@@ -196,11 +195,6 @@ class AnalyticFunction:
         if np.any(outside):
             raise DomainError(f"polar radius outside [0, 1) (r = {r[outside][0]})")
         return self._polar(r)
-
-    def abs_on_polar(self, r, theta) -> np.ndarray:
-        """|f(r e^(i theta))| on the grid theta x r, one row per angle:
-        ``polar_kernel(r)(theta)``."""
-        return self.polar_kernel(r)(np.asarray(theta, dtype=float))
 
     def _polar(self, r):
         """The modulus kernel for radii already checked; |_eval| by default."""
@@ -520,11 +514,11 @@ def derivative_at(f: AnalyticFunction, z) -> complex | np.ndarray:
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
 
 
-def cauchy_derivative(f: AnalyticFunction, z: complex, tol: float = 1e-10) -> complex:
+def cauchy_derivative(f: AnalyticFunction, z: complex) -> complex:
     """f'(z) by trapezoid quadrature of the Cauchy integral.
 
     The contour is the circle of radius (1 - |z|)/2 about z; the node count
-    starts at 64 and doubles until two successive estimates agree to ``tol``.
+    starts at 64 and doubles until two successive estimates agree to 1e-10.
     Used as the fallback and as an independent check on ``derivative_at``.
     """
     z = complex(z)
@@ -537,7 +531,7 @@ def cauchy_derivative(f: AnalyticFunction, z: complex, tol: float = 1e-10) -> co
         t = 2.0 * np.pi * np.arange(m) / m
         ring = z + s * np.exp(1j * t)
         est = complex(np.mean(f._eval(ring) * np.exp(-1j * t)) / s)
-        if prev is not None and abs(est - prev) <= tol * max(1.0, abs(est)):
+        if prev is not None and abs(est - prev) <= 1e-10 * max(1.0, abs(est)):
             return est
         prev = est
         m *= 2
@@ -571,11 +565,6 @@ def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:
     if isinstance(f, Scaled):
         return Scaled(f.inner, f.r * r)
     return Scaled(f, r)
-
-
-def rotate(f: AnalyticFunction, phi: float) -> AnalyticFunction:
-    """The rotation z -> f(e^(i phi) z), for representations that support it."""
-    return f.rotate(phi)
 
 
 # -- JSON round trip ---------------------------------------------------------

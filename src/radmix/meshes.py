@@ -57,14 +57,14 @@ def graded_radial_mesh(levels: int, nodes_per_cell: int = 8,
     return nodes, (hi - lo) * w
 
 
-def midpoint_angles(count: int, offset: float = 0.0) -> np.ndarray:
-    """Uniform angles offset by half a step (plus ``offset``).
+def midpoint_angles(count: int) -> np.ndarray:
+    """Uniform angles offset by half a step.
 
     The half-step shift keeps every refinement level away from angle 0,
     where the catalogued boundary singularities sit; for periodic smooth
     integrands the rule is spectrally accurate, like the plain trapezoid.
     """
-    return offset + 2.0 * np.pi * (np.arange(count) + 0.5) / count
+    return 2.0 * np.pi * (np.arange(count) + 0.5) / count
 
 
 def uniform_angles(count: int) -> np.ndarray:

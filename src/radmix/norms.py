@@ -227,16 +227,15 @@ def _angular_rule(f: AnalyticFunction, count: int, levels: int,
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
-                iters: int = _GOLDEN_ITERS) -> float:
-    """Golden-section maximisation; returns the best value seen."""
+def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:
+    """Golden-section search, _GOLDEN_ITERS steps; the best value seen."""
     ratio = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - ratio * (b - a)
     d = a + ratio * (b - a)
     fc, fd = fun(c), fun(d)
     best = max(fc, fd)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + ratio * (b - a)
@@ -249,17 +248,16 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float,
     return best
 
 
-def radial_integral(f: AnalyticFunction, theta: float, p, cfg: QuadratureConfig,
-                    lo: float = 0.0, hi: float = 1.0,
-                    angle_offset: float = 0.0) -> float:
-    """int_lo^hi |f(r e^(i theta))|^p dr for finite p, on a mesh graded
-    dyadically toward ``hi``; p = inf raises ``ValueError``."""
+def radial_integral(f: AnalyticFunction, theta: float, p,
+                    cfg: QuadratureConfig) -> float:
+    """int_0^1 |f(r e^(i theta))|^p dr for finite p (inf: ``ValueError``),
+    sampled and reduced as a level's rays are, on the mesh of
+    ``cfg.radial_levels`` gradings toward 1."""
     p = ExtendedExponent.of(p)
     if not p.is_finite:
         raise ValueError("the ray integral is defined for finite p")
-    r, w = graded_radial_mesh(cfg.radial_levels, lo=lo, hi=hi)
-    vals = f.abs_on_polar(r, np.array([theta + angle_offset]))[0]
-    return float(np.sum(w * vals ** float(p)))
+    r, w = graded_radial_mesh(cfg.radial_levels)
+    return float(_radial_values(f.polar_kernel(r)(np.array([theta])), w, p)[0])
 
 
 def _radial_values(vals: np.ndarray, radial_w: np.ndarray, p) -> np.ndarray:

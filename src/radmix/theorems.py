@@ -202,6 +202,13 @@ class NormCache:
         return self._store[k]
 
 
+def _cache_for(cfg: QuadratureConfig, cache: NormCache | None) -> NormCache:
+    """``cache`` if built for ``cfg`` (else ValueError), or a new one."""
+    if cache is not None and cache.cfg != cfg:
+        raise ValueError(f"the cache was built for {cache.cfg}, not {cfg}")
+    return cache or NormCache(cfg)
+
+
 def _ratio_trace(cache: NormCache, family, src: ExponentPair,
                  dst: ExponentPair) -> list:
     """(n, target norm / source norm) over the (n, f) pairs of a family."""
@@ -226,7 +233,7 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
     src = ExponentPair.of(p0, q0)
     dst = ExponentPair.of(p, q)
     contained, excluded = inclusion_region_contains(p0, q0, p, q)
-    cache = cache or NormCache(cfg)
+    cache = _cache_for(cfg, cache)
     reports: list = []
 
     def cesaro_family(alpha: Fraction, budget=CESARO_BUDGET):
@@ -312,7 +319,7 @@ def compactness_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
     """
     src = ExponentPair.of(p0, q0)
     dst = ExponentPair.of(p, q)
-    cache = cache or NormCache(cfg)
+    cache = _cache_for(cfg, cache)
     mono_vals = []  # target norms of unit-source-norm monomials
     for n in (16, 64, 256, 1024):
         f = Monomial(n)
@@ -397,7 +404,7 @@ def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
         raise ValueError(f"the z values must be distinct and lie in (0, 1), "
                          f"got {list(z_list)}")
     pq = as_pair(pq)
-    cache = cache or NormCache(cfg)
+    cache = _cache_for(cfg, cache)
     pts = []
     for z in z_list:
         est = _point_bound(cache, pq, float(z), which == "derivative", rotation)

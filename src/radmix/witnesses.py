@@ -180,11 +180,13 @@ def embedding_params(p: float, count: int) -> EmbeddingParams:
 
 
 def embedding_function(params: EmbeddingParams, alphas) -> AnalyticFunction:
-    """sum_k alphas[k] * bump_k, a finite section of the sequence embedding."""
+    """sum_k alphas[k] * bump_k, a finite section of the sequence embedding.
+    At most 13 bumps: a_k = 1 + 14^-(k+1) rounds to 1.0 from k = 13 on."""
     alphas = [complex(a) for a in alphas]
-    if len(alphas) > params.count:
+    if len(alphas) > min(params.count, 13):
         raise ValueError(
-            f"{len(alphas)} coefficients but only {params.count} bumps")
+            f"{len(alphas)} coefficients for {params.count} bumps; at most 13 "
+            "fit in floats: a_k = 1 + 14^-(k+1) rounds to 1.0 from k = 13 on")
     terms = tuple(
         (alphas[k], RationalBump(params.eps[k], params.a[k], params.theta[k]))
         for k in range(len(alphas))

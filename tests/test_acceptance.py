@@ -258,7 +258,7 @@ def test_criterion_11_property_suites():
         ok &= tri <= (rm.mixed_norm(f, (2, 2), cfg).value
                       + rm.mixed_norm(g, (2, 2), cfg).value) * (1 + 1e-9)
         phi = rng.uniform(0, 2 * np.pi)
-        ok &= abs(rm.mixed_norm(rm.rotate(f, phi), (2, 2), cfg).value -
+        ok &= abs(rm.mixed_norm(f.rotate(phi), (2, 2), cfg).value -
                   rm.mixed_norm(f, (2, 2), cfg).value) <= cfg.rel_tol * base
 
     # running-average maximal dominated by the windowed maximal

@@ -262,6 +262,36 @@ def test_projection_operator_stability_under_doubling():
     assert abs(vals[1] - vals[0]) <= 0.10 * vals[0]
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_projection_is_no_contraction_in_the_grid_norm(n):
+    # grid_mixed_norm weighs radii by dr, so P's (2, 2) grid norm is
+    # 2 / sqrt(3): mode k maps 2 rho^(k+1) e^(ik theta) with ratio
+    # (k + 1) 2 / sqrt((2k + 1) (2k + 3)), exactly while the 8-node Gauss
+    # cells integrate degree 2k + 2
+    grid = PolarGrid.build(n, n)
+    op = bergman_projection_operator(grid)
+    rho, w = grid.radii, grid.radial_weights
+    for k in range(7):
+        gf = GridFunction(grid, 2.0 * rho[:, None] ** (k + 1)
+                          * np.exp(1j * k * grid.angles)[None, :])
+        ratio = grid_mixed_norm(op(gf), (2, 2)) / grid_mixed_norm(gf, (2, 2))
+        closed = (k + 1) * 2.0 / math.sqrt((2 * k + 1) * (2 * k + 3))
+        assert abs(ratio - closed) <= 1e-12, k
+    # P is diagonal in the modes k < n/2, and its norm on mode k is
+    # (k + 1) |r^k| |2 rho^(k+1)| in the dr-weighted L^2 norms: k = 0 is the
+    # largest, so the (2, 2) grid norm is 2 / sqrt(3)
+    k = np.arange(n // 2)
+    powers = rho[None, :] ** (2 * k[:, None])
+    per_mode = (k + 1.0) * np.sqrt((w * powers).sum(axis=1)
+                                   * (4.0 * w * powers * rho ** 2).sum(axis=1))
+    assert int(np.argmax(per_mode)) == 0
+    assert abs(per_mode[0] - 2.0 / math.sqrt(3.0)) <= 1e-12
+    # the randomised lower bound stays below that norm
+    bound, trace = operator_norm_estimate(op, (2, 2), grid, trials=12, seed=0)
+    assert bound <= 2.0 / math.sqrt(3.0)
+    assert all(r <= 2.0 / math.sqrt(3.0) for _, r in trace)
+
+
 def test_dilated_operator_norm_bound():
     def op_h(gf):
         return apply_kernel_operator(kernel_offdiag, gf)

@@ -22,7 +22,6 @@ from radmix import (
     dilate,
     evaluate,
     from_spec,
-    rotate,
     taylor_coefficients,
     to_spec,
 )
@@ -70,12 +69,12 @@ def test_domain_errors():
 @given(st.lists(st.floats(0.0, 0.999999, exclude_max=True),
                 min_size=1, max_size=8),
        st.lists(st.floats(-4 * math.pi, 4 * math.pi), min_size=1, max_size=8))
-def test_abs_on_polar_matches_evaluate(radii, angles):
+def test_polar_kernel_matches_evaluate(radii, angles):
     r, t = np.array(radii), np.array(angles)
     z = r[None, :] * np.exp(1j * t[:, None])
     other = np.append(t[::-1], 0.25) + 1.0
     for f in ALL_REPS:
-        got = f.abs_on_polar(r, t)
+        got = f.polar_kernel(r)(t)
         assert got.shape == (len(t), len(r))
         # the absolute floor only matters where a sum cancels near a zero
         np.testing.assert_allclose(got, np.abs(evaluate(f, z)),
@@ -83,7 +82,7 @@ def test_abs_on_polar_matches_evaluate(radii, angles):
         # one bound kernel serves any number of angle arrays, bit for bit
         kernel = f.polar_kernel(r)
         assert np.array_equal(kernel(t), got), repr(f)
-        assert np.array_equal(kernel(other), f.abs_on_polar(r, other)), repr(f)
+        assert np.array_equal(kernel(other), f.polar_kernel(r)(other)), repr(f)
 
 
 def _mp_abs(f, z):
@@ -96,11 +95,11 @@ def _mp_abs(f, z):
 
 @pytest.mark.parametrize("f", [PowerSingularity(1.5), PowerSingularity(0.7),
                                CesaroPower(3, 0.7), CesaroPower(16, 2.0)])
-def test_abs_on_polar_near_one_against_mpmath(f):
+def test_polar_kernel_near_one_against_mpmath(f):
     # 1 - 2 r cos(theta) + r^2 cancels to nothing at these points
     r = 1.0 - np.array([1e-13, 1e-10, 1e-7, 1e-3, 0.5])
     t = np.array([0.0, 1e-14, -1e-14, 1e-11, -1e-8, 1e-4, 2.0])
-    got = f.abs_on_polar(r, t)
+    got = f.polar_kernel(r)(t)
     with mpmath.workdps(40):
         for i, ti in enumerate(t):
             for j, rj in enumerate(r):
@@ -108,12 +107,9 @@ def test_abs_on_polar_near_one_against_mpmath(f):
                 assert abs(got[i, j] - want) <= 1e-12 * want, (ti, rj)
 
 
-def test_abs_on_polar_domain_errors():
-    t = np.array([0.0, 1.0])
+def test_polar_kernel_domain_errors():
     for f in ALL_REPS:
         for r in ([0.5, 1.0], [1.5], [-0.1, 0.2]):
-            with pytest.raises(DomainError):
-                f.abs_on_polar(np.array(r), t)
             # the radii are checked when the kernel is bound
             with pytest.raises(DomainError):
                 f.polar_kernel(np.array(r))
@@ -225,11 +221,11 @@ def test_rotate_is_pointwise_rotation():
     for f in (TaylorPolynomial([1, 2j, -0.5]), Lacunary(((2, 1.0), (5, 1j))),
               RationalBump(0.1, 1.3, 0.2), Monomial(4)):
         phi = 1.234
-        got = evaluate(rotate(f, phi), z)
+        got = evaluate(f.rotate(phi), z)
         want = evaluate(f, np.exp(1j * phi) * z)
         assert np.max(np.abs(got - want)) < 1e-12
     with pytest.raises(ValueError):
-        rotate(PowerSingularity(0.5), 0.3)
+        PowerSingularity(0.5).rotate(0.3)
 
 
 def test_branch_guard_not_triggered_inside_disc():

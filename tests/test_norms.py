@@ -11,6 +11,7 @@ from scipy import integrate
 from radmix import (
     CesaroPower,
     ExponentPair,
+    ExtendedExponent,
     Lacunary,
     Monomial,
     PowerSingularity,
@@ -27,7 +28,6 @@ from radmix import (
     mixed_norm_truncated,
     power_singularity,
     radial_integral,
-    rotate,
     tail_sup_norm,
     weak_lp_norm,
 )
@@ -75,6 +75,16 @@ def test_radial_integral_against_scipy():
             lambda r: abs(evaluate(f, r * np.exp(1j * theta))) ** 2, 0, 1,
             limit=200)
         assert radial_integral(f, theta, 2, CFG) == pytest.approx(oracle, rel=1e-8)
+
+
+@pytest.mark.parametrize("p", [1, 2.5])
+def test_radial_integral_is_a_level_ray(p):
+    # a ray integral is sampled and reduced exactly as a level's rays are
+    f = Sum(((1.0, PowerSingularity(0.6)), (0.5, Monomial(3))))
+    r, w = graded_radial_mesh(CFG.radial_levels)
+    ray = norms._ray_values(f.polar_kernel(r), np.array([0.3]), w,
+                            ExtendedExponent.of(p), 0.0)[0]
+    assert radial_integral(f, 0.3, p, CFG) == ray
 
 
 def test_radial_integral_rejects_inf():
@@ -322,7 +332,7 @@ def test_rotation_invariance():
     f = TaylorPolynomial(rng.standard_normal(6) + 1j * rng.standard_normal(6))
     base = mixed_norm(f, (2, 2), CFG).value
     for phi in rng.uniform(0, 2 * np.pi, 3):
-        v = mixed_norm(rotate(f, phi), (2, 2), CFG).value
+        v = mixed_norm(f.rotate(phi), (2, 2), CFG).value
         assert v == pytest.approx(base, rel=CFG.rel_tol)
     # the angle-offset path computes the same rotation without a new repr
     v = mixed_norm(f, (2, 2), CFG, angle_offset=1.1).value
@@ -389,7 +399,7 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
         specials = [t - offset for t in f.singular_angles()]
         thetas = np.concatenate([midpoint_angles(count), specials])
         ang_w = np.full(len(thetas), 1.0 / len(thetas))
-    full = discrete_mixed_norm(f.abs_on_polar(r, thetas + offset), w, ang_w, pq)
+    full = discrete_mixed_norm(f.polar_kernel(r)(thetas + offset), w, ang_w, pq)
     level, _ = norms._level_value(f, pq, count, levels, offset)
     if pq.q.is_finite:
         assert level == pytest.approx(full, rel=1e-14)
@@ -455,11 +465,12 @@ def _dense_sup_level(f, pq, count, levels, offset):
 
     specials = [t - offset for t in f.singular_angles()]
     thetas = np.concatenate([midpoint_angles(count), specials])
-    per_angle = inner(f.abs_on_polar(r, thetas + offset))
+    kernel = f.polar_kernel(r)
+    per_angle = inner(kernel(thetas + offset))
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
     golden = norms._golden_max(
-        lambda t: float(inner(f.abs_on_polar(r, np.array([t + offset]))[0])),
+        lambda t: float(inner(kernel(np.array([t + offset]))[0])),
         thetas[k] - h, thetas[k] + h)
     return max(float(per_angle.max()), golden) ** (1.0 / p)
 

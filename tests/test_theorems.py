@@ -165,6 +165,22 @@ def test_compactness_scan_spot_checks():
     assert not rep["predicted"] and rep["verdict"] == "noncompact"
 
 
+def test_scans_refuse_a_cache_built_for_another_config():
+    # the scans use cfg only to build a missing cache, so a cache for another
+    # config would silently decide the norms
+    other = NormCache(QuadratureConfig(theta_count=32))
+    with pytest.raises(ValueError, match="cache was built for"):
+        inclusion_witness_scan(2, 2, 4, 4, CFG, other)
+    with pytest.raises(ValueError, match="cache was built for"):
+        compactness_witness_scan(4, 4, 2, 2, CFG, other)
+    with pytest.raises(ValueError, match="cache was built for"):
+        evaluation_functional_fit((2, 2), "point", [0.5, 0.75], CFG, cache=other)
+    assert other.hits == other.misses == 0
+    # an equal config built separately is the same config
+    same = NormCache(QuadratureConfig(refine_max=8, rel_tol=0.02))
+    assert inclusion_witness_scan(2, 2, 2, 2, CFG, same).included
+
+
 def test_exponent_fit_garbage_rejected():
     with pytest.raises(ValueError):
         ExponentFit.fit([(0.0, 1.0), (1.0, 2.0)])

@@ -203,6 +203,17 @@ def test_embedding_function_shape():
         embedding_function(params, [1.0] * 5)
 
 
+def test_embedding_function_section_limit():
+    # a_13 = 1 + 14^-14 rounds to 1.0, which would put bump 13's pole on the
+    # circle; the section is refused before any bump is built
+    params = embedding_params(2, 16)
+    assert params.a[12] > 1.0 and params.a[13] == 1.0
+    f = embedding_function(params, [1.0] * 13)
+    assert len(f.terms) == 13
+    with pytest.raises(ValueError, match=r"a_k = 1 \+ 14\^-\(k\+1\) rounds to 1\.0"):
+        embedding_function(params, [1.0] * 14)
+
+
 def test_embedding_partial_sum_has_vanishing_tail():
     # a finite section of the bump sum is bounded, hence its uniform radial
     # tail vanishes
