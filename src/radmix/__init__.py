@@ -21,7 +21,6 @@ from .functions import (
     dilate,
     evaluate,
     from_spec,
-    taylor_coefficients,
     to_spec,
 )
 from .norms import (
@@ -30,10 +29,7 @@ from .norms import (
     dilation_convergence,
     discrete_mixed_norm,
     mixed_norm,
-    mixed_norm_truncated,
-    radial_integral,
     tail_sup_norm,
-    weak_lp_norm,
 )
 from .witnesses import (
     EmbeddingParams,
@@ -58,11 +54,9 @@ from .bergman import (
     kernel_capped,
     kernel_capped_depth,
     kernel_offdiag,
-    kernel_offdiag_dilated,
-    load_grid_function,
+    kernel_offdiag_dyadic_sum,
     operator_norm_estimate,
     project,
-    save_grid_function,
     running_average_maximal,
     sample_on_grid,
     stolz_wedge_inequalities,
@@ -73,12 +67,9 @@ from .theorems import (
     NormCache,
     compactness_witness_scan,
     evaluation_functional_fit,
-    fejer_riesz_ratio,
     inclusion_is_compact,
     inclusion_region_contains,
     inclusion_witness_scan,
-    noncompactness_witness,
-    nontangential_decay_check,
 )
 
 __version__ = "0.1.0"

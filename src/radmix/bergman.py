@@ -4,9 +4,9 @@ The disc carries the normalised area measure rho d rho d phi / pi (total
 mass one); grid quadrature uses graded radii and uniform angles.  Alongside
 the projection itself this module provides the chain of positive comparison
 kernels that majorise it (a diagonally capped angular kernel on the disc,
-its boundary-depth form, the off-diagonal part and dyadic dilates of that),
-maximal operators, a randomised lower bound for operator norms on the
-discrete mixed-norm spaces, and the sesquilinear pairing implementing
+its boundary-depth form, the off-diagonal part and the sum of its dyadic
+dilates), maximal operators, a randomised lower bound for operator norms on
+the discrete mixed-norm spaces, and the sesquilinear pairing implementing
 duality.
 
 All catalogued kernels depend on the angles through theta - phi only, so
@@ -16,11 +16,9 @@ angle index and is carried out by FFT.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,12 +40,10 @@ __all__ = [
     "kernel_capped",
     "kernel_capped_depth",
     "kernel_offdiag",
-    "kernel_offdiag_dilated",
+    "kernel_offdiag_dyadic_sum",
     "operator_norm_estimate",
-    "load_grid_function",
     "project",
     "running_average_maximal",
-    "save_grid_function",
     "stolz_wedge_inequalities",
 ]
 
@@ -202,11 +198,34 @@ def kernel_offdiag(d, x, y):
         return np.where((d <= 1.0) & (d >= m), d ** -2.0, 0.0)
 
 
-def kernel_offdiag_dilated(n: int, d, x, y):
-    """Dyadic dilate: 2^(-2n) times the off-diagonal kernel at depth 2^-n."""
-    s = 2.0 ** -n
-    return s * s * kernel_offdiag(d, s * np.asarray(x, dtype=float),
-                                  s * np.asarray(y, dtype=float))
+# the dyadic sum runs over the dilates n = 0 .. _DILATES - 1
+_DILATES = 41
+
+
+def kernel_offdiag_dyadic_sum(d, x, y):
+    """sum_{n=0}^{40} 4^-n H(d, 2^-n x, 2^-n y) of the off-diagonal kernel H.
+
+    In closed form: with m = max(x, y) and n0 the least n >= 0 such that
+    2^-n m <= d, the terms n >= n0 are 4^-n d^-2, so the sum is
+    d^-2 (4/3) (4^-n0 - 4^-41) for d <= 1, and 0 when d > 1 or n0 > 40.
+    n0 is guessed from log2 and settled by exact power-of-two comparisons,
+    so the sum is zero exactly where every dilate is.
+    """
+    d = np.asarray(d, dtype=float)
+    m = np.maximum(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.ceil(np.log2(m) - np.log2(d))
+        n0 = np.clip(np.nan_to_num(guess), 0, _DILATES).astype(int)
+        while True:
+            up = (n0 < _DILATES) & (np.ldexp(m, -n0) > d)
+            down = (n0 > 0) & (np.ldexp(m, 1 - n0) <= d)
+            if not (up.any() or down.any()):
+                break
+            n0 += up
+            n0 -= down
+        total = d ** -2.0 * (4.0 / 3.0) * (np.ldexp(1.0, -2 * n0)
+                                           - np.ldexp(1.0, -2 * _DILATES))
+        return np.where((d <= 1.0) & (n0 < _DILATES), total, 0.0)
 
 
 # -- projection and generic kernel application --------------------------------
@@ -421,49 +440,6 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
 
 
 # -- duality pairing and the boundary-wedge inequalities ------------------------
-
-def _sidecar(csv_path: Path) -> Path:
-    return csv_path.with_suffix(csv_path.suffix + ".json")
-
-
-def save_grid_function(gf: GridFunction, csv_path) -> None:
-    """Write grid samples as radius-major CSV plus a JSON grid sidecar.
-
-    Rows run over radii, columns over angles, each cell `re+imj`; the
-    sidecar (csv_path + '.json') carries the radii, angles and radial
-    weights needed to rebuild the grid exactly.
-    """
-    csv_path = Path(csv_path)
-    lines = [",".join(f"{float(c.real)!r} {float(c.imag)!r}" for c in row)
-             for row in gf.values]
-    csv_path.write_text("\n".join(lines) + "\n")
-    _sidecar(csv_path).write_text(json.dumps({
-        "radii": list(map(float, gf.grid.radii)),
-        "angles": list(map(float, gf.grid.angles)),
-        "radial_weights": list(map(float, gf.grid.radial_weights)),
-        "layout": "radius-major",
-    }))
-
-
-def load_grid_function(csv_path) -> GridFunction:
-    """Inverse of :func:`save_grid_function`; the round trip is lossless."""
-    csv_path = Path(csv_path)
-    meta = json.loads(_sidecar(csv_path).read_text())
-    try:
-        radii, angles, weights = (np.array(meta[k], dtype=float)
-                                  for k in ("radii", "angles", "radial_weights"))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed grid sidecar: {exc!r}") from None
-    grid = PolarGrid(radii, weights, angles.size)
-    if not (angles.shape == grid.angles.shape
-            and np.max(np.abs(angles - grid.angles)) <= 1e-12):
-        raise ValueError("sidecar angles must be the uniform angles 2 pi l / m")
-    rows = []
-    for line in csv_path.read_text().splitlines():
-        rows.append([complex(float(re), float(im))
-                     for re, im in (cell.split() for cell in line.split(","))])
-    return GridFunction(grid, rows)
-
 
 def duality_pairing(f, g, grid: PolarGrid) -> complex:
     """int f conj(g) over the unit-mass area measure, on the grid."""

@@ -15,11 +15,11 @@ Evaluation is vectorised over numpy arrays of points.  The norm quadratures
 need only the modulus on a polar grid of angles x radii.
 ``AnalyticFunction.polar_kernel(r)`` checks the radii once and returns a
 kernel theta -> |f| on theta x r, the one way to sample |f| on rays: each
-quadrature level and ``norms.radial_integral`` bind one and apply it to every
-block of angles they sample.  A representation may bind its own kernel
-(``_polar``): it computes its radial factors (powers r^n, the chord terms
-of (1 - r)^2 + 4 r sin^2(theta / 2)) once per binding, and each call is real
-arithmetic in theta that never forms the complex point.  Without one, the
+quadrature level binds one and applies it to every block of angles it
+samples.  A representation may bind its own kernel (``_polar``): it computes
+its radial factors (powers r^n, the chord terms of (1 - r)^2 +
+4 r sin^2(theta / 2)) once per binding, and each call is real arithmetic in
+theta that never forms the complex point.  Without one, the
 modulus of ``_eval`` at the points r e^(i theta) is used, so a new class
 needs no kernel to be correct.  Differentiation uses the closed form of each
 representation; an independent contour-quadrature fallback
@@ -28,7 +28,6 @@ representation; an independent contour-quadrature fallback
 
 from __future__ import annotations
 
-import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -53,7 +52,6 @@ __all__ = [
     "dilate",
     "evaluate",
     "from_spec",
-    "taylor_coefficients",
     "to_spec",
 ]
 
@@ -536,24 +534,6 @@ def cauchy_derivative(f: AnalyticFunction, z: complex) -> complex:
         prev = est
         m *= 2
     return est
-
-
-def taylor_coefficients(f: AnalyticFunction, count: int, r: float) -> list:
-    """Taylor coefficients a_0..a_count from circle samples at radius r.
-
-    a_n = r^(-n) (2 pi)^(-1) int f(r e^(i t)) e^(-i n t) dt, computed by the
-    uniform trapezoid rule via the FFT with at least 4 (count + 1) nodes.
-    The count is raised until the aliasing bias r^m drops below 1e-13, so
-    reported coefficients do not depend on the sampling radius.
-    """
-    if not 0 < r < 1:
-        raise DomainError("sampling radius must lie in (0, 1)")
-    anti_alias = int(math.ceil(-30.0 / math.log10(r))) if r > 0.05 else 8
-    m = min(max(4 * (count + 1), anti_alias, 64), 1 << 20)
-    t = 2.0 * np.pi * np.arange(m) / m
-    vals = f._eval(r * np.exp(1j * t))
-    coeff = np.fft.fft(vals) / m
-    return [complex(coeff[n] / r ** n) for n in range(count + 1)]
 
 
 def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:

@@ -44,17 +44,15 @@ def _graded_unit(levels: int, nodes_per_cell: int):
     return nodes, weights
 
 
-def graded_radial_mesh(levels: int, nodes_per_cell: int = 8,
-                       lo: float = 0.0, hi: float = 1.0):
-    """Composite Gauss mesh of [lo, hi] with nodes accumulating at hi."""
+def graded_radial_mesh(levels: int, nodes_per_cell: int = 8, lo: float = 0.0):
+    """Composite Gauss mesh of [lo, 1] with nodes accumulating at 1."""
     u, w = _graded_unit(levels, nodes_per_cell)
-    if lo == 0.0 and hi == 1.0:
+    if lo == 0.0:
         return u, w
-    # the affine map may overshoot hi by an ulp, and at hi = 1 the complex
+    # the affine map may overshoot 1 by an ulp, and near 1 the complex
     # modulus of a node can round up to 1 exactly; keep a few ulps clear
-    cap = hi - 4.0 * np.finfo(float).eps * abs(hi)
-    nodes = np.minimum(lo + (hi - lo) * u, cap)
-    return nodes, (hi - lo) * w
+    nodes = np.minimum(lo + (1.0 - lo) * u, 1.0 - 4.0 * np.finfo(float).eps)
+    return nodes, (1.0 - lo) * w
 
 
 def midpoint_angles(count: int) -> np.ndarray:

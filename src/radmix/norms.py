@@ -66,10 +66,7 @@ __all__ = [
     "dilation_convergence",
     "discrete_mixed_norm",
     "mixed_norm",
-    "mixed_norm_truncated",
-    "radial_integral",
     "tail_sup_norm",
-    "weak_lp_norm",
 ]
 
 # About this many |f| samples are evaluated and reduced per block of angles,
@@ -248,18 +245,6 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:
     return best
 
 
-def radial_integral(f: AnalyticFunction, theta: float, p,
-                    cfg: QuadratureConfig) -> float:
-    """int_0^1 |f(r e^(i theta))|^p dr for finite p (inf: ``ValueError``),
-    sampled and reduced as a level's rays are, on the mesh of
-    ``cfg.radial_levels`` gradings toward 1."""
-    p = ExtendedExponent.of(p)
-    if not p.is_finite:
-        raise ValueError("the ray integral is defined for finite p")
-    r, w = graded_radial_mesh(cfg.radial_levels)
-    return float(_radial_values(f.polar_kernel(r)(np.array([theta])), w, p)[0])
-
-
 def _radial_values(vals: np.ndarray, radial_w: np.ndarray, p) -> np.ndarray:
     """Per-ray sum of vals^p dr over the last axis (the max for p = inf)."""
     return (vals ** float(p)) @ radial_w if p.is_finite else vals.max(axis=-1)
@@ -340,9 +325,9 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, lo: float = 0.0, hi: float = 1.0,
+                 offset: float, lo: float = 0.0,
                  coarse: int | None = None) -> tuple:
-    """One quadrature level of the mixed norm with radii in [lo, hi]: the
+    """One quadrature level of the mixed norm with radii in [lo, 1]: the
     value and the number of |f| samples it took.
 
     q finite: the q-mean over the panel-graded angular rule of ``count``
@@ -353,7 +338,7 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     range is inf, without a warning, so the refinement stops there as
     ``nonfinite``.
     """
-    r, w = graded_radial_mesh(levels, lo=lo, hi=hi)
+    r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
     if not pq.q.is_finite:
         return _sup_level(f, kernel, pq, count, coarse or count, w, offset)
@@ -424,17 +409,6 @@ def _fit_growth(trace: list, base_levels: int) -> float | None:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
-               angle_offset: float = 0.0) -> NormEstimate:
-    """The mixed norm of f at the exponent pair pq, with refinement trace.
-
-    ``angle_offset`` evaluates the rotated function z -> f(e^(i offset) z)
-    without rebuilding a representation; the norm is rotation invariant, so
-    this only moves the quadrature mesh relative to the function's features.
-    """
-    return _refine(f, as_pair(pq), cfg, angle_offset, 1.0)
-
-
 def _agree(a: float, b: float, rel_tol: float) -> bool:
     """Two successive level values agree to rel_tol.
 
@@ -445,14 +419,19 @@ def _agree(a: float, b: float, rel_tol: float) -> bool:
     return scale > 0.0 and abs(b - a) <= rel_tol * scale
 
 
-def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
-            angle_offset: float, hi: float) -> NormEstimate:
-    """The refinement driver: the mixed norm with radii cut off at ``hi``.
+def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
+               angle_offset: float = 0.0) -> NormEstimate:
+    """The mixed norm of f at the exponent pair pq, with refinement trace.
+
+    ``angle_offset`` evaluates the rotated function z -> f(e^(i offset) z)
+    without rebuilding a representation; the norm is rotation invariant, so
+    this only moves the quadrature mesh relative to the function's features.
 
     Levels deeper than the meshes can grade (MAX_GRADING_LEVELS) are not
     evaluated: they would repeat the last mesh and agree spuriously.  An
     estimate stopped there is not converged.
     """
+    pq = as_pair(pq)
     base_count = cfg.theta_count if pq.q.is_finite else cfg.sup_sample_count
     grow = 1.0 + cfg.rel_tol
     trace: list = []
@@ -462,7 +441,7 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
     stop = "refine_max" if top == cfg.refine_max else "depth_cap"
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, angle_offset, hi=hi,
+                            cfg.radial_levels + level, angle_offset,
                             coarse=base_count)
         trace.append((level, v))
         values.append(v)
@@ -493,14 +472,6 @@ def _refine(f: AnalyticFunction, pq: ExponentPair, cfg: QuadratureConfig,
                         evaluations=evaluations)
 
 
-def mixed_norm_truncated(f: AnalyticFunction, pq, R: float,
-                         cfg: QuadratureConfig) -> float:
-    """Mixed norm with the inner integral truncated to [0, R], R < 1."""
-    if not 0.0 < R < 1.0:
-        raise ValueError("truncation radius must lie in (0, 1)")
-    return _refine(f, as_pair(pq), cfg, 0.0, R).value
-
-
 def tail_sup_norm(f: AnalyticFunction, p, rho: float,
                   cfg: QuadratureConfig) -> float:
     """sup over theta of (int_rho^1 |f(r e^(i theta))|^p dr)^(1/p)."""
@@ -511,27 +482,6 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
         raise ValueError("tail cutoff must lie in (0, 1)")
     return _level_value(f, ExponentPair.of(p, "inf"),
                         cfg.sup_sample_count, cfg.radial_levels, 0.0, lo=rho)[0]
-
-
-def weak_lp_norm(samples: Sequence[float], p: float) -> float:
-    """Discrete weak-L^p quasi-norm of |g| sampled uniformly on [0, 1].
-
-    Computes sup_t t (fraction of samples above t)^(1/p); the supremum over
-    thresholds is attained just below a sample value, so a descending sort
-    gives it exactly.
-    """
-    if not p >= 1:
-        raise ValueError("weak norm needs p >= 1")
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample list")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("samples must be finite")
-    if np.any(arr < 0):
-        raise ValueError("samples must be nonnegative")
-    s = np.sort(arr)[::-1]
-    frac = (np.arange(arr.size) + 1.0) / arr.size
-    return float(np.max(s * frac ** (1.0 / p)))
 
 
 def dilation_convergence(f: AnalyticFunction, pq, r_list: Sequence[float],

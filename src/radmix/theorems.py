@@ -21,16 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExponentPair, ExtendedExponent, as_pair
+from .exponents import ExponentPair, as_pair
 from .functions import (
     AnalyticFunction,
     Monomial,
-    PowerSingularity,
     dilate,
     derivative_at,
     evaluate,
 )
-from .norms import NormEstimate, QuadratureConfig, mixed_norm, radial_integral
+from .norms import NormEstimate, QuadratureConfig, mixed_norm
 from .witnesses import cesaro_power, power_singularity
 
 __all__ = [
@@ -41,14 +40,11 @@ __all__ = [
     "classify_ratio_trace",
     "default_point_family",
     "evaluation_functional_fit",
-    "fejer_riesz_ratio",
     "inclusion_is_compact",
     "inclusion_region_contains",
     "inclusion_witness_scan",
     "compactness_witness_scan",
     "monomial_norm",
-    "noncompactness_witness",
-    "nontangential_decay_check",
 ]
 
 # Monomial ratios grow like a power of n whose exponent can be as small as
@@ -288,25 +284,6 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
                             witness_report=reports)
 
 
-def noncompactness_witness(p0, q0, q, n_list: Sequence[int],
-                           cfg: QuadratureConfig) -> list:
-    """Normalised monomials (n p0 + 1)^(1/p0) z^n: unit norm in the source
-    and in the target with the same radial exponent, while decaying to zero
-    uniformly on compact subsets.  Returns (n, source norm, target norm,
-    sup of |f_n| on |z| <= 1/2)."""
-    p0e = ExtendedExponent.of(p0)
-    if not p0e.is_finite:
-        raise ValueError("the witness family needs a finite source p")
-    rows = []
-    for n in n_list:
-        unit = monomial_norm(n, p0e)
-        f = Monomial(n)
-        src = mixed_norm(f, ExponentPair.of(p0, q0), cfg).value / unit
-        dst = mixed_norm(f, ExponentPair.of(p0, q), cfg).value / unit
-        rows.append((n, src, dst, 0.5 ** n / unit))
-    return rows
-
-
 def compactness_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
                              cache: NormCache | None = None) -> dict:
     """Numerical evidence for or against compactness of the inclusion.
@@ -411,29 +388,3 @@ def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
         if est > 0:
             pts.append((math.log(1.0 / (1.0 - z * z)), math.log(est)))
     return ExponentFit.fit(pts)
-
-
-# -- boundary decay and the radial-integral/Hardy comparison ---------------------
-
-def nontangential_decay_check(f: AnalyticFunction, p, r_list: Sequence[float]) -> list:
-    """|f(r)| (1 - r)^(1/p) along real r -> 1; members of the sup-norm space
-    must send it to zero."""
-    pf = float(ExtendedExponent.of(p))
-    return [(r, float(abs(evaluate(f, r)) * (1.0 - r) ** (1.0 / pf)))
-            for r in r_list]
-
-
-def fejer_riesz_ratio(f: AnalyticFunction, s, theta_list: Sequence[float],
-                      cfg: QuadratureConfig) -> float:
-    """max over rays of the radial L^s norm against the sup-radial norm.
-
-    The denominator plays the role of the Hardy norm; for holomorphic f the
-    ratio is bounded by an absolute constant depending only on s.
-    """
-    se = ExtendedExponent.of(s)
-    if not se.is_finite:
-        raise ValueError("the ray-integral comparison needs finite s")
-    denom = mixed_norm(f, ExponentPair.of("inf", s), cfg).value
-    sf = float(se)
-    num = max(radial_integral(f, t, se, cfg) ** (1.0 / sf) for t in theta_list)
-    return num / denom

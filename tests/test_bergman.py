@@ -19,7 +19,7 @@ from radmix import (
     kernel_capped,
     kernel_capped_depth,
     kernel_offdiag,
-    kernel_offdiag_dilated,
+    kernel_offdiag_dyadic_sum,
     mixed_norm,
     operator_norm_estimate,
     project,
@@ -64,6 +64,8 @@ def test_grid_constructor_checks_its_inputs():
             (GRID.radii, 2 * w, 64),                # twice the unit mass
             (GRID.radii, w[:-1], 64),               # one weight short
             (GRID.radii[::-1], w[::-1], 64),        # unit mass, radii reversed
+            (np.append(GRID.radii[0], GRID.radii[:-1]), w, 64),  # a radius twice
+            (np.append(GRID.radii[:-1], 1.0), w, 64),            # radius 1
             (GRID.radii, w, 0),                     # no angle
             (GRID.radii, w, 64.0)]:                 # a float angle count
         with pytest.raises(ValueError):
@@ -115,9 +117,35 @@ def test_kernel_branch_values():
     assert kernel_offdiag(0.1, 0.3, 0.2) == 0.0
     d, x, y = 0.4, 0.3, 0.2
     assert kernel_offdiag(d, x, y) == kernel_capped_depth(d, x, y)
-    # dilation identity
-    assert kernel_offdiag_dilated(2, 0.4, 0.3, 0.2) == pytest.approx(
-        2.0 ** -4 * kernel_offdiag(0.4, 2.0 ** -2 * 0.3, 2.0 ** -2 * 0.2))
+
+
+def _dilate(n: int):
+    """The dyadic dilate H_n(d, x, y) = 4^-n H(d, 2^-n x, 2^-n y)."""
+    s = 2.0 ** -n
+    return lambda d, x, y: s * s * kernel_offdiag(d, s * np.asarray(x),
+                                                  s * np.asarray(y))
+
+
+def test_dyadic_sum_matches_the_41_dilates():
+    # the closed form against the sum of the dilates n = 0..40, on the
+    # random tuples of the kernel chain and on the power-of-two edges
+    # 2^-n max(x, y) = d, where a term switches on
+    rng = np.random.default_rng(21)
+    n = 200000
+    d = angular_distance(rng.uniform(0, 2 * np.pi, n))
+    x, y = rng.uniform(1e-12, 1, n), rng.uniform(1e-12, 1, n)
+    k = np.arange(45)
+    edge = np.ldexp(0.75, -k)
+    d = np.concatenate([d, edge, np.nextafter(edge, 0), np.nextafter(edge, 1),
+                        [1.0, 1.5, 0.3]])
+    x = np.concatenate([x, np.full(3 * 45, 0.75), [1.0, 0.1, 0.3 * 2.0 ** 41]])
+    y = np.concatenate([y, np.zeros(3 * 45 + 3)])
+    reference = sum(_dilate(m)(d, x, y) for m in range(41))
+    got = kernel_offdiag_dyadic_sum(d, x, y)
+    assert np.array_equal(got == 0.0, reference == 0.0)
+    nz = reference != 0.0
+    assert np.count_nonzero(nz) > n // 4
+    assert np.max(np.abs(got[nz] / reference[nz] - 1.0)) <= 2e-15
 
 
 def test_kernel_chain_random_tuples():
@@ -144,9 +172,9 @@ def test_apply_kernel_operator_matches_double_sum():
                      + 1j * rng.standard_normal(grid.shape))
     x = 1.0 - grid.radii
     th = grid.angles
-    dilate = lambda d, x, y: kernel_offdiag_dilated(3, d, x, y)
     gap = angular_distance(th[:, None, None, None] - th[None, None, :, None])
-    for kernel in (kernel_offdiag, kernel_capped_depth, dilate):
+    for kernel in (kernel_offdiag, kernel_capped_depth, _dilate(3),
+                   kernel_offdiag_dyadic_sum):
         k = kernel(gap, x[None, :, None, None], x[None, None, None, :])  # (a, i, b, j)
         direct = np.einsum("aibj,jb,j->ia", k, f.values, grid.radial_weights / m)
         got = apply_kernel_operator(kernel, f).values
@@ -297,8 +325,7 @@ def test_dilated_operator_norm_bound():
         return apply_kernel_operator(kernel_offdiag, gf)
 
     def op_hn(n):
-        return lambda gf: apply_kernel_operator(
-            lambda d, x, y: kernel_offdiag_dilated(n, d, x, y), gf)
+        return lambda gf: apply_kernel_operator(_dilate(n), gf)
 
     base, _ = operator_norm_estimate(op_h, (2, 2), GRID, trials=12, seed=11)
     for n in (1, 2, 3):
@@ -418,7 +445,7 @@ def test_grid_function_on_other_nodes_rejected():
         duality_pairing(gf, gf, other)
     with pytest.raises(ValueError):
         bergman_projection_operator(other)(gf)
-    # an equal grid built separately (as from a sidecar file) is accepted
+    # an equal grid built separately is accepted
     same = PolarGrid(GRID.radii.copy(), GRID.radial_weights.copy(), 64)
     assert abs(project(gf, 0.5, same) - 0.125) < 1e-9
     assert duality_pairing(gf, gf, same) == pytest.approx(0.25, abs=1e-12)
@@ -462,71 +489,6 @@ def test_wedge_projection_against_adaptive_quadrature():
         slope = lambda v: float(np.polyfit(np.log(1 - avals), np.log(v), 1)[0])
         assert abs(slope(values) - slope(oracle)) < 0.03
         assert abs(slope(oracle) + 1.0 / p) > 0.15
-
-
-def test_grid_function_file_round_trip(tmp_path):
-    from radmix import load_grid_function, save_grid_function
-    rng = np.random.default_rng(0)
-    small = PolarGrid.build(16, 16)
-    gf = GridFunction(small, rng.standard_normal(small.shape)
-                      + 1j * rng.standard_normal(small.shape))
-    path = tmp_path / "grid.csv"
-    save_grid_function(gf, path)
-    assert (tmp_path / "grid.csv.json").exists()
-    back = load_grid_function(path)
-    assert np.array_equal(back.values, gf.values)
-    assert np.array_equal(back.grid.radii, small.radii)
-    assert np.array_equal(back.grid.weights, small.weights)
-    assert grid_mixed_norm(back, (2, 4)) == grid_mixed_norm(gf, (2, 4))
-
-
-def test_grid_sidecar_tampering_raises_value_error(tmp_path):
-    import json
-    from radmix import load_grid_function, save_grid_function
-    small = PolarGrid.build(16, 16)
-    path = tmp_path / "grid.csv"
-    save_grid_function(GridFunction(small, np.ones(small.shape, dtype=complex)),
-                       path)
-    sidecar = tmp_path / "grid.csv.json"
-    meta = json.loads(sidecar.read_text())
-    tampered = {
-        "reversed radii": dict(meta, radii=meta["radii"][::-1],
-                               radial_weights=meta["radial_weights"][::-1]),
-        "repeated radius": dict(meta, radii=[meta["radii"][0]] + meta["radii"][:-1]),
-        "radius 1": dict(meta, radii=meta["radii"][:-1] + [1.0]),
-        "doubled weight": dict(meta, radial_weights=[2 * meta["radial_weights"][0]]
-                               + meta["radial_weights"][1:]),
-        "missing radial weights": {k: v for k, v in meta.items()
-                                   if k != "radial_weights"},
-        "radii not a list": dict(meta, radii={"r": meta["radii"]}),
-    }
-    for bad in tampered.values():
-        sidecar.write_text(json.dumps(bad))
-        with pytest.raises(ValueError):
-            load_grid_function(path)
-    sidecar.write_text(json.dumps(meta))
-    assert load_grid_function(path).grid.shape == small.shape
-
-
-def test_grid_sidecar_angle_tampering_raises_value_error(tmp_path):
-    import json
-    from radmix import load_grid_function, save_grid_function
-    small = PolarGrid.build(16, 16)
-    path = tmp_path / "grid.csv"
-    save_grid_function(GridFunction(small, np.ones(small.shape, dtype=complex)),
-                       path)
-    sidecar = tmp_path / "grid.csv.json"
-    meta = json.loads(sidecar.read_text())
-    angles = meta["angles"]
-    tampered = {
-        "shuffled": angles[1::2] + angles[::2],
-        "shifted": [a + 1e-9 for a in angles],
-        "midpoints": [a + np.pi / 16 for a in angles],
-    }
-    for bad in tampered.values():
-        sidecar.write_text(json.dumps(dict(meta, angles=bad)))
-        with pytest.raises(ValueError):
-            load_grid_function(path)
 
 
 def test_stolz_wedge_inequalities():

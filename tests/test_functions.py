@@ -22,7 +22,6 @@ from radmix import (
     dilate,
     evaluate,
     from_spec,
-    taylor_coefficients,
     to_spec,
 )
 
@@ -180,26 +179,6 @@ def test_cauchy_quadrature_against_closed_form():
     for f in ALL_REPS:
         z = 0.25 - 0.3j
         assert abs(cauchy_derivative(f, z) - derivative_at(f, z)) < 1e-9
-
-
-def test_taylor_coefficients_basics():
-    c = taylor_coefficients(Monomial(2), 3, 0.5)
-    assert np.allclose(c, [0, 0, 1, 0], atol=1e-12)
-    c = taylor_coefficients(PowerSingularity(1.0), 2, 0.5)
-    assert np.allclose(c, [1, 1, 1], atol=1e-10)
-    c = taylor_coefficients(Sum(((2.0, Monomial(1)),)), 1, 0.9)
-    assert np.allclose(c, [0, 2], atol=1e-10)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from([0.3, 0.45, 0.6, 0.75]), st.sampled_from([0.35, 0.5, 0.65, 0.8]))
-def test_taylor_coefficients_radius_independent(r1, r2):
-    f = Sum(((1.0, PowerSingularity(0.7)), (0.5j, CesaroPower(3, 2.0))))
-    a = taylor_coefficients(f, 8, r1)
-    b = taylor_coefficients(f, 8, r2)
-    for x, y in zip(a, b):
-        if abs(x) >= 1e-4:
-            assert abs(x - y) <= 1e-8
 
 
 def test_dilate():

@@ -11,7 +11,6 @@ from scipy import integrate
 from radmix import (
     CesaroPower,
     ExponentPair,
-    ExtendedExponent,
     Lacunary,
     Monomial,
     PowerSingularity,
@@ -23,20 +22,15 @@ from radmix import (
     dilate,
     dilation_convergence,
     discrete_mixed_norm,
-    evaluate,
     mixed_norm,
-    mixed_norm_truncated,
     power_singularity,
-    radial_integral,
     tail_sup_norm,
-    weak_lp_norm,
 )
 from radmix import norms
 from radmix.meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
 from radmix.witnesses import embedding_function, embedding_params
 
 CFG = QuadratureConfig()
-LN2 = 0.6931471805599453  # oracle: int_0^1 dr/(1+r), closed form
 
 
 def test_config_validation():
@@ -60,40 +54,6 @@ def test_config_validation():
     assert QuadratureConfig.from_dict(d) == CFG
 
 
-def test_radial_integral_closed_forms():
-    assert radial_integral(TaylorPolynomial([1]), 0.7, 3, CFG) == pytest.approx(1.0)
-    assert radial_integral(Monomial(1), 0.0, 2, CFG) == pytest.approx(1 / 3)
-    # |1 - r e^{i pi}| = 1 + r, so the integrand is 1/(1+r)
-    v = radial_integral(PowerSingularity(1.0), math.pi, 1, CFG)
-    assert v == pytest.approx(LN2, rel=1e-10)
-
-
-def test_radial_integral_against_scipy():
-    f = Sum(((1.0, PowerSingularity(0.6)), (0.5, Monomial(3))))
-    for theta in (0.3, 2.0):
-        oracle, _ = integrate.quad(
-            lambda r: abs(evaluate(f, r * np.exp(1j * theta))) ** 2, 0, 1,
-            limit=200)
-        assert radial_integral(f, theta, 2, CFG) == pytest.approx(oracle, rel=1e-8)
-
-
-@pytest.mark.parametrize("p", [1, 2.5])
-def test_radial_integral_is_a_level_ray(p):
-    # a ray integral is sampled and reduced exactly as a level's rays are
-    f = Sum(((1.0, PowerSingularity(0.6)), (0.5, Monomial(3))))
-    r, w = graded_radial_mesh(CFG.radial_levels)
-    ray = norms._ray_values(f.polar_kernel(r), np.array([0.3]), w,
-                            ExtendedExponent.of(p), 0.0)[0]
-    assert radial_integral(f, 0.3, p, CFG) == ray
-
-
-def test_radial_integral_rejects_inf():
-    # the radial sup is the p = inf branch of mixed_norm's level, not a ray
-    # integral
-    with pytest.raises(ValueError):
-        radial_integral(Monomial(6), 0.1, "inf", CFG)
-
-
 def test_graded_mesh_rejects_depth_beyond_cap():
     assert len(graded_radial_mesh(MAX_GRADING_LEVELS)[0]) == 344
     for levels in (0, MAX_GRADING_LEVELS + 1, 64, 100):
@@ -111,6 +71,39 @@ def test_monomial_norm_closed_form():
     # p = inf: sup_r r^n = 1 up to the mesh cap
     est = mixed_norm(Monomial(5), ("inf", 2), CFG)
     assert est.value == pytest.approx(1.0, rel=1e-3)
+
+
+def _polynomial_norm(coeffs, p: int, q: int) -> float:
+    """The exact (p, q) norm of sum_n a_n z^n for even p and q a multiple
+    of p.  With b the coefficients of f^(p/2), the ray integral
+    int_0^1 |f(r e^(it))|^p dr is sum_d c_d e^(idt), c_d = sum_{n - m = d}
+    b_n conj(b_m) / (n + m + 1), so ||f||^q is the constant term of the
+    (q/p)-fold convolution power of c."""
+    b = np.array([1.0 + 0j])
+    for _ in range(p // 2):
+        b = np.convolve(b, coeffs)
+    n = np.arange(len(b))
+    terms = b[:, None] * np.conj(b)[None, :] / (n[:, None] + n[None, :] + 1)
+    top = len(b) - 1
+    c = np.array([np.trace(terms, offset=-d) for d in range(-top, top + 1)])
+    power = c
+    for _ in range(q // p - 1):
+        power = np.convolve(power, c)
+    return float(power[len(power) // 2].real) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("pq", [(2, 2), (2, 4), (4, 4), (2, 6), (6, 6)])
+def test_polynomial_norm_exact_oracle(pq):
+    # random Taylor polynomials of degree below 40 against the closed form
+    rng = np.random.default_rng(sum(pq))
+    for _ in range(6):
+        degree = int(rng.integers(1, 40))
+        coeffs = rng.standard_normal(degree + 1) \
+            + 1j * rng.standard_normal(degree + 1)
+        est = mixed_norm(TaylorPolynomial(coeffs), pq, CFG)
+        assert est.converged
+        assert est.value == pytest.approx(_polynomial_norm(coeffs, *pq),
+                                          rel=1e-10)
 
 
 def test_constant_norm_all_branches():
@@ -191,39 +184,6 @@ def test_overflowing_level_stops_as_nonfinite():
         assert est.to_dict()["stop"] == "nonfinite"
 
 
-def test_truncated_norm():
-    cfg = CFG
-    assert mixed_norm_truncated(TaylorPolynomial([1]), (2, 5), 0.5, cfg) == \
-        pytest.approx(0.5 ** 0.5, rel=1e-9)
-    # continuity in R against the full norm
-    full = mixed_norm(Monomial(1), (2, 2), cfg).value
-    near = mixed_norm_truncated(Monomial(1), (2, 2), 1 - 1e-9, cfg)
-    assert near == pytest.approx(full, rel=1e-5)
-    assert near == pytest.approx(3 ** -0.5, rel=1e-5)
-    # divergent member: truncated values grow monotonically in R
-    vals = [mixed_norm_truncated(power_singularity(1.2), (2, 2), 1 - 2.0 ** -k, cfg)
-            for k in range(4, 13)]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-    with pytest.raises(ValueError):
-        mixed_norm_truncated(Monomial(1), (2, 2), 1.0, cfg)
-
-
-def test_truncated_sup_norm():
-    f = Monomial(3)
-    # q = inf: every angle carries int_0^R r^6 dr = R^7 / 7
-    assert mixed_norm_truncated(f, (2, "inf"), 0.9, CFG) == \
-        pytest.approx((0.9 ** 7 / 7) ** 0.5, rel=1e-9)
-    # p = q = inf: the largest sampled radius sits just below R
-    assert mixed_norm_truncated(f, ("inf", "inf"), 0.9, CFG) == \
-        pytest.approx(0.9 ** 3, rel=1e-4)
-    # continuity toward the full q = inf norm as R -> 1
-    full = mixed_norm(f, (2, "inf"), CFG).value
-    near = [mixed_norm_truncated(f, (2, "inf"), 1 - 10.0 ** -k, CFG)
-            for k in (3, 6, 9)]
-    assert near[0] < near[1] < near[2] <= full
-    assert near[2] == pytest.approx(full, rel=1e-5)
-
-
 def test_tail_sup_norm():
     one = TaylorPolynomial([1])
     for rho in (0.9, 0.99):
@@ -235,32 +195,6 @@ def test_tail_sup_norm():
         assert tail_sup_norm(f, 3, rho, CFG) <= m * (1 - rho) ** (1 / 3) * (1 + 1e-9)
     with pytest.raises(ValueError):
         tail_sup_norm(one, "inf", 0.9, CFG)
-
-
-def test_weak_lp_norm():
-    assert weak_lp_norm([2.5] * 100, 3) == pytest.approx(2.5)
-    # g(x) = x^(-1/a) on (0, 1]: the distribution-function supremum is 1
-    for a in (2.0, 3.0):
-        n = 20000
-        x = (np.arange(n) + 1.0) / n
-        assert weak_lp_norm(x ** (-1 / a), a) == pytest.approx(1.0, abs=5e-3)
-    with pytest.raises(ValueError):
-        weak_lp_norm([], 2)
-    for bad_p in (0.5, math.nan):
-        with pytest.raises(ValueError):
-            weak_lp_norm([1.0], bad_p)
-    for bad in ([math.nan, 1.0], [math.inf], [2.0, -math.inf]):
-        with pytest.raises(ValueError, match="finite"):
-            weak_lp_norm(bad, 2)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0, 100), min_size=1, max_size=50),
-       st.floats(1.0, 8.0), st.floats(0.01, 10.0))
-def test_weak_lp_homogeneous(samples, p, c):
-    base = weak_lp_norm(samples, p)
-    scaled = weak_lp_norm([c * s for s in samples], p)
-    assert scaled == pytest.approx(c * base, rel=1e-12, abs=1e-12)
 
 
 _EXPONENTS = (1.0, 1.5, 2.0, 3.0, 8.0, "inf")
@@ -294,19 +228,6 @@ def test_discrete_mixed_norm_holder_and_homogeneity(vals, data, c):
     assert norm(p1, q1) <= norm(p1, q2) * (1 + 1e-12)
     assert norm(p1, q1, c * vals) == pytest.approx(c * norm(p1, q1), rel=1e-12)
     assert norm("inf", "inf") == vals.max()
-
-
-def test_weak_interpolation_bound_stable():
-    # L^p between two weak norms; the implied constant is mesh-stable
-    alpha, p0, p1, lam, pmid = 0.5, 1.0, 2.0, 0.5, 4 / 3
-    cs = []
-    for n in (4096, 8192):
-        x = (np.arange(n) + 0.5) / n
-        prof = np.abs(evaluate(power_singularity(alpha), x * (1 - 1e-9)))
-        lp = np.mean(prof ** pmid) ** (1 / pmid)
-        w0, w1 = weak_lp_norm(prof, p0), weak_lp_norm(prof, p1)
-        cs.append(lp / (w0 ** (1 - lam) * w1 ** lam))
-    assert max(cs) / min(cs) < 2.0
 
 
 def test_hoelder_monotonicity_and_homogeneity_and_triangle():

@@ -10,17 +10,12 @@ from radmix import (
     Monomial,
     NormCache,
     QuadratureConfig,
-    TaylorPolynomial,
     compactness_witness_scan,
     evaluation_functional_fit,
-    fejer_riesz_ratio,
     inclusion_is_compact,
     inclusion_region_contains,
     inclusion_witness_scan,
     mixed_norm,
-    noncompactness_witness,
-    nontangential_decay_check,
-    power_singularity,
 )
 from radmix.cli import SCAN_CFG
 from radmix.theorems import _point_bound, classify_ratio_trace, inclusion_holds
@@ -141,19 +136,6 @@ def test_monomial_ratio_bounded_by_closed_form_supremum():
             assert a / b <= closed.max() * 1.01
 
 
-def test_noncompactness_witness_rows():
-    rows = noncompactness_witness(2, 2, 4, [1, 4, 16], CFG)
-    for n, src, dst, small in rows:
-        assert src == pytest.approx(1.0, rel=CFG.rel_tol)
-        assert dst == pytest.approx(1.0, rel=CFG.rel_tol)
-    # uniform decay on |z| <= 1/2
-    smalls = [row[3] for row in rows]
-    assert smalls[0] > smalls[1] > smalls[2]
-    assert smalls[-1] < 1e-3
-    with pytest.raises(ValueError):
-        noncompactness_witness("inf", 2, 2, [1], CFG)
-
-
 def test_compactness_scan_spot_checks():
     cache = NormCache(CFG)
     rep = compactness_witness_scan(4, 4, 2, 2, CFG, cache)
@@ -261,38 +243,3 @@ def test_point_functional_slope_rotation_invariant():
     base = evaluation_functional_fit((2, 2), "point", zs, cfg)
     rot = evaluation_functional_fit((2, 2), "point", zs, cfg, rotation=0.77)
     assert abs(rot.slope - base.slope) <= 0.02
-
-
-def test_nontangential_decay():
-    rs = [1 - 2.0 ** -k for k in range(2, 10)]
-    # polynomial: product vanishes trivially
-    vals = nontangential_decay_check(TaylorPolynomial([1, 1]), 2, rs)
-    assert vals[-1][1] < 0.1
-    # alpha = 0.8/p decays like (1-r)^(1/p - alpha)
-    vals = nontangential_decay_check(power_singularity(0.4), 2, rs)
-    seq = [v for _, v in vals]
-    assert all(a > b for a, b in zip(seq, seq[1:]))
-    # boundary case alpha = 1/p: stays pinned at one (negative control)
-    vals = nontangential_decay_check(power_singularity(0.5), 2, rs)
-    assert all(abs(v - 1.0) < 1e-9 for _, v in vals)
-
-
-def test_fejer_riesz_ratio():
-    thetas = np.linspace(0, 2 * np.pi, 13)
-    assert fejer_riesz_ratio(TaylorPolynomial([1]), 2, thetas, CFG) == \
-        pytest.approx(1.0, rel=1e-6)
-    v = fejer_riesz_ratio(Monomial(3), 2, thetas, CFG)
-    assert v == pytest.approx((1 + 3 * 2) ** -0.5, rel=1e-3)
-    assert v <= 1.0
-    # family-wide boundedness for random polynomials, stable under refinement
-    rng = np.random.default_rng(6)
-    cfg2 = QuadratureConfig(theta_count=128, radial_levels=14,
-                            refine_max=8, rel_tol=0.02)
-    worst = []
-    for cfg in (CFG, cfg2):
-        vals = []
-        for _ in range(5):
-            f = TaylorPolynomial(rng.standard_normal(11) + 1j * rng.standard_normal(11))
-            vals.append(fejer_riesz_ratio(f, 2, thetas, cfg))
-        worst.append(max(vals))
-    assert worst[0] <= 2.0 and worst[1] <= 2.0
