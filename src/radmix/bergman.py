@@ -124,17 +124,30 @@ class GridFunction:
         object.__setattr__(self, "values", values)
 
     @cached_property
+    def row_span(self) -> slice:
+        """The radii from the first to the last that carries a nonzero sample.
+
+        Rows outside it add exact zeros to every projection; an all-zero
+        function has the empty span.
+        """
+        rows = np.flatnonzero(self.values.any(axis=1))
+        return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
+
+    @cached_property
     def mode_table(self) -> np.ndarray:
-        """Q[i, r] = c_i rho_i^r F_i[r], the weighted angular modes.
+        """Q[i, r] = c_i rho_i^r F_i[r], the weighted angular modes, for the
+        radii i of ``row_span`` only.
 
         F_i is the FFT of row i along the angles, and c_i = 2 rho_i w_i / m
         is the area weight of a node at radius rho_i.  Both the projection
-        operator and ``project`` read the projection off this table.
+        operator and ``project`` read the projection off this table.  The
+        span is a slice, so a dense function keeps every row without a copy.
         """
-        table = np.fft.fft(self.values, axis=1)
+        rows = self.row_span
+        table = np.fft.fft(self.values[rows], axis=1)
         # rho^r as exp(r log rho); a radius 0 has weight 0, so its row stays 0
-        log_r = np.log(np.maximum(self.grid.radii, np.finfo(float).tiny))
-        table *= self.grid.weights[:, :1] * np.exp(
+        log_r = np.log(np.maximum(self.grid.radii[rows], np.finfo(float).tiny))
+        table *= self.grid.weights[rows, :1] * np.exp(
             log_r[:, None] * np.arange(table.shape[1]))
         table.flags.writeable = False
         return table
@@ -246,8 +259,9 @@ def project(f, z, grid: PolarGrid):
 
     with Q the cached ``GridFunction.mode_table``, u_i = (z rho_i)^m,
     a_i = 1 / (1 - u_i) and b_i = m u_i a_i^2: the same number, with no
-    truncation, for every |z| < 1.  Once Q is cached, a point costs one
-    product of Q with two columns of powers of z.
+    truncation, for every |z| < 1.  Q holds only the radii that carry
+    samples (rows without one add exact zeros), so once it is cached a
+    point costs one product of that block with two columns of powers of z.
 
     Rounding: on 128 x 128 complex noise it agrees with a direct node sum
     to 3e-14 of the largest value at nodes with r <= 0.99, and a 40-digit
@@ -266,13 +280,18 @@ def project(f, z, grid: PolarGrid):
     q = gf.mode_table
     m = q.shape[1]
     r = np.arange(m)[:, None]
-    rho_m = gf.grid.radii[:, None] ** m
+    rho_m = gf.grid.radii[gf.row_span, None] ** m
     flat = zs.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     for s in range(0, flat.size, _POINT_BLOCK):
         zb = flat[s:s + _POINT_BLOCK]
         powers = np.abs(zb) ** r * np.exp(1j * np.angle(zb) * r)
-        sums = q @ np.concatenate([(r + 1.0) * powers, powers], axis=1)
+        cols = np.concatenate([(r + 1.0) * powers, powers], axis=1)
+        # one point takes two matrix-vector products: on the 135 x 4096
+        # blow-up table they ran in 1.7 ms, one two-column product in 3.5 ms
+        # (OpenBLAS, one thread, 2-vCPU x86-64 host)
+        sums = (np.stack([q @ c for c in cols.T], axis=1) if zb.size == 1
+                else q @ cols)
         u = rho_m * (zb * powers[-1])[None, :]
         a = 1.0 / (1.0 - u)
         out[s:s + _POINT_BLOCK] = np.sum(

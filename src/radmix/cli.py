@@ -345,7 +345,7 @@ def blowup_profile(p, grid: PolarGrid) -> tuple:
     dens = projection_blowup_density(p)
     gf = sample_on_grid(dens, grid)
     a = np.array(BLOWUP_POINTS)
-    values = np.array([abs(project(gf, x, grid)) for x in a])
+    values = np.abs(project(gf, a, grid))
     slope = float(np.polyfit(np.log(1 - a), np.log(values), 1)[0])
     r, w = graded_radial_mesh(20)
     worst_ray = max(float(w @ np.abs(dens(r, t)) ** p)

@@ -29,7 +29,7 @@ from radmix import (
     stolz_wedge_inequalities,
     QuadratureConfig,
 )
-from radmix.cli import kernel_chain_violations
+from radmix.cli import BLOWUP_GRID, kernel_chain_violations
 from radmix.meshes import angular_distance
 
 GRID = PolarGrid.build(64, 64)
@@ -406,16 +406,23 @@ def test_project_matches_explicit_node_sum(monkeypatch):
         expected = _node_sum(gf, pts)
         got = np.array([project(gf, z, big) for z in pts])
         assert np.max(np.abs(got / expected - 1.0)) < 1e-12
-    # a rough input at a seeded subset of nodes inside r <= 0.99
+    # a rough input at a seeded subset of nodes inside r <= 0.99, and the
+    # same noise kept on an inner band of radii only
     grid = PolarGrid.build(128, 128)
     rng = np.random.default_rng(16)
     f = GridFunction(grid, rng.standard_normal(grid.shape)
                      + 1j * rng.standard_normal(grid.shape))
+    band_rows = ((grid.radii > 0.3) & (grid.radii < 0.9))[:, None]
+    band = GridFunction(grid, np.where(band_rows, f.values, 0.0))
+    assert 0 < band.row_span.start < band.row_span.stop < grid.shape[0]
     inside = grid.nodes()[grid.radii <= 0.99].ravel()
     zs = rng.choice(inside, 64, replace=False)
-    expected = _node_sum(f, zs)
-    got = project(f, zs, grid)
-    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
+    for gf in (band, f):
+        expected = _node_sum(gf, zs)
+        got = project(gf, zs, grid)
+        scale = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) < scale
+        assert abs(project(gf, zs[0], grid) - expected[0]) < scale
     # the values are frozen, so the mode table built above stays valid
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
@@ -425,6 +432,22 @@ def test_project_matches_explicit_node_sum(monkeypatch):
         raise AssertionError("mode table rebuilt")
     monkeypatch.setattr(np.fft, "fft", no_fft)
     assert project(f, zs[:3], grid) == pytest.approx(got[:3], rel=1e-15)
+
+
+def test_mode_table_keeps_only_radii_with_samples():
+    big = PolarGrid.build(**BLOWUP_GRID)
+    gf = sample_on_grid(projection_blowup_density(2), big)
+    rows = np.flatnonzero(np.any(gf.values != 0.0, axis=1))
+    assert (rows[0], rows[-1], big.shape[0]) == (0, 134, 224)
+    assert gf.mode_table.shape == (rows[-1] + 1 - rows[0], big.n_angles)
+    # an all-zero function keeps no row and projects to exact zeros
+    zero = GridFunction(GRID, np.zeros(GRID.shape))
+    assert zero.mode_table.shape == (0, GRID.n_angles)
+    assert project(zero, 0.5, GRID) == 0.0
+    zs = np.array([0.0, 0.5, -0.3 + 0.9j, 0.99999])
+    assert np.array_equal(project(zero, zs, GRID), np.zeros(zs.shape))
+    pz = bergman_projection_operator(GRID)(zero).values
+    assert np.array_equal(pz, np.zeros(GRID.shape))
 
 
 def test_project_rejects_points_outside_disc():

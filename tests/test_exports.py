@@ -1,10 +1,14 @@
-"""Every exported name has a caller outside the unit tests.
+"""Every exported name has a caller outside the unit tests, and every
+imported name is used.
 
 A name in a module's ``__all__`` counts as used when a name or attribute
 node of that spelling appears in the package's own modules (``__init__``
 aside, which only re-exports) or in the benchmark scripts, or when the
 benchmark's ``tracing.BOUNDARIES`` wraps it.  Anything else needs an entry
 in ``KEEP`` saying why it stays.
+
+A name that a package module or a test module imports must appear there as
+a name node, unless its import statement carries ``# noqa: F401``.
 """
 
 import ast
@@ -12,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "radmix"
+TESTS = ROOT / "tests"
 BENCH = ROOT / "perfbench"
 
 KEEP = {
@@ -63,3 +68,28 @@ def test_every_export_has_a_caller_or_a_reason():
     # a reason is kept only for a name that is exported and needs one
     assert sorted(name for name in KEEP
                   if name not in exports or name in refs) == []
+
+
+def _unused_imports(path: Path) -> list:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if (getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{path.relative_to(ROOT)}: {name}")
+    return unused
+
+
+def test_every_import_is_used():
+    paths = _modules() + sorted(TESTS.glob("*.py"))
+    assert [entry for path in paths for entry in _unused_imports(path)] == []

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from radmix import (
     inclusion_is_compact,
     inclusion_region_contains,
     inclusion_witness_scan,
-    mixed_norm,
 )
 from radmix.cli import SCAN_CFG
 from radmix.theorems import _point_bound, classify_ratio_trace, inclusion_holds
