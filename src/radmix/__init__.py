@@ -36,7 +36,6 @@ from .witnesses import (
     ProjectionBlowupDensity,
     cesaro_power,
     embedding_function,
-    embedding_params,
     embedding_tail_bound,
     in_stolz_wedge,
     power_singularity,

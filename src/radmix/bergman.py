@@ -461,9 +461,10 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
 # -- duality pairing and the boundary-wedge inequalities ------------------------
 
 def duality_pairing(f, g, grid: PolarGrid) -> complex:
-    """int f conj(g) over the unit-mass area measure, on the grid."""
+    """int f conj(g) over the unit-mass area measure, on the grid; f is
+    sampled once when g is f."""
     fv = _on_grid(f, grid).values
-    gv = _on_grid(g, grid).values
+    gv = fv if g is f else _on_grid(g, grid).values
     return complex(np.sum(grid.weights * fv * np.conjugate(gv)))
 
 

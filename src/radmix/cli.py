@@ -41,7 +41,7 @@ from .theorems import (
     inclusion_witness_scan,
     monomial_norm,
 )
-from .witnesses import (embedding_params, embedding_tail_bound,
+from .witnesses import (EmbeddingParams, embedding_tail_bound,
                         power_singularity, projection_blowup_density)
 
 DEFAULT_EXPONENT_GRID = "1,4/3,2,4,inf"
@@ -217,7 +217,7 @@ def _witness_rows(params) -> list:
 
 def cmd_witness(args) -> int:
     cfg = _config_from_args(args)
-    params = embedding_params(args.p, args.K)
+    params = EmbeddingParams(args.p, args.K)
     manifest = _config_hash(cfg, args.seed, {"cmd": "witness", "p": args.p,
                                              "K": args.K})
     low = min(params.disc_margins(), default=math.inf)  # one bump: no pair
@@ -382,7 +382,7 @@ def cmd_report(args) -> int:
     emit("functional_slopes.csv", functional_rows(),
          ["p", "q", "functional", "slope", "residual"], FIT_CFG, "functional")
     for p in (1, 2, 4):
-        emit(f"witness_p{p}.csv", _witness_rows(embedding_params(p, 16)),
+        emit(f"witness_p{p}.csv", _witness_rows(EmbeddingParams(p, 16)),
              WITNESS_HEADER, cfg, f"witness{p}")
 
     # projection identity and pairing spot checks
@@ -390,11 +390,12 @@ def cmd_report(args) -> int:
     checks = {"projection": [], "pairing": []}
     for n in range(5):
         z = 0.5 * np.exp(1j * (0.3 + n))
-        val = project(Monomial(n), z, grid)
+        f = Monomial(n)
+        val = project(f, z, grid)
         checks["projection"].append({
             "n": n, "z": [z.real, z.imag],
             "error": abs(val - z ** n)})
-        pair = duality_pairing(Monomial(n), Monomial(n), grid)
+        pair = duality_pairing(f, f, grid)
         checks["pairing"].append({
             "n": n, "value": [pair.real, pair.imag],
             "exact": 1.0 / (n + 1)})
@@ -449,8 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mixed radial/angular norm laboratory for analytic "
                     "functions on the unit disc.")
     ap.add_argument("--config", help="JSON quadrature config "
-                    "(theta_count, radial_levels, refine_max, rel_tol, "
-                    "sup_sample_count)")
+                    "(theta_count, radial_levels, refine_max, rel_tol)")
     ap.add_argument("--seed", type=int, default=0,
                     help="seed for the randomised estimators")
     ap.add_argument("--tol", type=float, default=None,

@@ -68,10 +68,6 @@ class ExtendedExponent:
             return ExtendedExponent(Fraction(x))
         raise TypeError(f"cannot interpret {x!r} as an exponent")
 
-    @staticmethod
-    def infinity() -> "ExtendedExponent":
-        return ExtendedExponent(None)
-
     # -- queries -----------------------------------------------------------
 
     @property

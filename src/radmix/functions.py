@@ -6,8 +6,8 @@ outside the disc, dilations and finite linear combinations.  Each
 representation is one frozen dataclass deriving from
 :class:`AnalyticFunction`, and that class is the only place that knows it:
 ``__post_init__`` coerces and validates the fields, and the methods give the
-evaluation, the closed-form derivative, the rotation and the singular
-boundary directions.  The JSON spec is derived from the dataclass fields, so
+evaluation, the closed-form derivative and the singular boundary
+directions.  The JSON spec is derived from the dataclass fields, so
 adding a representation means adding one class.  Everything is immutable and
 every operation is pure, so values can be shared freely between workers.
 
@@ -199,10 +199,6 @@ class AnalyticFunction:
         return lambda theta: np.abs(
             self._eval(r[None, :] * np.exp(1j * theta[:, None])))
 
-    def rotate(self, phi: float) -> "AnalyticFunction":
-        """The rotation z -> f(e^(i phi) z), for representations that support it."""
-        raise ValueError(f"{type(self).__name__} has no rotated representation")
-
     def singular_angles(self) -> tuple:
         """Boundary directions along which the radial profile can peak.
 
@@ -250,9 +246,6 @@ class Monomial(AnalyticFunction):
     def top_exponent(self):
         return self.n
 
-    def rotate(self, phi):
-        return Sum(((complex(np.exp(1j * phi)) ** self.n, self),))
-
 
 @dataclass(frozen=True)
 class TaylorPolynomial(AnalyticFunction):
@@ -281,11 +274,6 @@ class TaylorPolynomial(AnalyticFunction):
 
     def top_exponent(self):
         return max(len(self.coeffs) - 1, 0)
-
-    def rotate(self, phi):
-        w = complex(np.exp(1j * phi))
-        return TaylorPolynomial(tuple(c * w ** k
-                                      for k, c in enumerate(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -394,10 +382,6 @@ class Lacunary(AnalyticFunction):
     def top_exponent(self):
         return self.nodes[-1][0]
 
-    def rotate(self, phi):
-        w = complex(np.exp(1j * phi))
-        return Lacunary(tuple((n, a * w ** n) for n, a in self.nodes))
-
 
 @dataclass(frozen=True)
 class RationalBump(AnalyticFunction):
@@ -426,9 +410,6 @@ class RationalBump(AnalyticFunction):
         chord = _chord2(self.a - r, self.a * r)
         return lambda theta: self.eps / chord(theta - self.theta0)
 
-    def rotate(self, phi):
-        return RationalBump(self.eps, self.a, self.theta0 - phi)
-
     def singular_angles(self):
         return (self.theta0,)
 
@@ -455,9 +436,6 @@ class Scaled(AnalyticFunction):
     def _polar(self, r):
         return self.inner.polar_kernel(self.r * r)
 
-    def rotate(self, phi):
-        return Scaled(self.inner.rotate(phi), self.r)
-
     def singular_angles(self):
         return self.inner.singular_angles()
 
@@ -481,9 +459,6 @@ class Sum(AnalyticFunction):
 
     def _deriv(self, z):
         return _weighted_sum(z, ((c, g._deriv(z)) for c, g in self.terms))
-
-    def rotate(self, phi):
-        return Sum(tuple((c, g.rotate(phi)) for c, g in self.terms))
 
     def singular_angles(self):
         # first-seen order, without repeats

@@ -21,17 +21,17 @@ maximum over samples.  A q = inf level does not scan all of its angles: it
 takes the per-ray values on a coarse ring of midpoint angles and on the
 singular directions of the representation (a needle-thin radial profile,
 e.g. of a bump function aimed at one boundary point, would otherwise be
-invisible to any uniform scan).  The ring has ``sup_sample_count`` rays,
-doubled until it holds four rays per unit of the representation's top
-exponent (``AnalyticFunction.top_exponent``: a series of top exponent N
-oscillates on angular scales down to 2 pi / N), and at most as many as the
-level's fine rule.  The level then samples its fine midpoint rule only
-within one coarse step of the largest local maxima of the ring and of the
-singular directions, and a golden-section pass refines around the discrete
-maximiser.  The fine samples are a subset of the full fine rule, so none
-falls on a singular direction.  A peak narrower than one coarse step that
-neither a singular direction nor the top exponent accounts for can fall
-between the coarse rays and be missed.
+invisible to any uniform scan).  The ring has 512 rays (``_SUP_RING``,
+also the ray count of level 0), doubled until it holds four rays per unit
+of the representation's top exponent (``AnalyticFunction.top_exponent``:
+a series of top exponent N oscillates on angular scales down to 2 pi / N),
+and at most as many as the level's fine rule.  The level then samples its
+fine midpoint rule only within one coarse step of the largest local maxima
+of the ring and of the singular directions, and a golden-section pass
+refines around the discrete maximiser.  The fine samples are a subset of
+the full fine rule, so none falls on a singular direction.  A peak narrower
+than one coarse step that neither a singular direction nor the top exponent
+accounts for can fall between the coarse rays and be missed.
 
 Each quadrature level binds one modulus kernel,
 ``AnalyticFunction.polar_kernel`` at the level's radii, so the radii are
@@ -90,7 +90,6 @@ class QuadratureConfig:
     radial_levels: int = 12
     refine_max: int = 6
     rel_tol: float = 1e-3
-    sup_sample_count: int = 512
 
     def __post_init__(self):
         for f in fields(self):
@@ -105,8 +104,6 @@ class QuadratureConfig:
             raise ValueError("refine_max must be at least 1")
         if not 0 < self.rel_tol <= 0.1:
             raise ValueError("rel_tol must lie in (0, 0.1]")
-        if self.sup_sample_count < 1:
-            raise ValueError("sup_sample_count must be positive")
 
     @staticmethod
     def from_dict(d: dict) -> "QuadratureConfig":
@@ -171,6 +168,9 @@ def _graded_to_zero(length: float, levels: int):
 
 # Panels span this many uniform cells on each side of a singular direction.
 _PANEL_CELLS = 4
+# Rays of level 0 of a q = inf estimate, and the fewest rays of the coarse
+# ring of any q = inf level.
+_SUP_RING = 512
 # A q = inf level refines around this many of the largest local maxima of its
 # coarse ring, besides the singular directions.
 _SUP_PEAKS = 8
@@ -325,14 +325,12 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, lo: float = 0.0,
-                 coarse: int | None = None) -> tuple:
+                 offset: float, lo: float = 0.0) -> tuple:
     """One quadrature level of the mixed norm with radii in [lo, 1]: the
     value and the number of |f| samples it took.
 
     q finite: the q-mean over the panel-graded angular rule of ``count``
-    cells.  q = inf: ``_sup_level``, its coarse ring built up from
-    ``coarse`` rays (by default ``count``).  Either way the level binds one
+    cells.  q = inf: ``_sup_level``.  Either way the level binds one
     kernel (``f.polar_kernel`` at its radii) and streams the per-ray values
     through it (``_ray_values``).  A modulus or a power beyond the float
     range is inf, without a warning, so the refinement stops there as
@@ -341,29 +339,30 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
     if not pq.q.is_finite:
-        return _sup_level(f, kernel, pq, count, coarse or count, w, offset)
+        return _sup_level(f, kernel, pq, count, w, offset)
     thetas, ang_w = _angular_rule(f, count, levels, offset)
     return (_angular_norm(_ray_values(kernel, thetas, w, pq.p, offset), ang_w,
                           pq), len(thetas) * len(r))
 
 
-def _sup_ring(f: AnalyticFunction, coarse: int, count: int) -> int:
+def _sup_ring(f: AnalyticFunction, count: int) -> int:
     """Rays of the coarse ring of a q = inf level of ``count`` rays:
-    ``coarse << j`` for the least j giving ``_SUP_RAYS_PER_EXPONENT`` rays
-    per unit of ``f.top_exponent()``, capped at ``count``."""
+    ``_SUP_RING << j`` for the least j giving ``_SUP_RAYS_PER_EXPONENT``
+    rays per unit of ``f.top_exponent()``, capped at ``count``."""
     need = min(_SUP_RAYS_PER_EXPONENT * f.top_exponent(), count)
+    coarse = _SUP_RING
     while coarse < need:
         coarse <<= 1
     return min(coarse, count)
 
 
 def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
-               count: int, coarse: int, w: np.ndarray, offset: float) -> tuple:
+               count: int, w: np.ndarray, offset: float) -> tuple:
     """The q = inf level and its sample count, every sample taken by the
     level's bound ``kernel`` at the radii of the radial weights ``w``.
 
     The per-ray values on the coarse ring ``midpoint_angles(ring)``, ring =
-    ``_sup_ring(f, coarse, count)``, and on the singular directions pick the
+    ``_sup_ring(f, count)``, and on the singular directions pick the
     candidates of ``_sup_windows``; the level is the max over the singular
     directions, over the midpoints of ``midpoint_angles(count)`` within one
     coarse step of a candidate, and over a golden-section pass around their
@@ -372,7 +371,7 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
     midpoint.  A narrower peak that no singular direction declares can fall
     between the coarse rays and be missed.
     """
-    coarse = _sup_ring(f, coarse, count)
+    coarse = _sup_ring(f, count)
     specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(coarse), specials])
     per_angle = _ray_values(kernel, thetas, w, pq.p, offset)
@@ -432,7 +431,7 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     estimate stopped there is not converged.
     """
     pq = as_pair(pq)
-    base_count = cfg.theta_count if pq.q.is_finite else cfg.sup_sample_count
+    base_count = cfg.theta_count if pq.q.is_finite else _SUP_RING
     grow = 1.0 + cfg.rel_tol
     trace: list = []
     values: list = []
@@ -441,8 +440,7 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     stop = "refine_max" if top == cfg.refine_max else "depth_cap"
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, angle_offset,
-                            coarse=base_count)
+                            cfg.radial_levels + level, angle_offset)
         trace.append((level, v))
         values.append(v)
         evaluations.append(n)
@@ -480,8 +478,8 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
         raise ValueError("tail norm is defined for finite p")
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
-    return _level_value(f, ExponentPair.of(p, "inf"),
-                        cfg.sup_sample_count, cfg.radial_levels, 0.0, lo=rho)[0]
+    return _level_value(f, ExponentPair.of(p, "inf"), _SUP_RING,
+                        cfg.radial_levels, 0.0, lo=rho)[0]
 
 
 def dilation_convergence(f: AnalyticFunction, pq, r_list: Sequence[float],

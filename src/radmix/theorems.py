@@ -340,21 +340,18 @@ def default_point_family(pq: ExponentPair, z: float) -> list:
 
 
 def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
-                 derivative: bool = False, rotation: float = 0.0) -> float:
+                 derivative: bool = False) -> float:
     """sup over the catalogued family of |f(z)| / norm (or |f'(z)| / norm).
 
-    With a rotation the evaluation point moves to z e^(i rotation) and each
-    family member is rotated along; the numerators keep their modulus while
-    the norms are recomputed with the quadrature mesh offset accordingly.
     Each value is computed once per cache.
     """
-    memo = (str(pq), z, derivative, rotation)
+    memo = (str(pq), z, derivative)
     if memo in cache._point_bounds:
         return cache._point_bounds[memo]
     best = 0.0
     zz = complex(z)
     for f in default_point_family(pq, z):
-        denom = cache.norm(f, f, pq, angle_offset=-rotation)
+        denom = cache.norm(f, f, pq)
         if not denom.converged or denom.value <= 0:
             continue
         num = abs(derivative_at(f, zz) if derivative else evaluate(f, zz))
@@ -365,14 +362,12 @@ def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
 
 def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
                               cfg: QuadratureConfig,
-                              rotation: float = 0.0,
                               cache: NormCache | None = None) -> ExponentFit:
     """Fitted growth exponent of the point (or derivative) functionals.
 
     For each z the family sup of |f(z)| / norm(f) lower-bounds the dual
     norm of the evaluation functional; the fit is log(sup) against
-    log(1/(1 - z^2)).  ``rotation`` evaluates at z e^(i rotation) against
-    correspondingly rotated functions, which must not move the slope.
+    log(1/(1 - z^2)).
     """
     if which not in ("point", "derivative"):
         raise ValueError("which must be 'point' or 'derivative'")
@@ -384,7 +379,7 @@ def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
     cache = _cache_for(cfg, cache)
     pts = []
     for z in z_list:
-        est = _point_bound(cache, pq, float(z), which == "derivative", rotation)
+        est = _point_bound(cache, pq, float(z), which == "derivative")
         if est > 0:
             pts.append((math.log(1.0 / (1.0 - z * z)), math.log(est)))
     return ExponentFit.fit(pts)

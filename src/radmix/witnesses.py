@@ -37,7 +37,6 @@ __all__ = [
     "ProjectionBlowupDensity",
     "cesaro_power",
     "embedding_function",
-    "embedding_params",
     "embedding_tail_bound",
     "in_stolz_wedge",
     "normalization_integral",
@@ -172,11 +171,6 @@ def normalization_integral(params: EmbeddingParams, k: int) -> float:
     log_value = (p * _eps_log(k, p) - math.log(2.0 * p - 1.0)
                  + t * math.log(14.0) + math.log1p(-(7.0 ** -t)))
     return math.exp(min(log_value, 700.0))  # a huge p can round past exp's range
-
-
-def embedding_params(p: float, count: int) -> EmbeddingParams:
-    """The parameter sequences for the first ``count`` bumps."""
-    return EmbeddingParams(p, count)
 
 
 def embedding_function(params: EmbeddingParams, alphas) -> AnalyticFunction:

@@ -29,6 +29,7 @@ from radmix import (
     stolz_wedge_inequalities,
     QuadratureConfig,
 )
+from radmix import bergman
 from radmix.cli import BLOWUP_GRID, kernel_chain_violations
 from radmix.meshes import angular_distance
 
@@ -333,10 +334,19 @@ def test_dilated_operator_norm_bound():
         assert vn <= 2.0 ** -n * base * 1.25
 
 
-def test_duality_pairing():
+def test_duality_pairing(monkeypatch):
+    sampled = []
+    sample = bergman.sample_on_grid
+    monkeypatch.setattr(bergman, "sample_on_grid",
+                        lambda f, grid: sampled.append(f) or sample(f, grid))
     for n in (0, 2, 5):
-        v = duality_pairing(Monomial(n), Monomial(n), GRID)
+        f = Monomial(n)
+        v = duality_pairing(f, f, GRID)
         assert v == pytest.approx(1 / (n + 1), abs=1e-12)
+        # a function paired with itself is sampled once, to the same value
+        assert sampled == [f]
+        assert duality_pairing(f, Monomial(n), GRID) == v
+        sampled.clear()
     assert abs(duality_pairing(Monomial(1), Monomial(2), GRID)) < 1e-14
     # pairing bounded by the product of dual mixed norms (random polynomials)
     rng = np.random.default_rng(10)

@@ -1,5 +1,5 @@
-"""Every exported name has a caller outside the unit tests, and every
-imported name is used.
+"""Every exported name has a caller outside the unit tests, every
+imported name is used, and every config field has a setter.
 
 A name in a module's ``__all__`` counts as used when a name or attribute
 node of that spelling appears in the package's own modules (``__init__``
@@ -9,10 +9,18 @@ in ``KEEP`` saying why it stays.
 
 A name that a package module or a test module imports must appear there as
 a name node, unless its import statement carries ``# noqa: F401``.
+
+A ``QuadratureConfig`` field must be set by keyword in some
+``QuadratureConfig(...)`` call of the package or in a config ``dict(...)``
+of the benchmark workloads; a field that only its default sets is a
+constant.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from radmix import QuadratureConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "radmix"
@@ -26,6 +34,8 @@ KEEP = {
     "dilation_convergence": "criterion 11, and the separability scan",
     "tail_sup_norm": "the vanishing-tail subspace of RM(p, inf)",
     "embedding_function": "criterion 5, and the copies of l^inf",
+    "TaylorPolynomial": "a representation that function specs name; "
+                        "from_spec reaches it by its class name",
 }
 
 
@@ -93,3 +103,23 @@ def _unused_imports(path: Path) -> list:
 def test_every_import_is_used():
     paths = _modules() + sorted(TESTS.glob("*.py"))
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _keywords(path: Path, callee: str) -> set:
+    """Keyword names of every call to ``callee`` (a name or an attribute)."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        if callee in (getattr(node.func, "id", None),
+                      getattr(node.func, "attr", None)):
+            out.update(kw.arg for kw in node.keywords if kw.arg is not None)
+    return out
+
+
+def test_every_config_field_has_a_setter():
+    set_by = set().union(
+        *(_keywords(path, "QuadratureConfig") for path in _modules()),
+        _keywords(BENCH / "workloads.py", "dict"))
+    assert sorted(f.name for f in fields(QuadratureConfig)
+                  if f.name not in set_by) == []

@@ -193,19 +193,6 @@ def test_dilate():
         dilate(Monomial(1), 1.1)
 
 
-def test_rotate_is_pointwise_rotation():
-    rng = np.random.default_rng(5)
-    z = 0.7 * np.exp(1j * rng.uniform(0, 2 * np.pi, 16))
-    for f in (TaylorPolynomial([1, 2j, -0.5]), Lacunary(((2, 1.0), (5, 1j))),
-              RationalBump(0.1, 1.3, 0.2), Monomial(4)):
-        phi = 1.234
-        got = evaluate(f.rotate(phi), z)
-        want = evaluate(f, np.exp(1j * phi) * z)
-        assert np.max(np.abs(got - want)) < 1e-12
-    with pytest.raises(ValueError):
-        PowerSingularity(0.5).rotate(0.3)
-
-
 def test_branch_guard_not_triggered_inside_disc():
     # dense sampling; the Cesaro sum provably avoids the cut on the open disc
     rng = np.random.default_rng(1)

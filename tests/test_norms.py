@@ -28,7 +28,7 @@ from radmix import (
 )
 from radmix import norms
 from radmix.meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
-from radmix.witnesses import embedding_function, embedding_params
+from radmix.witnesses import EmbeddingParams, embedding_function
 
 CFG = QuadratureConfig()
 
@@ -249,15 +249,28 @@ def test_hoelder_monotonicity_and_homogeneity_and_triangle():
 
 
 def test_rotation_invariance():
+    # the rotation z -> f(e^(i phi) z) of a series multiplies the coefficient
+    # of z^n by e^(i n phi)
     rng = np.random.default_rng(11)
-    f = TaylorPolynomial(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    base = mixed_norm(f, (2, 2), CFG).value
-    for phi in rng.uniform(0, 2 * np.pi, 3):
-        v = mixed_norm(f.rotate(phi), (2, 2), CFG).value
-        assert v == pytest.approx(base, rel=CFG.rel_tol)
-    # the angle-offset path computes the same rotation without a new repr
-    v = mixed_norm(f, (2, 2), CFG, angle_offset=1.1).value
-    assert v == pytest.approx(base, rel=CFG.rel_tol)
+    coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    nodes = ((1, 1.0), (4, -0.5j), (16, 0.25 + 0.25j))
+
+    def rotations(phi):
+        w = np.exp(1j * phi)
+        return (TaylorPolynomial(coeffs * w ** np.arange(6)),
+                Lacunary(tuple((n, a * w ** n) for n, a in nodes)))
+
+    phis = rng.uniform(0, 2 * np.pi, 3)
+    for pq in [(2, 2), (2, "inf")]:
+        base = [mixed_norm(f, pq, CFG).value for f in rotations(0.0)]
+        for phi in phis:
+            for f, b in zip(rotations(phi), base):
+                assert mixed_norm(f, pq, CFG).value == pytest.approx(
+                    b, rel=CFG.rel_tol)
+        # the angle-offset path computes the same rotation without a new repr
+        for f, b in zip(rotations(0.0), base):
+            assert mixed_norm(f, pq, CFG, angle_offset=1.1).value == \
+                pytest.approx(b, rel=CFG.rel_tol)
 
 
 def test_lacunary_ratio_bracket():
@@ -270,6 +283,20 @@ def test_lacunary_ratio_bracket():
         ratios = [mixed_norm(f, (p, q), cfg).value / rhs for q in (1, 2, 4, "inf")]
         assert max(ratios) / min(ratios) <= 4.0
         assert all(0.25 <= r <= 4.0 for r in ratios)
+
+
+def test_p_inf_norm_dominates_the_hardy_norm():
+    # sup_r |f(r e^(it))| >= |f(e^(it))|, so the (inf, 2) norm of a
+    # polynomial is at least its H^2 norm sqrt(sum |a_n|^2); the radial
+    # nodes stop short of r = 1, hence the rel_tol margin
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        n = rng.integers(1, 41)  # degree n - 1, below 40
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        est = mixed_norm(TaylorPolynomial(coeffs), ("inf", 2), CFG)
+        assert est.converged
+        hardy = math.sqrt(np.sum(np.abs(coeffs) ** 2))
+        assert est.value >= (1 - CFG.rel_tol) * hardy
 
 
 def test_dilation_convergence():
@@ -353,7 +380,7 @@ def test_level_binds_one_polar_kernel(monkeypatch, q):
 
     monkeypatch.setattr(PowerSingularity, "polar_kernel", counting)
     pq = ExponentPair.of(2, q)
-    _, samples = norms._level_value(f, pq, 1024, 12, 0.3, coarse=512)
+    _, samples = norms._level_value(f, pq, norms._SUP_RING << 1, 12, 0.3)
     assert bound == [len(graded_radial_mesh(12)[0])]
     assert sum(kernel_calls) * bound[0] == samples
     if q == "inf":
@@ -361,10 +388,12 @@ def test_level_binds_one_polar_kernel(monkeypatch, q):
 
 
 def test_streamed_level_memory():
-    # the deepest q = inf levels of the inclusion scan: 512 << 5 angles plus
-    # the singular direction, 17 grading levels; the |f| grid alone would
-    # take 16,385 x 144 x 8 bytes = 18.9 MB
-    f, count, levels = PowerSingularity(0.75), 512 << 5, 17
+    # a q = inf level as deep as the inclusion scan's deepest: 512 << 5
+    # angles plus the singular direction, 17 grading levels; the |f| grid
+    # alone would take 16,385 x 144 x 8 bytes = 18.9 MB.  A top exponent of
+    # 4,096 widens the coarse ring to every angle, so the level is dense.
+    f, count, levels = CesaroPower(4096, 1.5), 512 << 5, 17
+    assert norms._sup_ring(f, count) == count
     assert (count + 1) * len(graded_radial_mesh(levels)[0]) * 8 > 18e6
     tracemalloc.start()
     try:
@@ -402,7 +431,7 @@ _SUP_CASES = [
     pytest.param(Monomial(5), 0.0, id="Monomial"),
     # theta0 = 2 lies between two rays of the 512-ray coarse ring
     pytest.param(RationalBump(0.05, 1.02, 2.0), 0.0, id="RationalBump"),
-    pytest.param(embedding_function(embedding_params(2, 16), [1.0] * 9), 0.0,
+    pytest.param(embedding_function(EmbeddingParams(2, 16), [1.0] * 9), 0.0,
                  id="embedding_section"),
     # a broad peak at theta = 1.234, which no singular direction declares
     pytest.param(TaylorPolynomial([1.0, 0.5 * np.exp(-1.234j)]), 0.0,
@@ -419,11 +448,9 @@ def test_local_sup_level_matches_dense_scan(f, offset, pq):
     # refining only near the coarse maxima and the singular directions
     # finds the maximum of the full doubled scan at every level
     pq = ExponentPair.of(*pq)
-    coarse = CFG.sup_sample_count
     for level in range(5):
-        count, levels = coarse << level, CFG.radial_levels + level
-        local, n = norms._level_value(f, pq, count, levels, offset,
-                                      coarse=coarse)
+        count, levels = norms._SUP_RING << level, CFG.radial_levels + level
+        local, n = norms._level_value(f, pq, count, levels, offset)
         dense = _dense_sup_level(f, pq, count, levels, offset)
         assert local == pytest.approx(dense, rel=1e-14, abs=0.0)
         assert n < (count + 40) * len(graded_radial_mesh(levels)[0])
@@ -466,11 +493,10 @@ def test_local_sup_level_on_lacunary_series(base, nodes, seed, p):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(nodes) + 1j * rng.standard_normal(nodes)
     f = Lacunary(tuple((base ** k, coeffs[k]) for k in range(nodes)))
-    pq, coarse = ExponentPair.of(p, "inf"), CFG.sup_sample_count
+    pq = ExponentPair.of(p, "inf")
     for level in range(5):
-        count, levels = coarse << level, CFG.radial_levels + level
-        local, _ = norms._level_value(f, pq, count, levels, 0.0,
-                                      coarse=coarse)
+        count, levels = norms._SUP_RING << level, CFG.radial_levels + level
+        local, _ = norms._level_value(f, pq, count, levels, 0.0)
         dense = _dense_sup_level(f, pq, count, levels, 0.0)
         assert local == pytest.approx(dense, rel=CFG.rel_tol)
 
@@ -478,18 +504,20 @@ def test_local_sup_level_on_lacunary_series(base, nodes, seed, p):
 def test_sup_ring_resolves_the_top_exponent():
     # four rays per unit of the top exponent, doubling the base ring and
     # capped at the level's own rule
-    assert norms._sup_ring(PowerSingularity(0.75), 512, 8192) == 512
-    assert norms._sup_ring(Monomial(128), 512, 8192) == 512
-    assert norms._sup_ring(Monomial(129), 512, 8192) == 1024
-    assert norms._sup_ring(CesaroPower(256, 1.5), 512, 8192) == 1024
-    assert norms._sup_ring(TaylorPolynomial([1.0] * 300), 512, 8192) == 2048
-    assert norms._sup_ring(RationalBump(0.05, 1.02, 2.0), 512, 8192) == 512
+    assert norms._sup_ring(PowerSingularity(0.75), 8192) == 512
+    assert norms._sup_ring(Monomial(128), 8192) == 512
+    assert norms._sup_ring(Monomial(129), 8192) == 1024
+    assert norms._sup_ring(CesaroPower(256, 1.5), 8192) == 1024
+    assert norms._sup_ring(TaylorPolynomial([1.0] * 300), 8192) == 2048
+    assert norms._sup_ring(RationalBump(0.05, 1.02, 2.0), 8192) == 512
     series = Lacunary(((1, 1.0), (3, 1.0), (243, 1.0)))
-    assert norms._sup_ring(series, 512, 8192) == 1024
+    assert norms._sup_ring(series, 8192) == 1024
     assert norms._sup_ring(Sum(((1.0, PowerSingularity(0.5)),
-                                (1.0, dilate(series, 0.9)))), 512, 8192) == 1024
-    assert norms._sup_ring(Lacunary(((6561, 1.0),)), 512, 8192) == 8192
-    assert norms._sup_ring(Monomial(10 ** 9), 512, 512) == 512
+                                (1.0, dilate(series, 0.9)))), 8192) == 1024
+    assert norms._sup_ring(Lacunary(((6561, 1.0),)), 8192) == 8192
+    assert norms._sup_ring(Monomial(10 ** 9), 512) == 512
+    # a level of fewer rays than the base ring scans all of them
+    assert norms._sup_ring(Monomial(5), 256) == 256
 
 
 def test_local_sup_level_evaluation_budget():

@@ -194,7 +194,7 @@ def test_point_bound_computed_once_per_cache():
     cache.norm = lambda *a, **kw: lookups.append(a) or norm(*a, **kw)
     assert _point_bound(cache, pq, 0.75) == first
     assert lookups == []
-    # another derivative flag or rotation is another value
+    # another derivative flag is another value
     _point_bound(cache, pq, 0.75, derivative=True)
     assert lookups
 
@@ -234,10 +234,3 @@ def test_point_functional_sup_space_is_flat():
     fit = evaluation_functional_fit(("inf", "inf"), "point", zs, CFG)
     assert abs(fit.slope) < 0.02
 
-
-def test_point_functional_slope_rotation_invariant():
-    zs = [1 - 2.0 ** -k for k in range(3, 8)]
-    cfg = QuadratureConfig(radial_levels=14, refine_max=8, rel_tol=5e-3)
-    base = evaluation_functional_fit((2, 2), "point", zs, cfg)
-    rot = evaluation_functional_fit((2, 2), "point", zs, cfg, rotation=0.77)
-    assert abs(rot.slope - base.slope) <= 0.02

@@ -14,7 +14,6 @@ from radmix import (
     Sum,
     cesaro_power,
     embedding_function,
-    embedding_params,
     embedding_tail_bound,
     evaluate,
     in_stolz_wedge,
@@ -89,7 +88,7 @@ def test_cesaro_upper_bound_ratio_stays_bounded():
 
 
 def test_embedding_parameter_formulas():
-    params = embedding_params(2, 4)
+    params = EmbeddingParams(2, 4)
     assert params.r[0] == pytest.approx(0.5)
     assert params.a[0] == pytest.approx(15 / 14)
     # frozen from the closed formula sqrt(3 / (8 * 342)); computed
@@ -100,23 +99,23 @@ def test_embedding_parameter_formulas():
         assert params.eps[0] == pytest.approx(float(eps0), rel=1e-13)
     assert params.theta[0] == pytest.approx(math.asin(0.5))
     with pytest.raises(ValueError):
-        embedding_params(0.5, 4)
+        EmbeddingParams(0.5, 4)
     with pytest.raises(ValueError):
-        embedding_params(2, 0)
+        EmbeddingParams(2, 0)
 
 
 def test_embedding_params_beyond_float_powers():
     # 14^((k+1)(2p-1)) overflows a float here, and the disc margins of 56 or
     # more bumps are below 50 digits; both build and keep their invariants
     for p, count in ((10, 16), (4, 40), (2, 60)):
-        params = embedding_params(p, count)
+        params = EmbeddingParams(p, count)
         assert (params.p, params.count) == (float(p), count)
         margins = params.disc_margins()
         assert len(margins) == count - 1 and min(margins) > 0.0
         assert params.height_ratio_total_bound() < 1.0
     # the inputs are the whole state: equal inputs give equal parameters
-    assert EmbeddingParams(2, 4) == embedding_params(2.0, 4)
-    assert hash(EmbeddingParams(2, 4)) == hash(embedding_params(2.0, 4))
+    assert EmbeddingParams(2, 4) == EmbeddingParams(2.0, 4)
+    assert hash(EmbeddingParams(2, 4)) == hash(EmbeddingParams(2.0, 4))
     for p, count in ((math.inf, 4), (math.nan, 4), (10 ** 400, 4), (2, 2000),
                      (2, 4.0), ("2", 4), (True, 4)):
         with pytest.raises(ValueError):
@@ -142,7 +141,7 @@ def test_embedding_params_large_p(monkeypatch):
        count=st.integers(1, 40))
 def test_embedding_params_build_or_raise_value_error(p, count):
     try:
-        params = embedding_params(p, count)
+        params = EmbeddingParams(p, count)
     except ValueError:
         assert not 1.0 <= p < math.inf
         return
@@ -151,7 +150,7 @@ def test_embedding_params_build_or_raise_value_error(p, count):
 
 def test_embedding_invariants_all_p():
     for p in (1, 2, 4):
-        params = embedding_params(p, 16)
+        params = EmbeddingParams(p, 16)
         # normalisation integral equals one through the antiderivative
         for k in range(16):
             assert normalization_integral(params, k) == pytest.approx(1.0, abs=1e-10)
@@ -170,7 +169,7 @@ def test_embedding_invariants_all_p():
 def test_embedding_tail_bound_formula():
     for p in (1, 2, 4):
         # partial sums of eps_k / r_k^2 beyond K are below the certificate
-        params = embedding_params(p, 40)
+        params = EmbeddingParams(p, 40)
         for K in (8, 16, 24):
             tail = sum(params.eps[k] / params.r[k] ** 2 for k in range(K, 40))
             assert tail <= embedding_tail_bound(p, K)
@@ -181,7 +180,7 @@ def test_embedding_tail_bound_formula():
 
 
 def test_each_ray_meets_at_most_one_disc():
-    params = embedding_params(2, 16)
+    params = EmbeddingParams(2, 16)
     th = np.linspace(0, 2 * np.pi, 200001)
     count = np.zeros(th.size, dtype=int)
     for k in range(16):
@@ -192,7 +191,7 @@ def test_each_ray_meets_at_most_one_disc():
 
 
 def test_embedding_function_shape():
-    params = embedding_params(2, 4)
+    params = EmbeddingParams(2, 4)
     f = embedding_function(params, [0, 0, 0, 0])
     z = 0.3 + 0.1j
     assert evaluate(f, z) == 0
@@ -206,7 +205,7 @@ def test_embedding_function_shape():
 def test_embedding_function_section_limit():
     # a_13 = 1 + 14^-14 rounds to 1.0, which would put bump 13's pole on the
     # circle; the section is refused before any bump is built
-    params = embedding_params(2, 16)
+    params = EmbeddingParams(2, 16)
     assert params.a[12] > 1.0 and params.a[13] == 1.0
     f = embedding_function(params, [1.0] * 13)
     assert len(f.terms) == 13
@@ -218,9 +217,9 @@ def test_embedding_partial_sum_has_vanishing_tail():
     # a finite section of the bump sum is bounded, hence its uniform radial
     # tail vanishes
     from radmix import tail_sup_norm
-    params = embedding_params(2, 4)
+    params = EmbeddingParams(2, 4)
     f = embedding_function(params, [1.0, -0.5, 1.0, 0.25])
-    cfg = QuadratureConfig(radial_levels=40, sup_sample_count=256)
+    cfg = QuadratureConfig(radial_levels=40)
     tails = [tail_sup_norm(f, 2, rho, cfg) for rho in (0.9, 0.99, 0.999)]
     assert tails[0] > tails[1] > tails[2]
 
