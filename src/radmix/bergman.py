@@ -138,19 +138,24 @@ class GridFunction:
         """Q[i, r] = c_i rho_i^r F_i[r], the weighted angular modes, for the
         radii i of ``row_span`` only.
 
-        F_i is the FFT of row i along the angles, and c_i = 2 rho_i w_i / m
-        is the area weight of a node at radius rho_i.  Both the projection
-        operator and ``project`` read the projection off this table.  The
-        span is a slice, so a dense function keeps every row without a copy.
+        F_i is the FFT of row i along the angles.  ``project`` reads the
+        projection off this table.  The span is a slice, so a dense
+        function keeps every row without a copy.
         """
         rows = self.row_span
         table = np.fft.fft(self.values[rows], axis=1)
-        # rho^r as exp(r log rho); a radius 0 has weight 0, so its row stays 0
-        log_r = np.log(np.maximum(self.grid.radii[rows], np.finfo(float).tiny))
-        table *= self.grid.weights[rows, :1] * np.exp(
-            log_r[:, None] * np.arange(table.shape[1]))
+        table *= _mode_weights(self.grid, rows, table.shape[1])
         table.flags.writeable = False
         return table
+
+
+def _mode_weights(grid: PolarGrid, rows: slice, modes: int) -> np.ndarray:
+    """c_i rho_i^r for the radii i of ``rows`` and the modes r < ``modes``,
+    where c_i = 2 rho_i w_i / m is the area weight of a node at radius rho_i.
+    """
+    # rho^r as exp(r log rho); a radius 0 has weight 0, so its row stays 0
+    log_r = np.log(np.maximum(grid.radii[rows], np.finfo(float).tiny))
+    return grid.weights[rows, :1] * np.exp(log_r[:, None] * np.arange(modes))
 
 
 def sample_on_grid(f, grid: PolarGrid) -> GridFunction:
@@ -333,8 +338,9 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
     angles, P f(r, theta) = sum_{0 <= k < m/2} (k + 1) r^k e^(i k theta)
     sum_j 2 rho_j w_j rho_j^k f_k(rho_j) / m.  This integrates the angular
     trigonometric interpolant of f exactly; its modes k >= m/2 are negative
-    frequencies, which P removes.  The radial moments are m times the column
-    sums of the input's ``mode_table``.  In the (2, 2) norm of
+    frequencies, which P removes.  The operator binds the weights
+    2 rho_j w_j rho_j^k / m of its m/2 modes once, so an apply is one FFT,
+    one weighted column sum and one inverse FFT.  In the (2, 2) norm of
     ``grid_mixed_norm`` (radii weighed by dr, not by area) P is no
     contraction: mode k has norm (k + 1) 2 / sqrt((2k + 1) (2k + 3)) (exact
     while the radial rule integrates degree 2k + 2), 2 / sqrt(3) at k = 0
@@ -344,12 +350,13 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
     half = m // 2
     k = np.arange(half)
     out_factors = (k + 1.0)[None, :] * grid.radii[:, None] ** k[None, :]
+    in_factors = _mode_weights(grid, slice(None), half)
 
     def op(gf: GridFunction) -> GridFunction:
-        moments = m * _on_grid(gf, grid).mode_table[:, :half].sum(axis=0)
-        out_hat = np.zeros(grid.shape, dtype=complex)
-        out_hat[:, :half] = out_factors * moments
-        return GridFunction(grid, np.fft.ifft(out_hat, axis=1))
+        f_hat = np.fft.fft(_on_grid(gf, grid).values, axis=1)[:, :half]
+        moments = m * (f_hat * in_factors).sum(axis=0)
+        return GridFunction(grid, np.fft.ifft(out_factors * moments, n=m,
+                                              axis=1))
     return op
 
 
@@ -414,13 +421,11 @@ def circle_maximal(samples: Sequence[float]) -> np.ndarray:
 
 # -- randomised operator-norm lower bounds -------------------------------------
 
-def _witness_draws(grid: PolarGrid):
-    fns = [
-        Monomial(0), Monomial(1), Monomial(4), Monomial(16),
-        power_singularity(0.3), power_singularity(0.6), power_singularity(0.9),
-        RationalBump(0.05, 1.05, 0.7),
-    ]
-    return [sample_on_grid(f, grid).values for f in fns]
+_WITNESSES = (
+    Monomial(0), Monomial(1), Monomial(4), Monomial(16),
+    power_singularity(0.3), power_singularity(0.6), power_singularity(0.9),
+    RationalBump(0.05, 1.05, 0.7),
+)
 
 
 def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
@@ -435,7 +440,6 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
     """
     rng = np.random.default_rng(seed)
     nr, na = grid.shape
-    witnesses = _witness_draws(grid)
     best = 0.0
     trace = []
     for t in range(trials):
@@ -447,7 +451,8 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
             rad = rng.standard_normal(nr) + 1j * rng.standard_normal(nr)
             vals = np.outer(rad, ang)
         else:
-            vals = witnesses[(t // 3) % len(witnesses)]
+            vals = sample_on_grid(_WITNESSES[(t // 3) % len(_WITNESSES)],
+                                  grid).values
         gf = GridFunction(grid, vals)
         denom = grid_mixed_norm(gf, pq)
         if not (denom > 0.0 and math.isfinite(denom)):

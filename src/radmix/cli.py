@@ -169,10 +169,11 @@ def cmd_scan(args) -> int:
 def cmd_scan_functional(args) -> int:
     cfg = _config_from_args(args, default_tol=0.005)
     zs = [float(parse_fraction(t)) for t in args.z_list.split(",")]
+    cache = NormCache(cfg)
     rows = []
     for which in ("point", "derivative"):
         fit = evaluation_functional_fit(
-            ExponentPair.of(args.p, args.q), which, zs, cfg)
+            ExponentPair.of(args.p, args.q), which, zs, cfg, cache=cache)
         rows.append([args.p, args.q, which, fit.slope, fit.intercept,
                      fit.residual])
     manifest = _config_hash(cfg, args.seed, {"cmd": "scan-functional",

@@ -1,8 +1,9 @@
 """Extended exponents in [1, +inf] and the pairs indexing the mixed norms.
 
-Exponents are kept as exact fractions (infinity is a distinguished tag) so
-that region predicates that hinge on equalities of reciprocal sums never
-suffer float drift.
+Each exponent is held as its reciprocal, an exact fraction in [0, 1] with 0
+for infinity, because every region predicate is a condition on reciprocals:
+equalities of reciprocal sums never suffer float drift, and infinity needs
+no branch of its own.
 """
 
 from __future__ import annotations
@@ -33,20 +34,10 @@ def parse_fraction(text: str) -> Fraction:
 
 @dataclass(frozen=True)
 class ExtendedExponent:
-    """An exponent in [1, +inf]; ``value is None`` encodes +inf."""
+    """An exponent e in [1, +inf], held as its reciprocal 1/e in [0, 1]:
+    ``reciprocal == 0`` is +inf.  Build one with ``ExtendedExponent.of``."""
 
-    value: Fraction | None = None
-
-    def __post_init__(self):
-        if self.value is not None:
-            if not isinstance(self.value, Fraction):
-                raise TypeError("finite exponent must be a Fraction")
-            if self.value < 1:
-                raise ValueError(f"exponent must be >= 1, got {self.value}")
-            if self.value > sys.float_info.max:
-                raise ValueError(f"exponent {self.value} is beyond the float range")
-
-    # -- construction ------------------------------------------------------
+    reciprocal: Fraction
 
     @staticmethod
     def of(x: ExponentLike) -> "ExtendedExponent":
@@ -54,53 +45,36 @@ class ExtendedExponent:
             return x
         if isinstance(x, str):
             s = x.strip().lower()
-            if s in ("inf", "infinity", "oo"):
-                return ExtendedExponent(None)
-            return ExtendedExponent(parse_fraction(s))
-        if isinstance(x, Fraction):
-            return ExtendedExponent(x)
-        if isinstance(x, int):
-            return ExtendedExponent(Fraction(x))
-        if isinstance(x, float):
-            if math.isinf(x):
-                return ExtendedExponent(None)
-            # binary floats are exact rationals, so this is lossless
-            return ExtendedExponent(Fraction(x))
-        raise TypeError(f"cannot interpret {x!r} as an exponent")
-
-    # -- queries -----------------------------------------------------------
+            x = math.inf if s in ("inf", "infinity", "oo") else parse_fraction(s)
+        if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+            raise TypeError(f"cannot interpret {x!r} as an exponent")
+        if x == math.inf:
+            return ExtendedExponent(Fraction(0))
+        if not 1 <= x <= sys.float_info.max:
+            raise ValueError(f"exponent must lie in [1, inf], got {x}")
+        # binary floats are exact rationals, so this is lossless
+        return ExtendedExponent(1 / Fraction(x))
 
     @property
     def is_finite(self) -> bool:
-        return self.value is not None
-
-    def reciprocal(self) -> Fraction:
-        """1/e with the convention 1/inf = 0."""
-        return Fraction(0) if self.value is None else 1 / self.value
+        return self.reciprocal.numerator != 0
 
     def conjugate(self) -> "ExtendedExponent":
         """The e' with 1/e + 1/e' = 1; conjugate(1) = inf, conjugate(inf) = 1."""
-        if self.value is None:
-            return ExtendedExponent(Fraction(1))
-        if self.value == 1:
-            return ExtendedExponent(None)
-        return ExtendedExponent(self.value / (self.value - 1))
+        return ExtendedExponent(1 - self.reciprocal)
 
     def __float__(self) -> float:
-        return math.inf if self.value is None else float(self.value)
+        r = self.reciprocal
+        return r.denominator / r.numerator if self.is_finite else math.inf
 
     def __str__(self) -> str:
-        return "inf" if self.value is None else str(self.value)
+        return str(1 / self.reciprocal) if self.is_finite else "inf"
 
     def __le__(self, other: "ExtendedExponent") -> bool:
-        if self.value is None:
-            return other.value is None
-        if other.value is None:
-            return True
-        return self.value <= other.value
+        return self.reciprocal >= other.reciprocal
 
     def __lt__(self, other: "ExtendedExponent") -> bool:
-        return self <= other and self != other
+        return self.reciprocal > other.reciprocal
 
 
 @dataclass(frozen=True)
@@ -116,7 +90,7 @@ class ExponentPair:
 
     def reciprocal_sum(self) -> Fraction:
         """1/p + 1/q, always in [0, 2]."""
-        return self.p.reciprocal() + self.q.reciprocal()
+        return self.p.reciprocal + self.q.reciprocal
 
     def conjugate(self) -> "ExponentPair":
         return ExponentPair(self.p.conjugate(), self.q.conjugate())

@@ -22,8 +22,8 @@ its radial factors (powers r^n, the chord terms of (1 - r)^2 +
 theta that never forms the complex point.  Without one, the
 modulus of ``_eval`` at the points r e^(i theta) is used, so a new class
 needs no kernel to be correct.  Differentiation uses the closed form of each
-representation; an independent contour-quadrature fallback
-(``cauchy_derivative``) is provided for cross-checking.
+representation; ``cauchy_derivative``, an independent contour quadrature, is
+the reference that the tests check it against.
 """
 
 from __future__ import annotations
@@ -492,7 +492,7 @@ def cauchy_derivative(f: AnalyticFunction, z: complex) -> complex:
 
     The contour is the circle of radius (1 - |z|)/2 about z; the node count
     starts at 64 and doubles until two successive estimates agree to 1e-10.
-    Used as the fallback and as an independent check on ``derivative_at``.
+    The independent reference that the tests check ``derivative_at`` against.
     """
     z = complex(z)
     if abs(z) >= 1.0:

@@ -68,10 +68,6 @@ class WitnessReport:
     trace: list            # (parameter, ratio-or-value)
     conclusion: str        # bounded | unbounded | separating | inconclusive
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "trace": self.trace,
-                "conclusion": self.conclusion}
-
 
 @dataclass
 class InclusionVerdict:
@@ -132,17 +128,10 @@ def inclusion_region_contains(p0, q0, p, q) -> tuple:
     dst = ExponentPair.of(p, q)
     contained = (dst.reciprocal_sum() >= src.reciprocal_sum()
                  and dst.p <= src.p)
-    excluded = False
-    if (contained and src.p.is_finite and src.q.is_finite
-            and not dst.q.is_finite
-            and dst.p.reciprocal() == src.reciprocal_sum()):
-        excluded = True
+    excluded = (contained and src.p.is_finite and src.q.is_finite
+                and not dst.q.is_finite
+                and dst.p.reciprocal == src.reciprocal_sum())
     return contained, excluded
-
-
-def inclusion_holds(p0, q0, p, q) -> bool:
-    contained, excluded = inclusion_region_contains(p0, q0, p, q)
-    return contained and not excluded
 
 
 def inclusion_is_compact(p0, q0, p, q) -> bool:
@@ -188,7 +177,7 @@ class NormCache:
 
     def norm(self, key, f: AnalyticFunction, pq: ExponentPair,
              angle_offset: float = 0.0) -> NormEstimate:
-        k = (key, str(pq), angle_offset)
+        k = (key, as_pair(pq), angle_offset)
         if k in self._store:
             self.hits += 1
         else:
@@ -253,9 +242,8 @@ def inclusion_witness_scan(p0, q0, p, q, cfg: QuadratureConfig,
             [("source", in_src.value), ("target", in_dst.value)],
             "separating" if ok else "inconclusive"))
     if excluded:
-        beta = dst.p
         trace = _ratio_trace(
-            cache, cesaro_family(1 / beta.reciprocal(), (16, 32, 64, 128, 256)),
+            cache, cesaro_family(1 / dst.p.reciprocal, (16, 32, 64, 128, 256)),
             src, dst)
         concl = classify_ratio_trace([v for _, v in trace])
         # This witness exists to exhibit divergence; a short trace that has
@@ -345,7 +333,7 @@ def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
 
     Each value is computed once per cache.
     """
-    memo = (str(pq), z, derivative)
+    memo = (pq, z, derivative)
     if memo in cache._point_bounds:
         return cache._point_bounds[memo]
     best = 0.0

@@ -269,7 +269,7 @@ def test_fefferman_stein_ratio_stable():
     assert max(ratios) / min(ratios) < 2.0
 
 
-def test_operator_norm_estimate_basics():
+def test_operator_norm_estimate_basics(monkeypatch):
     ident = lambda gf: gf
     v, trace = operator_norm_estimate(ident, (2, 2), GRID, trials=6, seed=3)
     assert v == 1.0
@@ -280,6 +280,15 @@ def test_operator_norm_estimate_basics():
     # deterministic under a fixed seed
     v3, _ = operator_norm_estimate(ident, (2, 2), GRID, trials=6, seed=3)
     assert v3 == v
+    # a witness is sampled only when a trial reaches it: every third trial
+    sampled = []
+    sample = bergman.sample_on_grid
+    monkeypatch.setattr(bergman, "sample_on_grid",
+                        lambda f, grid: sampled.append(f) or sample(f, grid))
+    for trials, count in ((12, 4), (24, 8)):
+        sampled.clear()
+        operator_norm_estimate(ident, (2, 2), GRID, trials=trials, seed=3)
+        assert len(sampled) == count
 
 
 def test_projection_operator_stability_under_doubling():
@@ -400,6 +409,27 @@ def test_projection_operator_matches_point_quadrature():
     assert np.max(np.abs(expected)) > 0.5
     got = bergman_projection_operator(grid)(f).values[inner]
     assert np.max(np.abs(got - expected)) < 1e-12
+
+
+def test_projection_operator_leaves_the_mode_table_alone():
+    # the operator weighs its own m/2 modes; it builds no input's mode table
+    # and gives, bit for bit, the projection read off that table
+    m, half = GRID.n_angles, GRID.n_angles // 2
+    k = np.arange(half)
+    out_factors = (k + 1.0) * GRID.radii[:, None] ** k
+    rng = np.random.default_rng(19)
+    dense = rng.standard_normal(GRID.shape) + 1j * rng.standard_normal(GRID.shape)
+    banded = np.zeros(GRID.shape, dtype=complex)
+    banded[20:41] = dense[20:41]
+    op = bergman_projection_operator(GRID)
+    for values in (dense, banded, np.zeros(GRID.shape)):
+        gf = GridFunction(GRID, values)
+        got = op(gf).values
+        assert "mode_table" not in gf.__dict__
+        out_hat = np.zeros(GRID.shape, dtype=complex)
+        out_hat[:, :half] = out_factors * (
+            m * gf.mode_table[:, :half].sum(axis=0))
+        assert np.array_equal(got, np.fft.ifft(out_hat, axis=1))
 
 
 def _node_sum(gf, zs):

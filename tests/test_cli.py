@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from radmix import theorems
 from radmix.cli import main
 
 MONOMIAL1 = json.dumps({"repr": "Monomial", "n": 1})
@@ -105,7 +106,12 @@ def test_project_rows(capsys, tmp_path):
     assert lines[-1].startswith("# manifest:")
 
 
-def test_scan_functional(capsys, tmp_path):
+def test_scan_functional(capsys, tmp_path, monkeypatch):
+    # both fits share one cache, so each estimate is computed once
+    estimates = []
+    mixed_norm = theorems.mixed_norm
+    monkeypatch.setattr(theorems, "mixed_norm",
+                        lambda *a, **kw: estimates.append(a) or mixed_norm(*a, **kw))
     out_file = tmp_path / "f.csv"
     code, _, _ = run_cli(["--tol", "0.005",
                           "scan-functional", "--p", "2", "--q", "2",
@@ -117,6 +123,7 @@ def test_scan_functional(capsys, tmp_path):
     deriv = lines[2].split(",")
     assert abs(float(point[3]) - 1.0) < 0.1
     assert abs(float(deriv[3]) - float(point[3]) - 1.0) < 0.1
+    assert len(estimates) == 17
 
 
 def test_byte_for_byte_reproducibility(tmp_path):

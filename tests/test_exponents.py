@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from radmix import ExponentPair, ExtendedExponent
 
@@ -9,23 +10,25 @@ from radmix import ExponentPair, ExtendedExponent
 def test_parsing_and_float():
     assert float(ExtendedExponent.of("inf")) == math.inf
     assert float(ExtendedExponent.of("4/3")) == pytest.approx(4 / 3)
-    assert ExtendedExponent.of(2).value == Fraction(2)
-    assert ExtendedExponent.of(1.5).value == Fraction(3, 2)
+    assert ExtendedExponent.of(2).reciprocal == Fraction(1, 2)
+    assert ExtendedExponent.of(1.5).reciprocal == Fraction(2, 3)
 
 
 def test_range_enforced():
-    for x in (0.5, "1/0", "1e400", 10 ** 400, Fraction(10 ** 400)):
+    for x in (0.5, "1/0", "1e400", 10 ** 400, Fraction(10 ** 400), -math.inf):
         with pytest.raises(ValueError):
             ExtendedExponent.of(x)
+    with pytest.raises(TypeError):
+        ExtendedExponent.of(True)
 
 
 def test_conjugates():
     assert ExtendedExponent.of(1).conjugate() == ExtendedExponent.of("inf")
     assert ExtendedExponent.of("inf").conjugate() == ExtendedExponent.of(1)
     e = ExtendedExponent.of(Fraction(4, 3))
-    assert e.conjugate().value == Fraction(4)
+    assert e.conjugate().reciprocal == Fraction(1, 4)
     # 1/e + 1/e' = 1 exactly
-    assert e.reciprocal() + e.conjugate().reciprocal() == 1
+    assert e.reciprocal + e.conjugate().reciprocal == 1
 
 
 def test_reciprocal_sum_bounds():
@@ -39,3 +42,18 @@ def test_ordering():
     grid = [ExtendedExponent.of(x) for x in (1, "4/3", 2, 4, "inf")]
     for a, b in zip(grid, grid[1:]):
         assert a < b and a <= b and not b <= a
+
+
+EXPONENTS = st.fractions(min_value=1, max_value=10 ** 6) | st.just("inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(EXPONENTS, EXPONENTS)
+def test_reciprocal_form_matches_the_exponent(x, y):
+    e, f = ExtendedExponent.of(x), ExtendedExponent.of(y)
+    assert ExtendedExponent.of(str(e)) == e
+    assert float(e) == float(x)
+    assert str(e) == str(x)
+    xv, yv = (math.inf if v == "inf" else v for v in (x, y))
+    assert (e <= f, e < f, e == f) == (xv <= yv, xv < yv, xv == yv)
+    assert e.reciprocal + e.conjugate().reciprocal == 1

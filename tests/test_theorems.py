@@ -16,7 +16,7 @@ from radmix import (
     inclusion_witness_scan,
 )
 from radmix.cli import SCAN_CFG
-from radmix.theorems import _point_bound, classify_ratio_trace, inclusion_holds
+from radmix.theorems import _point_bound, classify_ratio_trace
 
 GRID5 = [1, Fraction(4, 3), 2, 4, "inf"]
 CFG = QuadratureConfig(refine_max=8, rel_tol=0.02)
@@ -28,7 +28,7 @@ def test_region_membership_examples():
     # the excluded boundary pair of a finite source
     contained, excluded = inclusion_region_contains(2, 2, 1, "inf")
     assert contained and excluded
-    assert not inclusion_holds(2, 2, 1, "inf")
+    assert inclusion_region_contains(2, 2, 1, "inf") != (True, False)
     # sup-type source keeps its boundary pair
     contained, excluded = inclusion_region_contains("inf", 2, 2, "inf")
     assert contained and not excluded
@@ -52,7 +52,7 @@ def test_region_transitivity_on_grid():
     hold = {}
     for a in pairs:
         for b in pairs:
-            hold[a, b] = inclusion_holds(*a, *b)
+            hold[a, b] = inclusion_region_contains(*a, *b) == (True, False)
     for a in pairs:
         for b in pairs:
             if not hold[a, b]:
@@ -75,7 +75,8 @@ def test_compact_implies_included():
             for p in GRID5:
                 for q in GRID5:
                     if inclusion_is_compact(p0, q0, p, q):
-                        assert inclusion_holds(p0, q0, p, q)
+                        assert inclusion_region_contains(
+                            p0, q0, p, q) == (True, False)
 
 
 def test_classify_ratio_trace():
@@ -119,7 +120,7 @@ def test_witness_scan_included_cell():
 def test_monomial_ratio_bounded_by_closed_form_supremum():
     cache = NormCache(CFG)
     for (p0, q0), (p, q) in (((4, 4), (2, 2)), ((4, 2), (2, 4)), ((2, 2), (1, 1))):
-        assert inclusion_holds(p0, q0, p, q)
+        assert inclusion_region_contains(p0, q0, p, q) == (True, False)
         ns = np.arange(0, 65)
         closed = (1 + ns * p) ** (-1 / p) / (1 + ns * p0) ** (-1 / p0)
         # the discrete maximum is close to the analytic supremum over real n
@@ -209,6 +210,14 @@ def test_norm_cache_counts_hits_and_misses():
     assert cache.hits > 0 and cache.misses > 0
     assert cache.hits + cache.misses == len(lookups)
     assert cache.misses == len(cache._store)
+
+
+def test_norm_cache_keys_a_tuple_as_its_pair():
+    cache = NormCache(CFG)
+    f = Monomial(3)
+    est = cache.norm(f, f, (2, 2))
+    assert cache.norm(f, f, ExponentPair.of(2, 2)) is est
+    assert (cache.misses, cache.hits) == (1, 1)
 
 
 def test_equal_functions_share_one_estimate():
