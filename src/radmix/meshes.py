@@ -5,7 +5,9 @@ The radial rule is a composite Gauss-Legendre rule on the dyadic cells
 endpoint.  Boundary power singularities of the catalogued functions are
 resolved down to scale 2^-levels, so depth is logarithmic in the smallest
 feature size.  All nodes are strictly interior to the cell, hence the right
-endpoint itself is never evaluated.
+endpoint itself is never evaluated.  The rules nest: ``levels + 1`` keeps the
+first ``levels`` cells of ``levels``, node for node and weight for weight,
+and splits only the last, open cell [1 - 2^-levels, 1] in two.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ def _gauss01(n: int):
 
 # Beyond this depth the innermost nodes would round onto the endpoint.
 MAX_GRADING_LEVELS = 42
+# Gauss nodes per dyadic cell of the default radial rule.
+NODES_PER_CELL = 8
 
 
 @lru_cache(maxsize=256)
@@ -44,7 +48,8 @@ def _graded_unit(levels: int, nodes_per_cell: int):
     return nodes, weights
 
 
-def graded_radial_mesh(levels: int, nodes_per_cell: int = 8, lo: float = 0.0):
+def graded_radial_mesh(levels: int, nodes_per_cell: int = NODES_PER_CELL,
+                       lo: float = 0.0):
     """Composite Gauss mesh of [lo, 1] with nodes accumulating at 1."""
     u, w = _graded_unit(levels, nodes_per_cell)
     if lo == 0.0:

@@ -31,18 +31,23 @@ of the ring and of the singular directions, and a golden-section pass
 refines around the discrete maximiser.  The fine samples are a subset of
 the full fine rule, so none falls on a singular direction.  A peak narrower
 than one coarse step that neither a singular direction nor the top exponent
-accounts for can fall between the coarse rays and be missed.
+accounts for can fall between the coarse rays and be missed.  The ring's
+angles stay the same from level to level until it grows, and each level's
+radial mesh keeps every cell of the one before but the last, so a level of
+the refinement reuses the ring's radial sums over those closed cells and
+samples the ring only on its own last two cells.
 
 Each quadrature level binds one modulus kernel,
 ``AnalyticFunction.polar_kernel`` at the level's radii, so the radii are
 checked and the representation's radial factors computed once per level.
 That kernel takes every sample of the level: the streamed blocks, the coarse
 ring and fine windows of a q = inf level and each ray of its golden-section
-pass.  The level is streamed: |f| is evaluated on one block of angles at a
-time, a block holding about ``_CHUNK_BUDGET`` samples, and each block is
-reduced at once to its per-ray radial values.  Only the vector of per-angle
-values reaches the angular reduction, so the angle x radius grid of a level
-is never held in memory.
+pass; a q = inf level that reuses the ring's closed cells binds a second
+one at its last two cells for the ring.  The level is streamed: |f| is
+evaluated on one block of angles at a time, a block holding about
+``_CHUNK_BUDGET`` samples, and each block is reduced at once to its per-ray
+radial values.  Only the vector of per-angle values reaches the angular
+reduction, so the angle x radius grid of a level is never held in memory.
 """
 
 from __future__ import annotations
@@ -58,7 +63,8 @@ from .functions import AnalyticFunction, Sum, _integer, _real, dilate
 # ``evaluate`` is not called here; perfbench's traced run wraps
 # ``norms.evaluate``, so the name stays importable from this module.
 from .functions import evaluate  # noqa: F401
-from .meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
+from .meshes import (MAX_GRADING_LEVELS, NODES_PER_CELL, graded_radial_mesh,
+                     midpoint_angles)
 
 __all__ = [
     "NormEstimate",
@@ -135,8 +141,9 @@ class NormEstimate:
     refinements ran out) or ``depth_cap`` (the radial grading cannot deepen
     further).
     ``evaluations`` counts, per level, the |f| samples the level took (the
-    golden-section pass of a q = inf level included); it is a diagnostic
-    and stays out of ``to_dict``.
+    golden-section pass of a q = inf level included, and of its coarse ring
+    only the samples on the cells it did not reuse from the level before);
+    it is a diagnostic and stays out of ``to_dict``.
     """
 
     value: float
@@ -245,34 +252,49 @@ def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:
     return best
 
 
-def _radial_values(vals: np.ndarray, radial_w: np.ndarray, p) -> np.ndarray:
-    """Per-ray sum of vals^p dr over the last axis (the max for p = inf)."""
-    return (vals ** float(p)) @ radial_w if p.is_finite else vals.max(axis=-1)
+def _reduction(p, radial_w: np.ndarray) -> Callable:
+    """vals -> the per-ray sum of vals^p dr over the last axis (the max for
+    p = inf), with p converted once."""
+    if not p.is_finite:
+        return lambda vals: vals.max(axis=-1)
+    pf = float(p)
+    return lambda vals: vals ** pf @ radial_w
 
 
 def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
-                p, offset: float) -> np.ndarray:
-    """``_radial_values`` of |f| along each ray in ``thetas``, from the
-    level's bound kernel (``AnalyticFunction.polar_kernel`` at the radii of
-    ``radial_w``).
+                p, offset: float, starts: Sequence = (0,)) -> np.ndarray:
+    """Per-ray values of |f| along each ray in ``thetas``, from a bound
+    kernel (``AnalyticFunction.polar_kernel``) at the radii of
+    ``radial_w``: one row for each radial part that begins at an index in
+    ``starts``, the sum of |f|^p dr over the part (the max for p = inf).
 
     |f| is evaluated on one block of angles at a time and reduced at once,
     so no angle x radius grid is built.  The angles are cut into
     ceil(samples / ``_CHUNK_BUDGET``) blocks of nearly equal size, so no
     block is a small remainder that pays a kernel call for a few angles.
     """
-    out = np.empty(len(thetas))
+    pf = float(p) if p.is_finite else math.inf
+    parts = list(zip(starts, [*starts[1:], len(radial_w)]))
+    out = np.empty((len(parts), len(thetas)))
     blocks = math.ceil(len(thetas) * len(radial_w) / _CHUNK_BUDGET)
     step = math.ceil(len(thetas) / blocks)
     for k in range(0, len(thetas), step):
         block = kernel(thetas[k:k + step] + offset)
-        out[k:k + step] = _radial_values(block, radial_w, p)
+        if pf == math.inf:
+            # one call takes every part: numpy's max along the 8 radii of a
+            # cell pays per row (513 x 16 samples: 34 us for both cells, 68
+            # us for two calls of .max; numpy 2.4.6, one thread)
+            out[:, k:k + step] = np.maximum.reduceat(block, starts, axis=1).T
+            continue
+        block = block ** pf
+        for j, (a, b) in enumerate(parts):
+            out[j, k:k + step] = block[:, a:b] @ radial_w[a:b]
     return out
 
 
 def _angular_norm(inner: np.ndarray, angular_w: np.ndarray | None,
                   pq: ExponentPair) -> float:
-    """The mixed norm from per-ray values ``inner`` (``_radial_values``):
+    """The mixed norm from per-ray values ``inner`` (``_reduction``):
     their L^q mean against ``angular_w``, or their max for q = inf."""
     pf = float(pq.p) if pq.p.is_finite else 1.0
     if not pq.q.is_finite:
@@ -289,7 +311,7 @@ def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
     mean (or max) of those values against ``angular_w``.
     """
     pq = as_pair(pq)
-    return _angular_norm(_radial_values(vals, radial_w, pq.p), angular_w, pq)
+    return _angular_norm(_reduction(pq.p, radial_w)(vals), angular_w, pq)
 
 
 def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
@@ -325,24 +347,26 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, lo: float = 0.0) -> tuple:
+                 offset: float, lo: float = 0.0, carry: list | None = None
+                 ) -> tuple:
     """One quadrature level of the mixed norm with radii in [lo, 1]: the
     value and the number of |f| samples it took.
 
     q finite: the q-mean over the panel-graded angular rule of ``count``
-    cells.  q = inf: ``_sup_level``.  Either way the level binds one
-    kernel (``f.polar_kernel`` at its radii) and streams the per-ray values
-    through it (``_ray_values``).  A modulus or a power beyond the float
-    range is inf, without a warning, so the refinement stops there as
-    ``nonfinite``.
+    cells.  q = inf: ``_sup_level``, which reads and refills ``carry`` (the
+    ring's closed-cell values, see there); without one the level stands
+    alone.  Either way the level binds one kernel (``f.polar_kernel`` at its
+    radii) and streams the per-ray values through it (``_ray_values``).  A
+    modulus or a power beyond the float range is inf, without a warning, so
+    the refinement stops there as ``nonfinite``.
     """
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
     if not pq.q.is_finite:
-        return _sup_level(f, kernel, pq, count, w, offset)
+        return _sup_level(f, kernel, pq, count, r, w, offset, carry)
     thetas, ang_w = _angular_rule(f, count, levels, offset)
-    return (_angular_norm(_ray_values(kernel, thetas, w, pq.p, offset), ang_w,
-                          pq), len(thetas) * len(r))
+    return (_angular_norm(_ray_values(kernel, thetas, w, pq.p, offset)[0],
+                          ang_w, pq), len(thetas) * len(r))
 
 
 def _sup_ring(f: AnalyticFunction, count: int) -> int:
@@ -357,9 +381,10 @@ def _sup_ring(f: AnalyticFunction, count: int) -> int:
 
 
 def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
-               count: int, w: np.ndarray, offset: float) -> tuple:
-    """The q = inf level and its sample count, every sample taken by the
-    level's bound ``kernel`` at the radii of the radial weights ``w``.
+               count: int, r: np.ndarray, w: np.ndarray, offset: float,
+               carry: list | None) -> tuple:
+    """The q = inf level and its sample count, its samples taken by the
+    level's bound ``kernel`` at the radii ``r`` with radial weights ``w``.
 
     The per-ray values on the coarse ring ``midpoint_angles(ring)``, ring =
     ``_sup_ring(f, count)``, and on the singular directions pick the
@@ -370,31 +395,55 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
     its top exponent; once it reaches ``count`` the level scans every
     midpoint.  A narrower peak that no singular direction declares can fall
     between the coarse rays and be missed.
+
+    The ring is the next level's ring too unless it grows, and the next
+    level's radial mesh keeps every cell of this one but the last (see
+    ``meshes``).  So a level given a ``carry`` whose ring stays leaves in
+    it the ring's values over its closed cells, and a level that finds one
+    there samples the ring only on its last two cells, adds the first of
+    them to the carried values and combines the sum with the last (a sum
+    for finite p, a max for p = inf).
     """
     coarse = _sup_ring(f, count)
     specials = np.array([t - offset for t in f.singular_angles()])
     thetas = np.concatenate([midpoint_angles(coarse), specials])
-    per_angle = _ray_values(kernel, thetas, w, pq.p, offset)
-    rays = len(thetas)
+    keep = carry is not None and _sup_ring(f, 2 * count) == coarse
+    if carry or keep:
+        join = np.add if pq.p.is_finite else np.maximum
+        first = len(r) - 2 * NODES_PER_CELL if carry else 0
+        ring_kernel = f.polar_kernel(r[first:]) if first else kernel
+        closed, last = _ray_values(ring_kernel, thetas, w[first:], pq.p,
+                                   offset, (0, len(w) - first - NODES_PER_CELL))
+        if carry:
+            closed = join(carry.pop(), closed)
+        if keep:
+            carry.append(closed)
+        per_angle = join(closed, last)
+    else:
+        first = 0
+        per_angle = _ray_values(kernel, thetas, w, pq.p, offset)[0]
+    samples = len(thetas) * (len(r) - first)
     if not np.isfinite(per_angle).all():
         # an overflowing ray ends the refinement; no window can undo it
-        return _angular_norm(per_angle, None, pq), rays * len(w)
+        return _angular_norm(per_angle, None, pq), samples
     if count != coarse:
         fine = midpoint_angles(count)[
             _sup_windows(per_angle[:coarse], specials, count)]
         thetas = np.concatenate([fine, specials])
         per_angle = np.concatenate(
-            [_ray_values(kernel, fine, w, pq.p, offset), per_angle[coarse:]])
-        rays += len(fine)
+            [_ray_values(kernel, fine, w, pq.p, offset)[0],
+             per_angle[coarse:]])
+        samples += len(fine) * len(r)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
+    reduce = _reduction(pq.p, w)
 
     def ray(t: float) -> float:
-        return float(_radial_values(kernel(np.array([t + offset]))[0], w, pq.p))
+        return float(reduce(kernel(np.array([t + offset]))[0]))
 
     golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, golden), None, pq),
-            (rays + _GOLDEN_ITERS + 2) * len(w))
+            samples + (_GOLDEN_ITERS + 2) * len(r))
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:
@@ -438,9 +487,11 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     evaluations: list = []
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
     stop = "refine_max" if top == cfg.refine_max else "depth_cap"
+    carry: list = []
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, angle_offset)
+                            cfg.radial_levels + level, angle_offset,
+                            carry=carry)
         trace.append((level, v))
         values.append(v)
         evaluations.append(n)

@@ -61,6 +61,18 @@ def test_graded_mesh_rejects_depth_beyond_cap():
             graded_radial_mesh(levels)
 
 
+def test_graded_mesh_nests_across_levels():
+    # level L + 1 keeps the first L cells of level L bit for bit and splits
+    # only its last, open cell; the q = inf ring's carry relies on it
+    for levels in range(4, MAX_GRADING_LEVELS):
+        u0, w0 = graded_radial_mesh(levels)
+        u1, w1 = graded_radial_mesh(levels + 1)
+        closed = 8 * levels
+        assert np.array_equal(u1[:closed], u0[:closed])
+        assert np.array_equal(w1[:closed], w0[:closed])
+        assert u1[closed] > u0[closed - 1]
+
+
 def test_monomial_norm_closed_form():
     for p in (1, 2, 4):
         for q in (1, 2, 4, "inf"):
@@ -527,4 +539,42 @@ def test_local_sup_level_evaluation_budget():
     est = mixed_norm(PowerSingularity(0.75), (2, "inf"), SCAN_CFG)
     assert est.stop == "growth" and len(est.evaluations) == len(est.trace)
     assert est.evaluations[-1] < 3 * est.evaluations[0]
+    # the later levels carry the ring's closed cells and sample it only on
+    # their last two cells
+    assert sum(est.evaluations[1:]) < 2 * est.evaluations[0]
     assert "evaluations" not in est.to_dict()
+
+
+@pytest.mark.parametrize("p", [1, 1.5, 2, "inf"])
+@pytest.mark.parametrize("f, offset", _SUP_CASES + [
+    # top exponent 243: the ring grows from 512 to 1,024 rays at level 1;
+    # the singularity keeps every p refining to the last level
+    pytest.param(Sum(((1.0, PowerSingularity(0.75)), (1.0, Lacunary(tuple(
+        (3 ** k, 1.0 / (k + 1)) for k in range(6)))))), 0.0,
+        id="lacunary_ring_grows"),
+])
+def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, offset, p):
+    # the refinement that carries the ring's closed cells from level to
+    # level reads, at every level, the value of that level evaluated alone
+    pq = ExponentPair.of(p, "inf")
+    cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
+    nested = mixed_norm(f, pq, cfg, offset)
+    fresh_level = norms._level_value
+    monkeypatch.setattr(norms, "_level_value",
+                        lambda *args, carry: fresh_level(*args))
+    fresh = mixed_norm(f, pq, cfg, offset)
+    assert nested.stop == fresh.stop
+    assert len(nested.trace) == len(fresh.trace)
+    for (_, v), (_, w) in zip(nested.trace, fresh.trace):
+        assert v == pytest.approx(w, rel=1e-15, abs=0.0)
+    # a level whose ring is the previous level's samples the ring only on
+    # its last two cells, 16 radii, and every other ray at all its radii
+    rays = len(f.singular_angles())
+    for level in range(1, len(nested.trace)):
+        count = norms._SUP_RING << level
+        ring = norms._sup_ring(f, count)
+        if ring != norms._sup_ring(f, count // 2):
+            continue
+        radii = len(graded_radial_mesh(cfg.radial_levels + level)[0])
+        assert (nested.evaluations[level] - 16 * (ring + rays)) % radii == 0
+        assert nested.evaluations[level] < fresh.evaluations[level]
