@@ -27,14 +27,15 @@ of the representation's top exponent (``AnalyticFunction.top_exponent``:
 a series of top exponent N oscillates on angular scales down to 2 pi / N),
 and at most as many as the level's fine rule.  The level then samples its
 fine midpoint rule only within one coarse step of the largest local maxima
-of the ring and of the singular directions, and a golden-section pass
-refines around the discrete maximiser.  The fine samples are a subset of
-the full fine rule, so none falls on a singular direction.  A peak narrower
-than one coarse step that neither a singular direction nor the top exponent
-accounts for can fall between the coarse rays and be missed.  The ring's
-angles stay the same from level to level until it grows, and each level's
-radial mesh keeps every cell of the one before but the last, so a level of
-the refinement reuses the ring's radial sums over those closed cells and
+of the ring (each a strict rise from its left neighbour, so a flat ring has
+none) and of the singular directions, and a golden-section pass refines
+around the discrete maximiser.  The fine samples are a subset of the full
+fine rule, so none falls on a singular direction.  A peak narrower than one
+coarse step that neither a singular direction nor the top exponent accounts
+for can fall between the coarse rays and be missed.  The ring's angles stay
+the same from level to level until it grows, and each level's radial mesh
+keeps every cell of the one before but the last, so a level of the
+refinement reuses the ring's radial sums over those closed cells and
 samples the ring only on its own last two cells.
 
 Each quadrature level binds one modulus kernel,
@@ -190,8 +191,7 @@ _SUP_RAYS_PER_EXPONENT = 4
 _GOLDEN_ITERS = 28
 
 
-def _angular_rule(f: AnalyticFunction, count: int, levels: int,
-                  offset: float):
+def _angular_rule(f: AnalyticFunction, count: int, levels: int):
     """Angular nodes and weights for the measure dt / 2 pi (mass one).
 
     Base rule: uniform midpoints.  Around each singular direction of the
@@ -201,8 +201,7 @@ def _angular_rule(f: AnalyticFunction, count: int, levels: int,
     their profiles are bounded, so nothing is lost.
     """
     two_pi = 2.0 * math.pi
-    taus = sorted({math.fmod(t - offset, two_pi) % two_pi
-                   for t in f.singular_angles()})
+    taus = sorted({t % two_pi for t in f.singular_angles()})
     h = two_pi / count
     base = midpoint_angles(count)
     if not taus:
@@ -262,7 +261,7 @@ def _reduction(p, radial_w: np.ndarray) -> Callable:
 
 
 def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
-                p, offset: float, starts: Sequence = (0,)) -> np.ndarray:
+                p, starts: Sequence = (0,)) -> np.ndarray:
     """Per-ray values of |f| along each ray in ``thetas``, from a bound
     kernel (``AnalyticFunction.polar_kernel``) at the radii of
     ``radial_w``: one row for each radial part that begins at an index in
@@ -279,7 +278,7 @@ def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
     blocks = math.ceil(len(thetas) * len(radial_w) / _CHUNK_BUDGET)
     step = math.ceil(len(thetas) / blocks)
     for k in range(0, len(thetas), step):
-        block = kernel(thetas[k:k + step] + offset)
+        block = kernel(thetas[k:k + step])
         if pf == math.inf:
             # one call takes every part: numpy's max along the 8 radii of a
             # cell pays per row (513 x 16 samples: 34 us for both cells, 68
@@ -319,11 +318,12 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
     """Indices into ``midpoint_angles(count)`` within one coarse step of a
     candidate: the ``_SUP_PEAKS`` largest cyclic local maxima of the coarse
     per-ray values ``ring`` (taken at ``midpoint_angles(len(ring))``) and
-    every singular direction in ``specials``."""
+    every singular direction in ``specials``.  A local maximum rises
+    strictly from its left neighbour, so a ring of one value has none."""
     coarse = len(ring)
     # argmax passes, not a sort: the first call of a numpy sort routine
     # faults in about 180 kB of its code
-    is_peak = (ring >= np.roll(ring, 1)) & (ring >= np.roll(ring, -1))
+    is_peak = (ring > np.roll(ring, 1)) & (ring >= np.roll(ring, -1))
     heights = np.where(is_peak, ring, -np.inf)
     peaks = []
     for _ in range(_SUP_PEAKS):
@@ -337,7 +337,8 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
     h = 2.0 * math.pi / count
     first = np.ceil((centres - step) / h - 0.5)
     last = np.floor((centres + step) / h - 0.5)
-    idx = first[:, None] + np.arange(int((last - first).max()) + 1)
+    # initial=0: without a candidate there is no window
+    idx = first[:, None] + np.arange(int((last - first).max(initial=0)) + 1)
     # a mask, not np.unique: its first call loads about 1.8 MB
     hit = np.zeros(count, dtype=bool)
     hit[idx[idx <= last[:, None]].astype(int) % count] = True
@@ -347,8 +348,7 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 offset: float, lo: float = 0.0, carry: list | None = None
-                 ) -> tuple:
+                 lo: float = 0.0, carry: list | None = None) -> tuple:
     """One quadrature level of the mixed norm with radii in [lo, 1]: the
     value and the number of |f| samples it took.
 
@@ -363,9 +363,9 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
     if not pq.q.is_finite:
-        return _sup_level(f, kernel, pq, count, r, w, offset, carry)
-    thetas, ang_w = _angular_rule(f, count, levels, offset)
-    return (_angular_norm(_ray_values(kernel, thetas, w, pq.p, offset)[0],
+        return _sup_level(f, kernel, pq, count, r, w, carry)
+    thetas, ang_w = _angular_rule(f, count, levels)
+    return (_angular_norm(_ray_values(kernel, thetas, w, pq.p)[0],
                           ang_w, pq), len(thetas) * len(r))
 
 
@@ -381,7 +381,7 @@ def _sup_ring(f: AnalyticFunction, count: int) -> int:
 
 
 def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
-               count: int, r: np.ndarray, w: np.ndarray, offset: float,
+               count: int, r: np.ndarray, w: np.ndarray,
                carry: list | None) -> tuple:
     """The q = inf level and its sample count, its samples taken by the
     level's bound ``kernel`` at the radii ``r`` with radial weights ``w``.
@@ -393,53 +393,50 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
     coarse step of a candidate, and over a golden-section pass around their
     maximiser.  The ring of a series holds about four rays per period of
     its top exponent; once it reaches ``count`` the level scans every
-    midpoint.  A narrower peak that no singular direction declares can fall
-    between the coarse rays and be missed.
+    midpoint.  Without a candidate (a flat ring, no singular direction) the
+    ring's own rays stand in for the fine pass.  A narrower peak that no
+    singular direction declares can fall between the coarse rays and be
+    missed.
 
-    The ring is the next level's ring too unless it grows, and the next
-    level's radial mesh keeps every cell of this one but the last (see
-    ``meshes``).  So a level given a ``carry`` whose ring stays leaves in
-    it the ring's values over its closed cells, and a level that finds one
-    there samples the ring only on its last two cells, adds the first of
-    them to the carried values and combines the sum with the last (a sum
-    for finite p, a max for p = inf).
+    Each ring ray is reduced over its closed cells and over its last cell,
+    the two joined by a sum for finite p and a max for p = inf.  The ring is
+    the next level's ring too unless it grows, and the next level's radial
+    mesh keeps every cell of this one but the last (see ``meshes``).  So a
+    level given a ``carry`` whose ring stays leaves in it the closed part,
+    and a level that finds one there samples the ring only on its last two
+    cells and joins the first of them to the carried part.
     """
     coarse = _sup_ring(f, count)
-    specials = np.array([t - offset for t in f.singular_angles()])
+    specials = np.array(f.singular_angles())
     thetas = np.concatenate([midpoint_angles(coarse), specials])
-    keep = carry is not None and _sup_ring(f, 2 * count) == coarse
-    if carry or keep:
-        join = np.add if pq.p.is_finite else np.maximum
-        first = len(r) - 2 * NODES_PER_CELL if carry else 0
-        ring_kernel = f.polar_kernel(r[first:]) if first else kernel
-        closed, last = _ray_values(ring_kernel, thetas, w[first:], pq.p,
-                                   offset, (0, len(w) - first - NODES_PER_CELL))
-        if carry:
-            closed = join(carry.pop(), closed)
-        if keep:
-            carry.append(closed)
-        per_angle = join(closed, last)
-    else:
-        first = 0
-        per_angle = _ray_values(kernel, thetas, w, pq.p, offset)[0]
+    join = np.add if pq.p.is_finite else np.maximum
+    first = len(r) - 2 * NODES_PER_CELL if carry else 0
+    ring_kernel = f.polar_kernel(r[first:]) if first else kernel
+    closed, last = _ray_values(ring_kernel, thetas, w[first:], pq.p,
+                               (0, len(w) - first - NODES_PER_CELL))
+    if carry:
+        closed = join(carry.pop(), closed)
+    if carry is not None and _sup_ring(f, 2 * count) == coarse:
+        carry.append(closed)
+    per_angle = join(closed, last)
     samples = len(thetas) * (len(r) - first)
     if not np.isfinite(per_angle).all():
         # an overflowing ray ends the refinement; no window can undo it
         return _angular_norm(per_angle, None, pq), samples
-    if count != coarse:
-        fine = midpoint_angles(count)[
-            _sup_windows(per_angle[:coarse], specials, count)]
+    windows = (_sup_windows(per_angle[:coarse], specials, count)
+               if count != coarse else ())
+    if len(windows):
+        fine = midpoint_angles(count)[windows]
         thetas = np.concatenate([fine, specials])
         per_angle = np.concatenate(
-            [_ray_values(kernel, fine, w, pq.p, offset)[0],
-             per_angle[coarse:]])
+            [_ray_values(kernel, fine, w, pq.p)[0], per_angle[coarse:]])
         samples += len(fine) * len(r)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
     reduce = _reduction(pq.p, w)
 
     def ray(t: float) -> float:
-        return float(reduce(kernel(np.array([t + offset]))[0]))
+        return float(reduce(kernel(np.array([t]))[0]))
 
     golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, golden), None, pq),
@@ -467,13 +464,11 @@ def _agree(a: float, b: float, rel_tol: float) -> bool:
     return scale > 0.0 and abs(b - a) <= rel_tol * scale
 
 
-def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
-               angle_offset: float = 0.0) -> NormEstimate:
+def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig) -> NormEstimate:
     """The mixed norm of f at the exponent pair pq, with refinement trace.
 
-    ``angle_offset`` evaluates the rotated function z -> f(e^(i offset) z)
-    without rebuilding a representation; the norm is rotation invariant, so
-    this only moves the quadrature mesh relative to the function's features.
+    The quadrature mesh is fixed; to move it against a function's features,
+    rotate the representation (the norm is rotation invariant).
 
     Levels deeper than the meshes can grade (MAX_GRADING_LEVELS) are not
     evaluated: they would repeat the last mesh and agree spuriously.  An
@@ -490,8 +485,7 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     carry: list = []
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, angle_offset,
-                            carry=carry)
+                            cfg.radial_levels + level, carry=carry)
         trace.append((level, v))
         values.append(v)
         evaluations.append(n)
@@ -530,7 +524,7 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
     return _level_value(f, ExponentPair.of(p, "inf"), _SUP_RING,
-                        cfg.radial_levels, 0.0, lo=rho)[0]
+                        cfg.radial_levels, lo=rho)[0]
 
 
 def dilation_convergence(f: AnalyticFunction, pq, r_list: Sequence[float],

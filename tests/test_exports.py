@@ -14,6 +14,11 @@ A ``QuadratureConfig`` field must be set by keyword in some
 ``QuadratureConfig(...)`` call of the package or in a config ``dict(...)``
 of the benchmark workloads; a field that only its default sets is a
 constant.
+
+Likewise a defaulted parameter of a package function must be passed, by
+keyword or by position, by some call of that name in the package or the
+benchmark scripts, or have an entry in ``KEEP_PARAMS`` saying why it stays:
+a knob that only the tests turn is not part of the program.
 """
 
 import ast
@@ -36,6 +41,12 @@ KEEP = {
     "embedding_function": "criterion 5, and the copies of l^inf",
     "TaylorPolynomial": "a representation that function specs name; "
                         "from_spec reaches it by its class name",
+}
+
+# Defaulted parameters, as "module.function(parameter)", that no call in the
+# package or the benchmark passes.
+KEEP_PARAMS = {
+    "cli.main(argv)": "tests drive the CLI in-process",
 }
 
 
@@ -123,3 +134,76 @@ def test_every_config_field_has_a_setter():
         _keywords(BENCH / "workloads.py", "dict"))
     assert sorted(f.name for f in fields(QuadratureConfig)
                   if f.name not in set_by) == []
+
+
+def _defaulted_params() -> list:
+    """(label, callee, keyword, position) of every defaulted parameter of a
+    package function.  The position counts the call's own arguments, so it
+    skips a method's ``self`` or ``cls``, and is None for a keyword-only
+    parameter."""
+    out = []
+
+    def visit(node, owner, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, module)
+                continue
+            if not isinstance(child, ast.FunctionDef):
+                visit(child, owner, module)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(getattr(d, "id", None) == "staticmethod"
+                         for d in child.decorator_list)
+            skip = 0 if owner is None or static else 1
+            first = len(positional) - len(args.defaults)
+            named = [(arg, i - skip) for i, arg in enumerate(positional)
+                     if i >= first]
+            named += [(arg, None) for arg, d in zip(args.kwonlyargs,
+                                                     args.kw_defaults)
+                      if d is not None]
+            for arg, pos in named:
+                out.append((f"{module}.{child.name}({arg.arg})", child.name,
+                            arg.arg, pos))
+            visit(child, None, module)
+
+    for path in _modules():
+        visit(ast.parse(path.read_text()), None, path.stem)
+    return out
+
+
+def _calls() -> dict:
+    """callee name -> [(positional argument count, keyword names)] of every
+    call in the package and the benchmark scripts; a starred argument
+    passes every position, a ``**`` mapping every keyword."""
+    out: dict = {}
+    for path in _modules() + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func,
+                                                             "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {kw.arg for kw in node.keywords}
+            out.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    calls = _calls()
+
+    def passed(callee, keyword, pos):
+        return any((pos is not None and count > pos)
+                   or keywords is None or keyword in keywords
+                   for count, keywords in calls.get(callee, ()))
+
+    params = _defaulted_params()
+    assert params
+    assert sorted(label for label, *call in params
+                  if not passed(*call) and label not in KEEP_PARAMS) == []
+    # a reason is kept only for a parameter that exists and needs one
+    assert sorted(label for label in KEEP_PARAMS
+                  if not any(label == entry[0] and not passed(*entry[1:])
+                             for entry in params)) == []

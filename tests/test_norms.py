@@ -279,10 +279,6 @@ def test_rotation_invariance():
             for f, b in zip(rotations(phi), base):
                 assert mixed_norm(f, pq, CFG).value == pytest.approx(
                     b, rel=CFG.rel_tol)
-        # the angle-offset path computes the same rotation without a new repr
-        for f, b in zip(rotations(0.0), base):
-            assert mixed_norm(f, pq, CFG, angle_offset=1.1).value == \
-                pytest.approx(b, rel=CFG.rel_tol)
 
 
 def test_lacunary_ratio_bracket():
@@ -336,6 +332,8 @@ _LEVEL_FUNCTIONS = (
     Monomial(5),
     Lacunary(((1, 1.0), (4, -0.5j), (16, 0.25 + 0.25j))),
     RationalBump(0.05, 1.02, 2.0),
+    # a negative pole angle, which the angular rule takes mod 2 pi
+    pytest.param(RationalBump(0.05, 1.02, -0.3), id="RationalBump_wrapped"),
     Scaled(PowerSingularity(0.5), 0.9),
     Sum(((1.0, PowerSingularity(0.4)), (0.5j, Monomial(3)))),
 )
@@ -351,23 +349,22 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
     if budget is not None:
         monkeypatch.setattr(norms, "_CHUNK_BUDGET", budget)
     pq = ExponentPair.of(*pq)
-    count, levels, offset = 256, 12, 0.3
+    count, levels = 256, 12
     r, w = graded_radial_mesh(levels)
     if pq.q.is_finite:
-        thetas, ang_w = norms._angular_rule(f, count, levels, offset)
+        thetas, ang_w = norms._angular_rule(f, count, levels)
     else:
-        specials = [t - offset for t in f.singular_angles()]
-        thetas = np.concatenate([midpoint_angles(count), specials])
+        thetas = np.concatenate([midpoint_angles(count), f.singular_angles()])
         ang_w = np.full(len(thetas), 1.0 / len(thetas))
-    full = discrete_mixed_norm(f.polar_kernel(r)(thetas + offset), w, ang_w, pq)
-    level, _ = norms._level_value(f, pq, count, levels, offset)
+    full = discrete_mixed_norm(f.polar_kernel(r)(thetas), w, ang_w, pq)
+    level, _ = norms._level_value(f, pq, count, levels)
     if pq.q.is_finite:
         assert level == pytest.approx(full, rel=1e-14)
         return
     # q = inf adds the golden-section pass to the discrete maximum
     assert level >= full * (1 - 1e-14)
     monkeypatch.setattr(norms, "_golden_max", lambda *args: -math.inf)
-    level, _ = norms._level_value(f, pq, count, levels, offset)
+    level, _ = norms._level_value(f, pq, count, levels)
     assert level == pytest.approx(full, rel=1e-14)
 
 
@@ -392,7 +389,7 @@ def test_level_binds_one_polar_kernel(monkeypatch, q):
 
     monkeypatch.setattr(PowerSingularity, "polar_kernel", counting)
     pq = ExponentPair.of(2, q)
-    _, samples = norms._level_value(f, pq, norms._SUP_RING << 1, 12, 0.3)
+    _, samples = norms._level_value(f, pq, norms._SUP_RING << 1, 12)
     assert bound == [len(graded_radial_mesh(12)[0])]
     assert sum(kernel_calls) * bound[0] == samples
     if q == "inf":
@@ -409,14 +406,14 @@ def test_streamed_level_memory():
     assert (count + 1) * len(graded_radial_mesh(levels)[0]) * 8 > 18e6
     tracemalloc.start()
     try:
-        norms._level_value(f, ExponentPair.of(2, "inf"), count, levels, 0.0)
+        norms._level_value(f, ExponentPair.of(2, "inf"), count, levels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 4e6
 
 
-def _dense_sup_level(f, pq, count, levels, offset):
+def _dense_sup_level(f, pq, count, levels):
     # the q = inf level over every midpoint of the fine rule and the
     # singular directions, then the golden pass around their maximiser
     r, w = graded_radial_mesh(levels)
@@ -425,45 +422,43 @@ def _dense_sup_level(f, pq, count, levels, offset):
     def inner(vals):
         return vals.max(axis=-1) if not pq.p.is_finite else vals ** p @ w
 
-    specials = [t - offset for t in f.singular_angles()]
-    thetas = np.concatenate([midpoint_angles(count), specials])
+    thetas = np.concatenate([midpoint_angles(count), f.singular_angles()])
     kernel = f.polar_kernel(r)
-    per_angle = inner(kernel(thetas + offset))
+    per_angle = inner(kernel(thetas))
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
     golden = norms._golden_max(
-        lambda t: float(inner(kernel(np.array([t + offset]))[0])),
+        lambda t: float(inner(kernel(np.array([t]))[0])),
         thetas[k] - h, thetas[k] + h)
     return max(float(per_angle.max()), golden) ** (1.0 / p)
 
 
 _SUP_CASES = [
-    pytest.param(PowerSingularity(0.75), 0.0, id="PowerSingularity"),
-    pytest.param(CesaroPower(8, 1.5), 0.0, id="CesaroPower"),
-    pytest.param(Monomial(5), 0.0, id="Monomial"),
+    pytest.param(PowerSingularity(0.75), id="PowerSingularity"),
+    pytest.param(CesaroPower(8, 1.5), id="CesaroPower"),
+    pytest.param(Monomial(5), id="Monomial"),
     # theta0 = 2 lies between two rays of the 512-ray coarse ring
-    pytest.param(RationalBump(0.05, 1.02, 2.0), 0.0, id="RationalBump"),
-    pytest.param(embedding_function(EmbeddingParams(2, 16), [1.0] * 9), 0.0,
+    pytest.param(RationalBump(0.05, 1.02, 2.0), id="RationalBump"),
+    pytest.param(embedding_function(EmbeddingParams(2, 16), [1.0] * 9),
                  id="embedding_section"),
     # a broad peak at theta = 1.234, which no singular direction declares
-    pytest.param(TaylorPolynomial([1.0, 0.5 * np.exp(-1.234j)]), 0.0,
+    pytest.param(TaylorPolynomial([1.0, 0.5 * np.exp(-1.234j)]),
                  id="undeclared_peak"),
-    # the point family's dilated kernel, mesh rotated
-    pytest.param(dilate(power_singularity(1.5), 0.97), -0.7,
-                 id="dilated_kernel"),
+    # the point family's dilated kernel
+    pytest.param(dilate(power_singularity(1.5), 0.97), id="dilated_kernel"),
 ]
 
 
 @pytest.mark.parametrize("pq", [(2, "inf"), ("inf", "inf")])
-@pytest.mark.parametrize("f, offset", _SUP_CASES)
-def test_local_sup_level_matches_dense_scan(f, offset, pq):
+@pytest.mark.parametrize("f", _SUP_CASES)
+def test_local_sup_level_matches_dense_scan(f, pq):
     # refining only near the coarse maxima and the singular directions
     # finds the maximum of the full doubled scan at every level
     pq = ExponentPair.of(*pq)
     for level in range(5):
         count, levels = norms._SUP_RING << level, CFG.radial_levels + level
-        local, n = norms._level_value(f, pq, count, levels, offset)
-        dense = _dense_sup_level(f, pq, count, levels, offset)
+        local, n = norms._level_value(f, pq, count, levels)
+        dense = _dense_sup_level(f, pq, count, levels)
         assert local == pytest.approx(dense, rel=1e-14, abs=0.0)
         assert n < (count + 40) * len(graded_radial_mesh(levels)[0])
 
@@ -476,7 +471,7 @@ def test_sup_windows_cover_largest_peaks_and_singular_directions():
     ring = np.random.default_rng(5).random(coarse)
     specials = np.array([0.0, -0.3, 7.0])
     peaks = [j for j in range(coarse)
-             if ring[j] >= max(ring[j - 1], ring[(j + 1) % coarse])]
+             if ring[j - 1] < ring[j] >= ring[(j + 1) % coarse]]
     assert len(peaks) > 8
     top = sorted(peaks, key=lambda j: ring[j])[-8:]
     step = 2.0 * math.pi / coarse
@@ -487,6 +482,37 @@ def test_sup_windows_cover_largest_peaks_and_singular_directions():
                        for c in centres) <= step]
     got = norms._sup_windows(ring, specials, count)
     assert got.tolist() == expected
+
+
+def test_flat_ring_stretches_are_one_peak():
+    # a peak rises strictly from its left neighbour: a plateau is one peak,
+    # at its left end, and a ring of one value has none
+    coarse, count = 8, 64
+    plateau = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    fine = midpoint_angles(count)
+    step = 2.0 * math.pi / coarse
+    expected = [i for i in range(count) if abs(fine[i] - 1.5 * step) <= step]
+    none = np.array([])
+    assert norms._sup_windows(plateau, none, count).tolist() == expected
+    assert norms._sup_windows(np.ones(coarse), none, count).size == 0
+    assert norms._sup_windows(np.ones(coarse), np.array([1.0]), count).size
+
+
+def test_flat_ring_skips_the_fine_pass():
+    # |z^5| does not depend on the angle: with no peak and no singular
+    # direction, a level samples only its ring (the closed cells carried)
+    # and the golden pass, and reads the dense scan's value
+    f, pq = Monomial(5), ExponentPair.of("inf", "inf")
+    cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
+    est = mixed_norm(f, pq, cfg)
+    assert len(est.trace) == 6
+    for level, v in est.trace:
+        count, levels = norms._SUP_RING << level, cfg.radial_levels + level
+        radii = len(graded_radial_mesh(levels)[0])
+        ring = norms._SUP_RING * (radii if level == 0 else 16)
+        golden = (norms._GOLDEN_ITERS + 2) * radii
+        assert est.evaluations[level] == ring + golden
+        assert v == _dense_sup_level(f, pq, count, levels)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -508,8 +534,8 @@ def test_local_sup_level_on_lacunary_series(base, nodes, seed, p):
     pq = ExponentPair.of(p, "inf")
     for level in range(5):
         count, levels = norms._SUP_RING << level, CFG.radial_levels + level
-        local, _ = norms._level_value(f, pq, count, levels, 0.0)
-        dense = _dense_sup_level(f, pq, count, levels, 0.0)
+        local, _ = norms._level_value(f, pq, count, levels)
+        dense = _dense_sup_level(f, pq, count, levels)
         assert local == pytest.approx(dense, rel=CFG.rel_tol)
 
 
@@ -546,23 +572,23 @@ def test_local_sup_level_evaluation_budget():
 
 
 @pytest.mark.parametrize("p", [1, 1.5, 2, "inf"])
-@pytest.mark.parametrize("f, offset", _SUP_CASES + [
+@pytest.mark.parametrize("f", _SUP_CASES + [
     # top exponent 243: the ring grows from 512 to 1,024 rays at level 1;
     # the singularity keeps every p refining to the last level
     pytest.param(Sum(((1.0, PowerSingularity(0.75)), (1.0, Lacunary(tuple(
-        (3 ** k, 1.0 / (k + 1)) for k in range(6)))))), 0.0,
+        (3 ** k, 1.0 / (k + 1)) for k in range(6)))))),
         id="lacunary_ring_grows"),
 ])
-def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, offset, p):
+def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
     # the refinement that carries the ring's closed cells from level to
     # level reads, at every level, the value of that level evaluated alone
     pq = ExponentPair.of(p, "inf")
     cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
-    nested = mixed_norm(f, pq, cfg, offset)
+    nested = mixed_norm(f, pq, cfg)
     fresh_level = norms._level_value
     monkeypatch.setattr(norms, "_level_value",
                         lambda *args, carry: fresh_level(*args))
-    fresh = mixed_norm(f, pq, cfg, offset)
+    fresh = mixed_norm(f, pq, cfg)
     assert nested.stop == fresh.stop
     assert len(nested.trace) == len(fresh.trace)
     for (_, v), (_, w) in zip(nested.trace, fresh.trace):

@@ -220,16 +220,28 @@ def test_norm_cache_keys_a_tuple_as_its_pair():
     assert (cache.misses, cache.hits) == (1, 1)
 
 
+def test_norm_cache_refuses_an_angle_offset():
+    # the quadrature takes no angle offset; the cache keeps the parameter
+    # only for the benchmark's override, and refuses a nonzero one
+    cache = NormCache(CFG)
+    f = Monomial(3)
+    with pytest.raises(ValueError):
+        cache.norm(f, f, (2, 2), 0.3)
+    est = cache.norm(f, f, (2, 2), 0.0)
+    assert cache.norm(f, f, ExponentPair.of(2, 2)) is est
+    assert (cache.misses, cache.hits) == (1, 1)
+
+
 def test_equal_functions_share_one_estimate():
     # the inclusion scan's monomials and the point family's are the same
-    # functions; on one cache each (function, pair, offset) is computed once
+    # functions; on one cache each (function, pair) is computed once
     cache = NormCache(SCAN_CFG)
     looked_up = set()
     norm = cache.norm
 
-    def recording(key, f, pq, angle_offset=0.0):
-        looked_up.add((f, str(pq), angle_offset))
-        return norm(key, f, pq, angle_offset)
+    def recording(key, f, pq):
+        looked_up.add((f, str(pq)))
+        return norm(key, f, pq)
 
     cache.norm = recording
     inclusion_witness_scan(4, 4, 2, 2, SCAN_CFG, cache)
