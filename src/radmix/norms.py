@@ -27,23 +27,23 @@ of the representation's top exponent (``AnalyticFunction.top_exponent``:
 a series of top exponent N oscillates on angular scales down to 2 pi / N),
 and at most as many as the level's fine rule.  The level then samples its
 fine midpoint rule only within one coarse step of the largest local maxima
-of the ring (each a strict rise from its left neighbour, so a flat ring has
-none) and of the singular directions, and a golden-section pass refines
-around the discrete maximiser.  The fine samples are a subset of the full
-fine rule, so none falls on a singular direction.  A peak narrower than one
-coarse step that neither a singular direction nor the top exponent accounts
-for can fall between the coarse rays and be missed.  The ring's angles stay
-the same from level to level until it grows, and each level's radial mesh
-keeps every cell of the one before but the last, so a level of the
-refinement reuses the ring's radial sums over those closed cells and
-samples the ring only on its own last two cells.
+of the ring (each a strict rise from its left neighbour, so a ring flat up to
+rounding has none) and of the singular directions, and a zoom pass of a few
+vectorised rounds refines around the discrete maximiser.  The fine samples
+are a subset of the full fine rule, so none falls on a singular direction.
+A peak narrower than one coarse step that neither a singular direction nor
+the top exponent accounts for can fall between the coarse rays and be
+missed.  The ring's angles stay the same from level to level until it
+grows, and each level's radial mesh keeps every cell of the one before but
+the last, so a level of the refinement reuses the ring's radial sums over
+those closed cells and samples the ring only on its own last two cells.
 
 Each quadrature level binds one modulus kernel,
 ``AnalyticFunction.polar_kernel`` at the level's radii, so the radii are
 checked and the representation's radial factors computed once per level.
 That kernel takes every sample of the level: the streamed blocks, the coarse
-ring and fine windows of a q = inf level and each ray of its golden-section
-pass; a q = inf level that reuses the ring's closed cells binds a second
+ring and fine windows of a q = inf level and each round of its zoom pass;
+a q = inf level that reuses the ring's closed cells binds a second
 one at its last two cells for the ring.  The level is streamed: |f| is
 evaluated on one block of angles at a time, a block holding about
 ``_CHUNK_BUDGET`` samples, and each block is reduced at once to its per-ray
@@ -142,7 +142,7 @@ class NormEstimate:
     refinements ran out) or ``depth_cap`` (the radial grading cannot deepen
     further).
     ``evaluations`` counts, per level, the |f| samples the level took (the
-    golden-section pass of a q = inf level included, and of its coarse ring
+    zoom pass of a q = inf level included, and of its coarse ring
     only the samples on the cells it did not reuse from the level before);
     it is a diagnostic and stays out of ``to_dict``.
     """
@@ -182,13 +182,17 @@ _SUP_RING = 512
 # A q = inf level refines around this many of the largest local maxima of its
 # coarse ring, besides the singular directions.
 _SUP_PEAKS = 8
+# A ring spread by at most this many ulps of its largest value is flat:
+# rounding alone spreads the finite-p radial sums of equal rays (by <= 5).
+_FLAT_ULPS = 16
 # The coarse ring of a q = inf level holds at least this many rays per unit
 # of the representation's top exponent, about four per period of its fastest
 # oscillation along a circle.
 _SUP_RAYS_PER_EXPONENT = 4
-# Golden-section steps of the q = inf pass, which evaluates _GOLDEN_ITERS + 2
-# rays.
-_GOLDEN_ITERS = 28
+# The q = inf pass around the discrete maximiser: _ZOOM_ROUNDS rounds of
+# _ZOOM_RAYS rays, one kernel call each.
+_ZOOM_RAYS = 10
+_ZOOM_ROUNDS = 3
 
 
 def _angular_rule(f: AnalyticFunction, count: int, levels: int):
@@ -230,24 +234,19 @@ def _angular_rule(f: AnalyticFunction, count: int, levels: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _golden_max(fun: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section search, _GOLDEN_ITERS steps; the best value seen."""
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = fun(c), fun(d)
-    best = max(fc, fd)
-    for _ in range(_GOLDEN_ITERS):
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = fun(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = fun(c)
-        best = max(best, fc, fd)
+def _zoom_max(fun: Callable, lo: float, hi: float) -> float:
+    """The best value of ``fun`` (angles -> per-ray values) over
+    _ZOOM_ROUNDS rounds of _ZOOM_RAYS cell midpoints of a bracket: [lo, hi],
+    then one ray step either side of the last round's best ray.  Each round
+    sees every peak of its bracket, where a bisection would keep one."""
+    best = -math.inf
+    for _ in range(_ZOOM_ROUNDS):
+        step = (hi - lo) / _ZOOM_RAYS
+        thetas = lo + (np.arange(_ZOOM_RAYS) + 0.5) * step
+        vals = fun(thetas)
+        k = int(np.argmax(vals))
+        best = max(best, float(vals[k]))
+        lo, hi = thetas[k] - step, thetas[k] + step
     return best
 
 
@@ -319,11 +318,14 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
     candidate: the ``_SUP_PEAKS`` largest cyclic local maxima of the coarse
     per-ray values ``ring`` (taken at ``midpoint_angles(len(ring))``) and
     every singular direction in ``specials``.  A local maximum rises
-    strictly from its left neighbour, so a ring of one value has none."""
+    strictly from its left neighbour, so a ring of one value has none, nor
+    has a ring flat up to rounding (``_FLAT_ULPS``)."""
     coarse = len(ring)
+    top = ring.max()
     # argmax passes, not a sort: the first call of a numpy sort routine
     # faults in about 180 kB of its code
-    is_peak = (ring > np.roll(ring, 1)) & (ring >= np.roll(ring, -1))
+    is_peak = ((top - ring.min() > _FLAT_ULPS * np.spacing(top))
+               & (ring > np.roll(ring, 1)) & (ring >= np.roll(ring, -1)))
     heights = np.where(is_peak, ring, -np.inf)
     peaks = []
     for _ in range(_SUP_PEAKS):
@@ -390,13 +392,13 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
     ``_sup_ring(f, count)``, and on the singular directions pick the
     candidates of ``_sup_windows``; the level is the max over the singular
     directions, over the midpoints of ``midpoint_angles(count)`` within one
-    coarse step of a candidate, and over a golden-section pass around their
-    maximiser.  The ring of a series holds about four rays per period of
-    its top exponent; once it reaches ``count`` the level scans every
-    midpoint.  Without a candidate (a flat ring, no singular direction) the
-    ring's own rays stand in for the fine pass.  A narrower peak that no
-    singular direction declares can fall between the coarse rays and be
-    missed.
+    coarse step of a candidate, and over a zoom pass (``_zoom_max``) within
+    one fine step of their maximiser.  The ring of a series holds about four
+    rays per period of its top exponent; once it reaches ``count`` the level
+    scans every midpoint.  Without a candidate (a flat ring, no singular
+    direction) the ring's own rays stand in for the fine pass.  A narrower
+    peak that no singular direction declares can fall between the coarse
+    rays and be missed.
 
     Each ring ray is reduced over its closed cells and over its last cell,
     the two joined by a sum for finite p and a max for p = inf.  The ring is
@@ -434,13 +436,10 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
     reduce = _reduction(pq.p, w)
-
-    def ray(t: float) -> float:
-        return float(reduce(kernel(np.array([t]))[0]))
-
-    golden = _golden_max(ray, thetas[k] - h, thetas[k] + h)
-    return (_angular_norm(np.append(per_angle, golden), None, pq),
-            samples + (_GOLDEN_ITERS + 2) * len(r))
+    zoom = _zoom_max(lambda ts: reduce(kernel(ts)), thetas[k] - h,
+                     thetas[k] + h)
+    return (_angular_norm(np.append(per_angle, zoom), None, pq),
+            samples + _ZOOM_RAYS * _ZOOM_ROUNDS * len(r))
 
 
 def _fit_growth(trace: list, base_levels: int) -> float | None:
