@@ -6,10 +6,12 @@ outside the disc, dilations and finite linear combinations.  Each
 representation is one frozen dataclass deriving from
 :class:`AnalyticFunction`, and that class is the only place that knows it:
 ``__post_init__`` coerces and validates the fields, and the methods give the
-evaluation, the closed-form derivative and the singular boundary
-directions.  The JSON spec is derived from the dataclass fields, so
-adding a representation means adding one class.  Everything is immutable and
-every operation is pure, so values can be shared freely between workers.
+evaluation, the closed-form derivative, the singular boundary directions
+and whether f(conj z) = conj f(z) (real Taylor coefficients, so |f| is even
+in the angle).  The JSON spec is derived from the dataclass fields, so
+adding a representation means adding one class.  Everything is immutable
+and every operation is pure, so values can be shared freely between
+workers.
 
 Evaluation is vectorised over numpy arrays of points.  The norm quadratures
 need only the modulus on a polar grid of angles x radii.
@@ -219,6 +221,16 @@ class AnalyticFunction:
         """
         return 0
 
+    def is_conjugate_symmetric(self) -> bool:
+        """Whether f(conj z) = conj f(z), so that |f| takes equal values at
+        the angles theta and -theta (real Taylor coefficients).
+
+        False unless a representation proves it, so a new class is never
+        taken to be symmetric; a norm quadrature folds its angular rule onto
+        half the circle only when this holds.
+        """
+        return False
+
 
 @dataclass(frozen=True)
 class Monomial(AnalyticFunction):
@@ -245,6 +257,9 @@ class Monomial(AnalyticFunction):
 
     def top_exponent(self):
         return self.n
+
+    def is_conjugate_symmetric(self):
+        return True
 
 
 @dataclass(frozen=True)
@@ -275,6 +290,9 @@ class TaylorPolynomial(AnalyticFunction):
     def top_exponent(self):
         return max(len(self.coeffs) - 1, 0)
 
+    def is_conjugate_symmetric(self):
+        return all(c.imag == 0.0 for c in self.coeffs)
+
 
 @dataclass(frozen=True)
 class PowerSingularity(AnalyticFunction):
@@ -298,6 +316,9 @@ class PowerSingularity(AnalyticFunction):
 
     def singular_angles(self):
         return (0.0,)
+
+    def is_conjugate_symmetric(self):
+        return True
 
 
 @dataclass(frozen=True)
@@ -342,6 +363,9 @@ class CesaroPower(AnalyticFunction):
     def top_exponent(self):
         return self.n
 
+    def is_conjugate_symmetric(self):
+        return True
+
 
 @dataclass(frozen=True)
 class Lacunary(AnalyticFunction):
@@ -382,6 +406,9 @@ class Lacunary(AnalyticFunction):
     def top_exponent(self):
         return self.nodes[-1][0]
 
+    def is_conjugate_symmetric(self):
+        return all(a.imag == 0.0 for _, a in self.nodes)
+
 
 @dataclass(frozen=True)
 class RationalBump(AnalyticFunction):
@@ -413,6 +440,9 @@ class RationalBump(AnalyticFunction):
     def singular_angles(self):
         return (self.theta0,)
 
+    def is_conjugate_symmetric(self):
+        return self.theta0 % (2.0 * np.pi) == 0.0
+
 
 @dataclass(frozen=True)
 class Scaled(AnalyticFunction):
@@ -442,6 +472,9 @@ class Scaled(AnalyticFunction):
     def top_exponent(self):
         return self.inner.top_exponent()
 
+    def is_conjugate_symmetric(self):
+        return self.inner.is_conjugate_symmetric()
+
 
 @dataclass(frozen=True)
 class Sum(AnalyticFunction):
@@ -467,6 +500,10 @@ class Sum(AnalyticFunction):
 
     def top_exponent(self):
         return max((g.top_exponent() for _, g in self.terms), default=0)
+
+    def is_conjugate_symmetric(self):
+        return all(c.imag == 0.0 and g.is_conjugate_symmetric()
+                   for c, g in self.terms)
 
 
 # -- operations ------------------------------------------------------------------

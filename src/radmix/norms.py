@@ -7,7 +7,12 @@ half-step-offset rule, except near the declared singular directions of the
 representation, where the uniform cells are replaced by panels graded
 toward the singularity: the angular profile of a boundary power
 singularity is itself an integrable power of the angle, and a uniform rule
-would converge too slowly there to tell membership from divergence.
+would converge too slowly there to tell membership from divergence.  A
+function with real Taylor coefficients has |f| even in the angle
+(``AnalyticFunction.is_conjugate_symmetric``); when its singular directions
+are all 0 as well, that rule is symmetric, and a q-finite level folds it
+onto [0, pi]: it samples only the mirror half of the rays, each with twice
+the weight, and reads the same value up to rounding.
 Estimates are refined by doubling the angular resolution and deepening
 both gradings one dyadic level at a time until two successive values agree
 to the requested relative tolerance.
@@ -143,8 +148,9 @@ class NormEstimate:
     further).
     ``evaluations`` counts, per level, the |f| samples the level took (the
     zoom pass of a q = inf level included, and of its coarse ring
-    only the samples on the cells it did not reuse from the level before);
-    it is a diagnostic and stays out of ``to_dict``.
+    only the samples on the cells it did not reuse from the level before;
+    a folded q-finite level, see ``_angular_rule``, counts only its half of
+    the circle); it is a diagnostic and stays out of ``to_dict``.
     """
 
     value: float
@@ -203,34 +209,48 @@ def _angular_rule(f: AnalyticFunction, count: int, levels: int):
     two meshes graded toward the singular angle.  Directions too close
     together (merged bump clusters) fall back to the plain uniform rule;
     their profiles are bounded, so nothing is lost.
+
+    Folded rule: when |f| is even in the angle
+    (``f.is_conjugate_symmetric()``) and every singular direction is 0, the
+    rule is symmetric under t -> -t, and only its half in [0, pi] is kept,
+    with twice the weight: the midpoint cells j < count / 2 (cell j mirrors
+    cell count - 1 - j; an odd count's cell at pi mirrors itself and keeps
+    its weight) and the panel on the positive side of 0.  Nodes are paired
+    by index, so the folded level is the full one up to rounding, at half
+    the samples.
     """
     two_pi = 2.0 * math.pi
     taus = sorted({t % two_pi for t in f.singular_angles()})
+    fold = f.is_conjugate_symmetric() and set(taus) <= {0.0}
     h = two_pi / count
     base = midpoint_angles(count)
-    if not taus:
-        return base, np.full(count, 1.0 / count)
-    gaps = [taus[i + 1] - taus[i] for i in range(len(taus) - 1)]
-    gaps.append(taus[0] + two_pi - taus[-1])
-    if min(gaps) < (2 * _PANEL_CELLS + 1) * h:
-        return base, np.full(count, 1.0 / count)
-    keep = np.ones(count, dtype=bool)
+    base_w = np.full(count, 1.0 / count)
+    if taus and min(np.diff([*taus, taus[0] + two_pi])) < (
+            2 * _PANEL_CELLS + 1) * h:
+        taus = []  # the uniform fallback
+    if not (taus or fold):
+        return base, base_w
+    if fold:
+        base_w[:count // 2] *= 2.0
+        base_w[count - count // 2:] = 0.0
     nodes = [None]
     weights = [None]
     for tau in taus:
         j0 = int(math.floor(tau / h))
         cells = [(j0 + d) % count for d in range(-_PANEL_CELLS, _PANEL_CELLS)]
-        keep[cells] = False
+        base_w[cells] = 0.0
         lo = (j0 - _PANEL_CELLS) * h
         hi = (j0 + _PANEL_CELLS) * h
-        un, uw = _graded_to_zero(tau - lo, levels)
-        nodes.append(tau - un)
-        weights.append(uw / two_pi)
+        if not fold:
+            un, uw = _graded_to_zero(tau - lo, levels)
+            nodes.append(tau - un)
+            weights.append(uw / two_pi)
         un, uw = _graded_to_zero(hi - tau, levels)
         nodes.append(tau + un)
-        weights.append(uw / two_pi)
+        weights.append((2.0 if fold else 1.0) * uw / two_pi)
+    keep = base_w > 0.0
     nodes[0] = base[keep]
-    weights[0] = np.full(int(keep.sum()), 1.0 / count)
+    weights[0] = base_w[keep]
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -181,13 +181,15 @@ class NormCache:
         # this method; the quadrature takes none, so refuse, not ignore, one
         if angle_offset != 0.0:
             raise ValueError("mixed norms take no angle offset")
+        # one probe: a key hashes the pair's two Fractions in Python
         k = (key, as_pair(pq))
-        if k in self._store:
-            self.hits += 1
-        else:
+        est = self._store.get(k)
+        if est is None:
             self.misses += 1
-            self._store[k] = mixed_norm(f, pq, self.cfg)
-        return self._store[k]
+            est = self._store[k] = mixed_norm(f, pq, self.cfg)
+        else:
+            self.hits += 1
+        return est
 
 
 def _cache_for(cfg: QuadratureConfig, cache: NormCache | None) -> NormCache:
@@ -337,8 +339,9 @@ def _point_bound(cache: NormCache, pq: ExponentPair, z: float,
     Each value is computed once per cache.
     """
     memo = (pq, z, derivative)
-    if memo in cache._point_bounds:
-        return cache._point_bounds[memo]
+    best = cache._point_bounds.get(memo)
+    if best is not None:
+        return best
     best = 0.0
     zz = complex(z)
     for f in default_point_family(pq, z):

@@ -113,6 +113,73 @@ def test_polar_kernel_domain_errors():
                 f.polar_kernel(np.array(r))
 
 
+def _seeded_instances(rng):
+    """Seeded instances of every representation, by class name, with and
+    without real Taylor coefficients."""
+    def real(k):
+        return rng.standard_normal(k)
+
+    def cplx(k):
+        return real(k) + 1j * real(k)
+
+    return {
+        "Monomial": [Monomial(int(rng.integers(0, 40)))],
+        "TaylorPolynomial": [TaylorPolynomial(real(6)),
+                             TaylorPolynomial(cplx(6))],
+        "PowerSingularity": [PowerSingularity(rng.uniform(-1.0, 2.0))],
+        "CesaroPower": [CesaroPower(int(rng.integers(0, 20)),
+                                    rng.uniform(0.5, 3.0))],
+        "Lacunary": [Lacunary(tuple(zip((1, 3, 9, 27), real(4)))),
+                     Lacunary(tuple(zip((1, 3, 9, 27), cplx(4))))],
+        "RationalBump": [RationalBump(0.05, 1.02, 0.0),
+                         RationalBump(0.05, 1.02, 2 * math.pi),
+                         RationalBump(0.05, 1.02, 0.7)],
+        "Scaled": [Scaled(PowerSingularity(rng.uniform(0.0, 1.5)), 0.9),
+                   Scaled(RationalBump(0.05, 1.02, 0.7), 0.9)],
+        "Sum": [Sum(((real(1)[0], PowerSingularity(0.4)),
+                     (real(1)[0], Monomial(3)))),
+                Sum(((1.0, PowerSingularity(0.4)), (1j, Monomial(3))))],
+    }
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_conjugate_symmetry_claims_are_honest(seed):
+    # every representation has seeded instances here, so a new class must
+    # add some; each one that claims f(conj z) = conj f(z) has |f| even in
+    # the angle, which is what the folded angular rule relies on
+    from radmix.functions import _REPRESENTATIONS
+    rng = np.random.default_rng(seed)
+    instances = _seeded_instances(rng)
+    assert set(instances) == set(_REPRESENTATIONS)
+    r = np.array([0.0, 0.3, 0.9, 0.999])
+    t = np.concatenate([rng.uniform(0.0, math.pi, 16), [1e-6, math.pi]])
+    claims = 0
+    for f in (g for fs in instances.values() for g in fs):
+        if not f.is_conjugate_symmetric():
+            continue
+        claims += 1
+        kernel = f.polar_kernel(r)
+        np.testing.assert_allclose(kernel(-t), kernel(t), rtol=1e-14,
+                                   atol=0.0, err_msg=repr(f))
+    assert claims >= len(_REPRESENTATIONS)
+
+
+@pytest.mark.parametrize("f", [
+    Lacunary(((1, 1.0), (4, 0.5j))),
+    TaylorPolynomial([1.0, 0.5 + 0.25j]),
+    RationalBump(0.05, 1.02, 0.7),
+    Sum(((1.0, PowerSingularity(0.4)), (1j, Monomial(3)))),
+    Scaled(RationalBump(0.05, 1.02, 0.7), 0.9),
+    Scaled(Lacunary(((1, 1.0), (4, 0.5j))), 0.9),
+], ids=repr)
+def test_asymmetric_functions_claim_no_symmetry(f):
+    assert not f.is_conjugate_symmetric()
+    # and they are not symmetric: the claim would fold a wrong rule
+    kernel = f.polar_kernel(np.array([0.5, 0.9]))
+    t = np.array([0.3, 1.1, 2.5])
+    assert not np.allclose(kernel(t), kernel(-t), rtol=1e-6)
+
+
 def test_construction_validation():
     with pytest.raises(ValueError):
         Lacunary(((4, 1.0), (4, 2.0)))          # ratio 1

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -366,6 +367,52 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
     monkeypatch.setattr(norms, "_zoom_max", lambda *args: -math.inf)
     level, _ = norms._level_value(f, pq, count, levels)
     assert level == pytest.approx(full, rel=1e-14)
+
+
+@pytest.mark.parametrize("f", [
+    PowerSingularity(0.5),
+    CesaroPower(8, 1.5),
+    Monomial(5),
+    Lacunary(((1, 1.0), (4, -0.5), (16, 0.25))),
+    RationalBump(0.05, 1.02, 0.0),
+    Sum(((1.0, PowerSingularity(0.4)), (-0.5, Monomial(3)))),
+    Scaled(PowerSingularity(0.5), 0.9),
+], ids=lambda f: type(f).__name__)
+def test_folded_level_matches_the_full_circle(monkeypatch, f):
+    # a function with real Taylor coefficients samples only the rays in
+    # [0, pi]; the unfolded rule, forced by denying the symmetry, takes the
+    # whole circle and must read the same level up to rounding.  Count 8 is
+    # the uniform fallback (no panels), 9 an odd count with a cell at pi.
+    assert f.is_conjugate_symmetric()
+    levels = []
+    for count, level, p, q in itertools.product(
+            (8, 9, 64), range(4), (1, 1.5, 2, "inf"), (1, 2, 4)):
+        levels.append((ExponentPair.of(p, q), count << level, 12 + level))
+    folded = [norms._level_value(f, *args) for args in levels]
+    monkeypatch.setattr(type(f), "is_conjugate_symmetric", lambda self: False)
+    for args, (v, n) in zip(levels, folded):
+        full, n_full = norms._level_value(f, *args)
+        assert v == pytest.approx(full, rel=1e-14, abs=0.0), args
+        # half the rays, and the ray at pi of an odd count
+        radii = len(graded_radial_mesh(args[2])[0])
+        assert 2 * n == n_full + args[1] % 2 * radii, args
+
+
+def test_fold_halves_the_scan_samples():
+    from radmix.cli import SCAN_CFG
+    est = mixed_norm(PowerSingularity(0.75), (2, 2), SCAN_CFG)
+    assert est.evaluations[0] == 13728  # 27,456 on the full circle
+
+
+def test_fold_needs_every_singular_direction_at_zero(monkeypatch):
+    # a symmetry claim with a singular direction off 0 keeps the full rule
+    f = RationalBump(0.05, 1.02, 0.7)
+    full = norms._angular_rule(f, 64, 12)
+    monkeypatch.setattr(RationalBump, "is_conjugate_symmetric",
+                        lambda self: True)
+    claimed = norms._angular_rule(f, 64, 12)
+    for a, b in zip(full, claimed):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("q", [2, "inf"])
