@@ -96,7 +96,11 @@ _CHUNK_BUDGET = 12288
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution and convergence parameters for the norm quadratures."""
+    """Resolution and convergence parameters for the norm quadratures.
+
+    ``theta_count`` sets the angular cells of level 0 of q-finite estimates
+    only: q = inf estimates start from ``_SUP_RING`` = 512 rays.
+    """
 
     theta_count: int = 64
     radial_levels: int = 12
@@ -270,15 +274,6 @@ def _zoom_max(fun: Callable, lo: float, hi: float) -> float:
     return best
 
 
-def _reduction(p, radial_w: np.ndarray) -> Callable:
-    """vals -> the per-ray sum of vals^p dr over the last axis (the max for
-    p = inf), with p converted once."""
-    if not p.is_finite:
-        return lambda vals: vals.max(axis=-1)
-    pf = float(p)
-    return lambda vals: vals ** pf @ radial_w
-
-
 def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
                 p, starts: Sequence = (0,)) -> np.ndarray:
     """Per-ray values of |f| along each ray in ``thetas``, from a bound
@@ -312,8 +307,8 @@ def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
 
 def _angular_norm(inner: np.ndarray, angular_w: np.ndarray | None,
                   pq: ExponentPair) -> float:
-    """The mixed norm from per-ray values ``inner`` (``_reduction``):
-    their L^q mean against ``angular_w``, or their max for q = inf."""
+    """The mixed norm from per-ray values ``inner`` (as ``_ray_values`` gives
+    them): their L^q mean against ``angular_w``, or their max for q = inf."""
     pf = float(pq.p) if pq.p.is_finite else 1.0
     if not pq.q.is_finite:
         return float(inner.max()) ** (1.0 / pf)
@@ -329,7 +324,9 @@ def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
     mean (or max) of those values against ``angular_w``.
     """
     pq = as_pair(pq)
-    return _angular_norm(_reduction(pq.p, radial_w)(vals), angular_w, pq)
+    inner = (vals ** float(pq.p) @ radial_w if pq.p.is_finite
+             else vals.max(axis=-1))
+    return _angular_norm(inner, angular_w, pq)
 
 
 def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
@@ -455,9 +452,8 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
         samples += len(fine) * len(r)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
-    reduce = _reduction(pq.p, w)
-    zoom = _zoom_max(lambda ts: reduce(kernel(ts)), thetas[k] - h,
-                     thetas[k] + h)
+    zoom = _zoom_max(lambda ts: _ray_values(kernel, ts, w, pq.p)[0],
+                     thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, zoom), None, pq),
             samples + _ZOOM_RAYS * _ZOOM_ROUNDS * len(r))
 
@@ -536,7 +532,12 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig) -> NormEstimate:
 
 def tail_sup_norm(f: AnalyticFunction, p, rho: float,
                   cfg: QuadratureConfig) -> float:
-    """sup over theta of (int_rho^1 |f(r e^(i theta))|^p dr)^(1/p)."""
+    """sup over theta of (int_rho^1 |f(r e^(i theta))|^p dr)^(1/p).
+
+    One unrefined q = inf level of 512 rays (``_SUP_RING``) and
+    ``cfg.radial_levels``, with no stop reason: ``cfg.refine_max`` and
+    ``cfg.rel_tol`` never reach it.
+    """
     p = ExtendedExponent.of(p)
     if not p.is_finite:
         raise ValueError("tail norm is defined for finite p")

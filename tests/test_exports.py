@@ -39,8 +39,6 @@ KEEP = {
     "dilation_convergence": "criterion 11, and the separability scan",
     "tail_sup_norm": "the vanishing-tail subspace of RM(p, inf)",
     "embedding_function": "criterion 5, and the copies of l^inf",
-    "TaylorPolynomial": "a representation that function specs name; "
-                        "from_spec reaches it by its class name",
 }
 
 # Defaulted parameters, as "module.function(parameter)", that no call in the

@@ -42,6 +42,10 @@ def test_pointwise_values():
     # finite geometric sum identity: 1 + 0.5 + 0.25
     assert evaluate(CesaroPower(2, 1.0), 0.5) == pytest.approx(1.75)
     assert evaluate(Sum(((2.0, Monomial(1)),)), 0.9) == pytest.approx(1.8)
+    # no coefficients: the zero polynomial
+    z = np.array([0.0, 0.5j])
+    assert np.array_equal(evaluate(TaylorPolynomial(()), z), np.zeros(2))
+    assert np.array_equal(derivative_at(TaylorPolynomial(()), z), np.zeros(2))
 
 
 def test_cesaro_matches_partial_sum_everywhere():
@@ -52,6 +56,58 @@ def test_cesaro_matches_partial_sum_everywhere():
         direct = sum(z ** k for k in range(n + 1)) ** (1.0 / alpha)
         got = evaluate(CesaroPower(n, alpha), z)
         assert np.max(np.abs(got - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 256])
+def test_cesaro_near_one_against_mpmath(n):
+    # z = 1 is a removable point of (1 - z^(n+1)) / (1 - z); the ratio form
+    # loses about 1e-16 / |1 - z| relative there, a Horner sum does not
+    dist = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4])
+    z = (1.0 - dist[:, None] * np.exp(1j * np.array([0.0, 0.9, -1.2]))).ravel()
+    alphas = (0.7, 1.5, 3.0)
+    fs = [CesaroPower(n, a) for a in alphas]
+    got = [(evaluate(f, z), derivative_at(f, z)) for f in fs]
+    with mpmath.workdps(40):
+        for i, zi in enumerate(z):
+            zm = mpmath.mpc(zi.real, zi.imag)
+            w = mpmath.fsum(zm ** k for k in range(n + 1))
+            dw = mpmath.fsum(k * zm ** (k - 1) for k in range(1, n + 1))
+            for a, (vals, derivs) in zip(alphas, got):
+                e = 1 / mpmath.mpf(a)
+                want, dwant = w ** e, e * w ** (e - 1) * dw
+                assert abs(vals[i] - want) <= 1e-13 * abs(want), (a, zi)
+                assert abs(derivs[i] - dwant) <= 1e-13 * abs(dwant), (a, zi)
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+def test_series_classes_agree_on_one_term(n):
+    # Monomial, TaylorPolynomial and Lacunary share one series core; a
+    # single term z^n reads the same through each of them
+    rng = np.random.default_rng(n)
+    z = 0.95 * np.sqrt(rng.uniform(0, 1, 32)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, 32))
+    r = np.array([0.0, 0.3, 0.9, 0.999])
+    t = rng.uniform(-np.pi, np.pi, 16)
+    mono = Monomial(n)
+    for f in (TaylorPolynomial([0.0] * n + [1.0]), Lacunary(((n, 1.0),))):
+        np.testing.assert_allclose(evaluate(f, z), evaluate(mono, z),
+                                   rtol=1e-14, err_msg=repr(f))
+        np.testing.assert_allclose(derivative_at(f, z),
+                                   derivative_at(mono, z),
+                                   rtol=1e-14, err_msg=repr(f))
+        np.testing.assert_allclose(f.polar_kernel(r)(t),
+                                   mono.polar_kernel(r)(t),
+                                   rtol=1e-14, err_msg=repr(f))
+        assert f.top_exponent() == mono.top_exponent() == n
+        assert f.is_conjugate_symmetric() and mono.is_conjugate_symmetric()
+
+
+def test_representation_registry_names_the_eight_classes():
+    # the series core is a mixin, so it adds no name that a spec could use
+    from radmix.functions import _REPRESENTATIONS
+    assert sorted(_REPRESENTATIONS) == [
+        "CesaroPower", "Lacunary", "Monomial", "PowerSingularity",
+        "RationalBump", "Scaled", "Sum", "TaylorPolynomial"]
 
 
 def test_domain_errors():
@@ -182,7 +238,7 @@ def test_asymmetric_functions_claim_no_symmetry(f):
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        Lacunary(((4, 1.0), (4, 2.0)))          # ratio 1
+        Lacunary(((4, 1.0), (4, 2.0)))          # repeated exponent
     with pytest.raises(ValueError):
         Lacunary(((5, 1.0), (3, 2.0)))          # decreasing
     with pytest.raises(ValueError):
