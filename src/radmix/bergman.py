@@ -1,13 +1,14 @@
 """Discretised Bergman projection and its comparison-kernel chain.
 
 The disc carries the normalised area measure rho d rho d phi / pi (total
-mass one); grid quadrature uses graded radii and uniform angles.  Alongside
-the projection itself this module provides the chain of positive comparison
-kernels that majorise it (a diagonally capped angular kernel on the disc,
-its boundary-depth form, the off-diagonal part and the sum of its dyadic
-dilates), maximal operators, a randomised lower bound for operator norms on
-the discrete mixed-norm spaces, and the sesquilinear pairing implementing
-duality.
+mass one); grid quadrature uses graded radii and uniform angles.  The
+projection P has one discretisation, the polynomial of a grid function's
+``moments``, which ``project`` evaluates at points and the grid operator at
+the nodes.  Alongside it this module provides the chain of positive
+comparison kernels that majorise P (a diagonally capped angular kernel on
+the disc, its boundary-depth form, the off-diagonal part and the sum of its
+dyadic dilates), maximal operators, a randomised lower bound for operator
+norms on the discrete mixed-norm spaces, and the sesquilinear pairing.
 
 All catalogued kernels depend on the angles through theta - phi only, so
 applying an integral operator on the grid is a circular convolution in the
@@ -34,6 +35,7 @@ __all__ = [
     "PolarGrid",
     "apply_kernel_operator",
     "bergman_kernel",
+    "bergman_projection_operator",
     "circle_maximal",
     "duality_pairing",
     "grid_mixed_norm",
@@ -44,6 +46,7 @@ __all__ = [
     "operator_norm_estimate",
     "project",
     "running_average_maximal",
+    "sample_on_grid",
     "stolz_wedge_inequalities",
 ]
 
@@ -52,11 +55,11 @@ __all__ = [
 class PolarGrid:
     """Quadrature nodes radii[i] e^(i angles[j]) for the unit-mass area measure.
 
-    ``angles`` are 2 pi j / n_angles (the FFT applies and ``project`` need
-    them uniform), ``radial_weights`` the plain dr weights on [0, 1] of the
-    mixed norms, ``weights`` the area weights 2 r w / n_angles.  Bad inputs
-    raise ``ValueError``.  Arrays are read-only, so a cached ``mode_table``
-    cannot go stale.  Grids compare and hash by identity.
+    ``angles`` are 2 pi j / n_angles (the FFT applies need them uniform),
+    ``radial_weights`` the plain dr weights on [0, 1] of the mixed norms,
+    ``weights`` the area weights 2 r w / n_angles.  Bad inputs raise
+    ``ValueError``.  Arrays, the cached ones included, are read-only, so
+    none can go stale.  Grids compare and hash by identity.
     """
 
     radii: np.ndarray
@@ -94,6 +97,16 @@ class PolarGrid:
         area = 2.0 * self.radii * self.radial_weights / self.n_angles
         return np.broadcast_to(area[:, None], self.shape)
 
+    @cached_property
+    def mode_weights(self) -> np.ndarray:
+        """c_i rho_i^k for the modes k < m/2, c_i the area weight at rho_i."""
+        # rho^k as exp(k log rho); a radius 0 has weight 0, so its row stays 0
+        log_r = np.log(np.maximum(self.radii, np.finfo(float).tiny))
+        table = self.weights[:, :1] * np.exp(
+            log_r[:, None] * np.arange((self.n_angles + 1) // 2))
+        table.flags.writeable = False
+        return table
+
     @property
     def shape(self):
         return (len(self.radii), self.n_angles)
@@ -108,7 +121,7 @@ class GridFunction:
     """Complex samples on a polar grid, indexed (radius, angle).
 
     The values are a read-only copy made at construction, so the cached
-    ``mode_table`` derived from them cannot go stale.
+    ``moments`` derived from them cannot go stale.
     """
 
     grid: PolarGrid
@@ -134,28 +147,16 @@ class GridFunction:
         return slice(rows[0], rows[-1] + 1) if rows.size else slice(0, 0)
 
     @cached_property
-    def mode_table(self) -> np.ndarray:
-        """Q[i, r] = c_i rho_i^r F_i[r], the weighted angular modes, for the
-        radii i of ``row_span`` only.
-
-        F_i is the FFT of row i along the angles.  ``project`` reads the
-        projection off this table.  The span is a slice, so a dense
-        function keeps every row without a copy.
-        """
+    def moments(self) -> np.ndarray:
+        """mu_k = sum_i c_i rho_i^k F_i[k] for the modes k < m/2, with F_i
+        the FFT of row i along the angles, over the rows of ``row_span``
+        only, and c_i rho_i^k the grid's ``mode_weights``."""
         rows = self.row_span
-        table = np.fft.fft(self.values[rows], axis=1)
-        table *= _mode_weights(self.grid, rows, table.shape[1])
-        table.flags.writeable = False
-        return table
-
-
-def _mode_weights(grid: PolarGrid, rows: slice, modes: int) -> np.ndarray:
-    """c_i rho_i^r for the radii i of ``rows`` and the modes r < ``modes``,
-    where c_i = 2 rho_i w_i / m is the area weight of a node at radius rho_i.
-    """
-    # rho^r as exp(r log rho); a radius 0 has weight 0, so its row stays 0
-    log_r = np.log(np.maximum(grid.radii[rows], np.finfo(float).tiny))
-    return grid.weights[rows, :1] * np.exp(log_r[:, None] * np.arange(modes))
+        weights = self.grid.mode_weights[rows]
+        f_hat = np.fft.fft(self.values[rows], axis=1)[:, :weights.shape[1]]
+        mu = (f_hat * weights).sum(axis=0)
+        mu.flags.writeable = False
+        return mu
 
 
 def sample_on_grid(f, grid: PolarGrid) -> GridFunction:
@@ -248,59 +249,36 @@ def kernel_offdiag_dyadic_sum(d, x, y):
 
 # -- projection and generic kernel application --------------------------------
 
-# points per block of ``project``: bounds its temporaries at O((nr + m) * 64)
+# points per block of ``project``: bounds its temporaries at O(m * 64)
 _POINT_BLOCK = 64
 
 
 def project(f, z, grid: PolarGrid):
-    """Quadrature of K(z, .) f over the grid's area measure at point(s) z.
+    """P f(z) = sum_{0 <= k < m/2} (k + 1) mu_k z^k at point(s) z.
 
-    The node sum is evaluated through the angular modes.  With the angles
-    phi_l = 2 pi l / m, expanding (1 - z rho e^(-i phi))^(-2) in powers of
-    z rho e^(-i phi) and folding the modes k = r (mod m) together gives
-
-        sum_{i,l} c_i f_il (1 - z rho_i e^(-i phi_l))^(-2)
-            = sum_i [a_i sum_r (r + 1) z^r Q_ir + b_i sum_r z^r Q_ir],
-
-    with Q the cached ``GridFunction.mode_table``, u_i = (z rho_i)^m,
-    a_i = 1 / (1 - u_i) and b_i = m u_i a_i^2: the same number, with no
-    truncation, for every |z| < 1.  Q holds only the radii that carry
-    samples (rows without one add exact zeros), so once it is cached a
-    point costs one product of that block with two columns of powers of z.
-
-    Rounding: on 128 x 128 complex noise it agrees with a direct node sum
-    to 3e-14 of the largest value at nodes with r <= 0.99, and a 40-digit
-    sum at the exact angles 2 pi l / m is closer to it than to the node
-    sum.  As z rho_i nears 1 the factor 1 - u_i cancels: at nodes with
-    r > 0.9999 the two differ by up to 3e-9 relative.
+    mu is the cached ``GridFunction.moments``.  K(z, w) = sum_k (k + 1)
+    (z conj(w))^k is diagonal in the angular modes, so this is P applied
+    exactly to the angular trigonometric interpolant of f, whose modes
+    k >= m/2 are negative frequencies that P removes; at the nodes it is
+    ``bergman_projection_operator``'s output.  Powers of z are taken in
+    polar form, one block of points at a time.
 
     z must be finite and lie in the open unit disc (``DomainError``).
     Returns a complex for a scalar z, else an array of z's shape.
     """
     zs = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(zs) & (np.abs(zs) < 1.0)):
+    if not np.all(np.abs(zs) < 1.0):
         raise DomainError("projection points must be finite and lie in the "
                           "open unit disc")
-    gf = _on_grid(f, grid)
-    q = gf.mode_table
-    m = q.shape[1]
-    r = np.arange(m)[:, None]
-    rho_m = gf.grid.radii[gf.row_span, None] ** m
+    mu = _on_grid(f, grid).moments
+    k = np.arange(mu.size)
+    coeffs = (k + 1.0) * mu
     flat = zs.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
     for s in range(0, flat.size, _POINT_BLOCK):
-        zb = flat[s:s + _POINT_BLOCK]
-        powers = np.abs(zb) ** r * np.exp(1j * np.angle(zb) * r)
-        cols = np.concatenate([(r + 1.0) * powers, powers], axis=1)
-        # one point takes two matrix-vector products: on the 135 x 4096
-        # blow-up table they ran in 1.7 ms, one two-column product in 3.5 ms
-        # (OpenBLAS, one thread, 2-vCPU x86-64 host)
-        sums = (np.stack([q @ c for c in cols.T], axis=1) if zb.size == 1
-                else q @ cols)
-        u = rho_m * (zb * powers[-1])[None, :]
-        a = 1.0 / (1.0 - u)
-        out[s:s + _POINT_BLOCK] = np.sum(
-            a * sums[:, :zb.size] + m * u * a * a * sums[:, zb.size:], axis=0)
+        zb = flat[None, s:s + _POINT_BLOCK]
+        out[s:s + _POINT_BLOCK] = coeffs @ (
+            np.abs(zb) ** k[:, None] * np.exp(1j * np.angle(zb) * k[:, None]))
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -331,30 +309,21 @@ def apply_kernel_operator(kernel, gf: GridFunction) -> GridFunction:
 
 
 def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], GridFunction]:
-    """The discretised projection as a grid-to-grid operator.
+    """The discretised projection as a grid-to-grid operator: the values
+    at the nodes of the polynomial that ``project`` evaluates, one inverse
+    FFT of (k + 1) r^k mu_k over the modes k < m/2.
 
-    K(z, w) = sum_k (k + 1) (z conj(w))^k is diagonal in the angular modes,
-    so with f_k(rho) the k-th FFT coefficient of the samples along the
-    angles, P f(r, theta) = sum_{0 <= k < m/2} (k + 1) r^k e^(i k theta)
-    sum_j 2 rho_j w_j rho_j^k f_k(rho_j) / m.  This integrates the angular
-    trigonometric interpolant of f exactly; its modes k >= m/2 are negative
-    frequencies, which P removes.  The operator binds the weights
-    2 rho_j w_j rho_j^k / m of its m/2 modes once, so an apply is one FFT,
-    one weighted column sum and one inverse FFT.  In the (2, 2) norm of
-    ``grid_mixed_norm`` (radii weighed by dr, not by area) P is no
-    contraction: mode k has norm (k + 1) 2 / sqrt((2k + 1) (2k + 3)) (exact
-    while the radial rule integrates degree 2k + 2), 2 / sqrt(3) at k = 0
-    for the input 2 rho, and that is the norm of P.
+    In the (2, 2) norm of ``grid_mixed_norm`` (radii weighed by dr, not by
+    area) P is no contraction: mode k has norm (k + 1) 2 / sqrt((2k + 1)
+    (2k + 3)) (exact while the radial rule integrates degree 2k + 2),
+    2 / sqrt(3) at k = 0 for the input 2 rho, and that is the norm of P.
     """
     m = grid.n_angles
-    half = m // 2
-    k = np.arange(half)
+    k = np.arange(grid.mode_weights.shape[1])
     out_factors = (k + 1.0)[None, :] * grid.radii[:, None] ** k[None, :]
-    in_factors = _mode_weights(grid, slice(None), half)
 
     def op(gf: GridFunction) -> GridFunction:
-        f_hat = np.fft.fft(_on_grid(gf, grid).values, axis=1)[:, :half]
-        moments = m * (f_hat * in_factors).sum(axis=0)
+        moments = m * _on_grid(gf, grid).moments
         return GridFunction(grid, np.fft.ifft(out_factors * moments, n=m,
                                               axis=1))
     return op
@@ -436,7 +405,10 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
     Trials cycle through Gaussian grid noise, random rank-one profiles
     g(theta) h(r), and sampled witness functions; the bound is the best
     ratio seen and the full (kind, ratio) trace is returned.  Deterministic
-    for a fixed seed.  For P at (2, 2) it finds about 1; the norm is 2/sqrt(3).
+    for a fixed seed.  Trials t = 2, 5, 8, ... take the eight ``_WITNESSES``
+    in turn: the 12 trials that ``report`` runs reach only the four
+    monomials, the power singularities and the bump only 24 trials or more.
+    For P at (2, 2) it finds about 1; the norm is 2/sqrt(3).
     """
     rng = np.random.default_rng(seed)
     nr, na = grid.shape

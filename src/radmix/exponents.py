@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+__all__ = ["ExponentPair", "ExtendedExponent"]
+
 ExponentLike = Union[int, float, str, Fraction, "ExtendedExponent"]
 
 

@@ -71,7 +71,7 @@ class BranchCutError(ArithmeticError):
 
 
 def _check_inside(z: np.ndarray) -> None:
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):
         worst = np.max(np.abs(z))
         raise DomainError(f"point outside the open unit disc (|z| = {worst})")
 
@@ -498,7 +498,7 @@ def cauchy_derivative(f: AnalyticFunction, z: complex) -> complex:
     The independent reference that the tests check ``derivative_at`` against.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("contour centre must lie inside the disc")
     s = 0.5 * (1.0 - abs(z))
     m = 64

@@ -36,6 +36,7 @@ __all__ = [
     "BOUNDARY_LADDER",
     "ExponentFit",
     "InclusionVerdict",
+    "NormCache",
     "WitnessReport",
     "classify_ratio_trace",
     "default_point_family",

@@ -45,7 +45,7 @@ def test_grid_mass_and_shape():
 
 
 def test_grid_arrays_are_read_only_copies():
-    # writing a grid in place would leave cached mode tables stale
+    # writing a grid in place would leave cached weights and moments stale
     radii = GRID.radii.copy()
     g = PolarGrid(radii, GRID.radial_weights.copy(), 64)
     radii[0] = 0.5
@@ -399,21 +399,23 @@ def test_projection_operator_idempotent():
 
 
 def test_projection_operator_matches_point_quadrature():
-    grid = PolarGrid.build(128, 128)
-    rng = np.random.default_rng(14)
-    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    poly = sample_on_grid(TaylorPolynomial(rng.standard_normal(8)), grid).values
-    f = GridFunction(grid, noise + poly)
-    inner = grid.radii <= 0.6
-    expected = project(f, grid.nodes()[inner], grid)
-    assert np.max(np.abs(expected)) > 0.5
-    got = bergman_projection_operator(grid)(f).values[inner]
-    assert np.max(np.abs(got - expected)) < 1e-12
+    # project and the operator are one discrete P: at every node, the outer
+    # ones included, project evaluates the polynomial the operator samples
+    for n in (64, 128):
+        grid = PolarGrid.build(n, n)
+        rng = np.random.default_rng(14)
+        noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        poly = sample_on_grid(TaylorPolynomial(rng.standard_normal(8)), grid).values
+        for values in (noise, noise + poly):
+            f = GridFunction(grid, values)
+            got = bergman_projection_operator(grid)(f).values
+            expected = project(f, grid.nodes(), grid)
+            assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(got))
 
 
-def test_projection_operator_leaves_the_mode_table_alone():
-    # the operator weighs its own m/2 modes; it builds no input's mode table
-    # and gives, bit for bit, the projection read off that table
+def test_projection_operator_reads_the_cached_moments():
+    # bit for bit, the operator is the inverse FFT of (k + 1) r^k m mu_k
+    # over the modes k < m/2, with mu the input's cached moments
     m, half = GRID.n_angles, GRID.n_angles // 2
     k = np.arange(half)
     out_factors = (k + 1.0) * GRID.radii[:, None] ** k
@@ -425,11 +427,67 @@ def test_projection_operator_leaves_the_mode_table_alone():
     for values in (dense, banded, np.zeros(GRID.shape)):
         gf = GridFunction(GRID, values)
         got = op(gf).values
-        assert "mode_table" not in gf.__dict__
         out_hat = np.zeros(GRID.shape, dtype=complex)
-        out_hat[:, :half] = out_factors * (
-            m * gf.mode_table[:, :half].sum(axis=0))
+        out_hat[:, :half] = out_factors * (m * gf.moments)
         assert np.array_equal(got, np.fft.ifft(out_hat, axis=1))
+
+
+def test_moments_match_a_double_loop():
+    # mu_k = sum_i c_i rho_i^k sum_l f_il e^(-2 pi i k l / m), node by node
+    grid = PolarGrid.build(16, 16)
+    nr, m = grid.shape
+    rng = np.random.default_rng(23)
+    dense = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    banded = np.where((np.arange(nr) % 11 > 2)[:, None], dense, 0.0)
+    for values in (dense, banded):
+        gf = GridFunction(grid, values)
+        expected = np.zeros(m // 2, dtype=complex)
+        for k in range(m // 2):
+            for i in range(nr):
+                for j in range(m):
+                    expected[k] += (grid.weights[i, j] * grid.radii[i] ** k
+                                    * values[i, j]
+                                    * np.exp(-2j * np.pi * k * j / m))
+        assert np.max(np.abs(gf.moments - expected)) < 1e-13
+        with pytest.raises(ValueError):
+            gf.moments[0] = 1.0
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_project_reproduces_monomials_near_the_boundary(n):
+    # (n + 1) mu_n = 1 exactly while the 8-node Gauss cells integrate
+    # 2 rho^(2n+1), that is for n <= 7; every other mode is rounding
+    grid = PolarGrid.build(n, n)
+    zs = np.array([0.9, 0.99, 0.999, 0.9999])
+    zs = np.concatenate([zs, zs * np.exp(2.1j)])
+    for degree in range(8):
+        got = project(Monomial(degree), zs, grid)
+        assert np.max(np.abs(got - zs ** degree)) < 1e-13, degree
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_project_annihilates_conjugate_powers(n):
+    # conj(w)^j lives on the negative frequencies, which P removes
+    grid = PolarGrid.build(n, n)
+    zs = (np.array([0.0, 0.5, 0.9, 0.99, 0.999, 0.9999])[:, None]
+          * np.exp(1j * np.array([0.0, 1.0, 2.5, -2.0])))
+    for j in (1, 2, 3):
+        f = sample_on_grid(lambda r, t: (r * np.exp(-1j * t)) ** j, grid)
+        assert np.max(np.abs(project(f, zs, grid))) <= 1e-14, j
+
+
+def test_odd_angle_counts_keep_every_nonnegative_mode():
+    # on m odd angles the modes k <= (m - 1)/2 are all nonnegative
+    # frequencies, the last one included
+    zs = np.array([0.5, 0.9j, -0.99])
+    for m in (3, 5, 9):
+        grid = PolarGrid.build(m, 64)
+        op = bergman_projection_operator(grid)
+        for degree in range((m + 1) // 2):
+            got = project(Monomial(degree), zs, grid)
+            assert np.max(np.abs(got - zs ** degree)) < 1e-13, (m, degree)
+            gf = sample_on_grid(Monomial(degree), grid)
+            assert np.max(np.abs(op(gf).values - gf.values)) < 1e-13
 
 
 def _node_sum(gf, zs):
@@ -439,14 +497,16 @@ def _node_sum(gf, zs):
 
 
 def test_project_matches_explicit_node_sum(monkeypatch):
+    # the node sum also carries the modes k >= m/2, weighted by up to
+    # (k + 1) |z rho|^(m/2); where that is below rounding the two agree
     big = PolarGrid.build(4096, 224, nodes_per_cell=16)
-    pts = np.array([0.8, 0.9, 0.95, 0.975, 0.99, 0.99999, 0.3 + 0.9j, -0.95j])
+    pts = np.array([0.8, 0.9, 0.95, 0.975])
     for p in (2, 4):
         gf = sample_on_grid(projection_blowup_density(p), big)
         expected = _node_sum(gf, pts)
         got = np.array([project(gf, z, big) for z in pts])
         assert np.max(np.abs(got / expected - 1.0)) < 1e-12
-    # a rough input at a seeded subset of nodes inside r <= 0.99, and the
+    # a rough input at a seeded subset of nodes inside r <= 0.6, and the
     # same noise kept on an inner band of radii only
     grid = PolarGrid.build(128, 128)
     rng = np.random.default_rng(16)
@@ -455,7 +515,7 @@ def test_project_matches_explicit_node_sum(monkeypatch):
     band_rows = ((grid.radii > 0.3) & (grid.radii < 0.9))[:, None]
     band = GridFunction(grid, np.where(band_rows, f.values, 0.0))
     assert 0 < band.row_span.start < band.row_span.stop < grid.shape[0]
-    inside = grid.nodes()[grid.radii <= 0.99].ravel()
+    inside = grid.nodes()[grid.radii <= 0.6].ravel()
     zs = rng.choice(inside, 64, replace=False)
     for gf in (band, f):
         expected = _node_sum(gf, zs)
@@ -463,26 +523,33 @@ def test_project_matches_explicit_node_sum(monkeypatch):
         scale = 1e-12 * np.max(np.abs(expected))
         assert np.max(np.abs(got - expected)) < scale
         assert abs(project(gf, zs[0], grid) - expected[0]) < scale
-    # the values are frozen, so the mode table built above stays valid
+    # the values are frozen, so the moments computed above stay valid
     with pytest.raises(ValueError):
         f.values[0, 0] = 1.0
     assert isinstance(project(f, 0.5, grid), complex)
 
     def no_fft(*args, **kwargs):
-        raise AssertionError("mode table rebuilt")
+        raise AssertionError("moments recomputed")
     monkeypatch.setattr(np.fft, "fft", no_fft)
     assert project(f, zs[:3], grid) == pytest.approx(got[:3], rel=1e-15)
 
 
-def test_mode_table_keeps_only_radii_with_samples():
+def test_moments_transform_only_radii_with_samples(monkeypatch):
     big = PolarGrid.build(**BLOWUP_GRID)
     gf = sample_on_grid(projection_blowup_density(2), big)
     rows = np.flatnonzero(np.any(gf.values != 0.0, axis=1))
     assert (rows[0], rows[-1], big.shape[0]) == (0, 134, 224)
-    assert gf.mode_table.shape == (rows[-1] + 1 - rows[0], big.n_angles)
-    # an all-zero function keeps no row and projects to exact zeros
+    shapes = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft",
+                        lambda a, *args, **kw: shapes.append(a.shape)
+                        or fft(a, *args, **kw))
+    assert gf.moments.shape == (big.n_angles // 2,)
+    assert shapes == [(rows[-1] + 1 - rows[0], big.n_angles)]
+    # an all-zero function transforms no row and projects to exact zeros
     zero = GridFunction(GRID, np.zeros(GRID.shape))
-    assert zero.mode_table.shape == (0, GRID.n_angles)
+    assert np.array_equal(zero.moments, np.zeros(GRID.n_angles // 2))
+    assert shapes[-1] == (0, GRID.n_angles)
     assert project(zero, 0.5, GRID) == 0.0
     zs = np.array([0.0, 0.5, -0.3 + 0.9j, 0.99999])
     assert np.array_equal(project(zero, zs, GRID), np.zeros(zs.shape))

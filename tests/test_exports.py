@@ -5,7 +5,9 @@ A name in a module's ``__all__`` counts as used when a name or attribute
 node of that spelling appears in the package's own modules (``__init__``
 aside, which only re-exports) or in the benchmark scripts, or when the
 benchmark's ``tracing.BOUNDARIES`` wraps it.  Anything else needs an entry
-in ``KEEP`` saying why it stays.
+in ``KEEP`` saying why it stays.  Every name that ``__init__`` imports
+from a package module must be in that module's ``__all__``, so no re-export
+escapes the check.
 
 A name that a package module or a test module imports must appear there as
 a name node, unless its import statement carries ``# noqa: F401``.
@@ -87,6 +89,17 @@ def test_every_export_has_a_caller_or_a_reason():
     # a reason is kept only for a name that is exported and needs one
     assert sorted(name for name in KEEP
                   if name not in exports or name in refs) == []
+
+
+def test_every_reexport_is_in_its_modules_all():
+    exports = _exports()
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    reexports = [(node.module, alias.name) for node in init.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names]
+    assert len(reexports) > 50
+    assert sorted(f"{module}.{name}" for module, name in reexports
+                  if exports.get(name) != module) == []
 
 
 def _unused_imports(path: Path) -> list:

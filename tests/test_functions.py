@@ -119,6 +119,20 @@ def test_domain_errors():
         derivative_at(Monomial(1), -1.0)
 
 
+def test_non_finite_points_raise_domain_errors():
+    # |z| is NaN or infinite here, and NaN never compares >= 1
+    for z in (complex("nan"), complex(0.5, math.nan), complex(math.inf, 0.0),
+              [0.2, complex(math.nan, 0.1)]):
+        for f in ALL_REPS:
+            with pytest.raises(DomainError):
+                evaluate(f, z)
+            with pytest.raises(DomainError):
+                derivative_at(f, z)
+        if np.ndim(z) == 0:
+            with pytest.raises(DomainError):
+                cauchy_derivative(Monomial(2), z)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0.0, 0.999999, exclude_max=True),
                 min_size=1, max_size=8),
@@ -389,10 +403,16 @@ _JSON = st.recursive(
     | st.text(max_size=3),
     lambda kids: st.lists(kids, max_size=3) | _specs(kids),
     max_leaves=10)
+_SPECS = st.sampled_from([to_spec(f) for f in ALL_REPS])
+# a valid spec with any of its own fields replaced by arbitrary JSON or by
+# a valid spec, so each field's check is reached with the others valid
+_CLASS_SPECS = _SPECS.flatmap(
+    lambda spec: st.dictionaries(st.sampled_from(sorted(set(spec) - {"repr"})),
+                                 _JSON | _SPECS).map(lambda new: {**spec, **new}))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_specs(_JSON) | _JSON | st.sampled_from([to_spec(f) for f in ALL_REPS]))
+@settings(max_examples=400, deadline=None)
+@given(_specs(_JSON) | _JSON | _SPECS | _CLASS_SPECS)
 def test_from_spec_round_trips_or_raises_value_error(spec):
     try:
         f = from_spec(spec)

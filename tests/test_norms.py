@@ -55,6 +55,24 @@ def test_config_validation():
     assert QuadratureConfig.from_dict(d) == CFG
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=10)
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(QuadratureConfig)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_CONFIG_FIELDS), _JSON) | _JSON)
+def test_config_from_dict_returns_or_raises_value_error(d):
+    try:
+        cfg = QuadratureConfig.from_dict(d)
+    except ValueError:
+        return
+    assert QuadratureConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def test_graded_mesh_rejects_depth_beyond_cap():
     assert len(graded_radial_mesh(MAX_GRADING_LEVELS)[0]) == 344
     for levels in (0, MAX_GRADING_LEVELS + 1, 64, 100):
