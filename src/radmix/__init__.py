@@ -60,8 +60,8 @@ from .bergman import (
     sample_on_grid,
     stolz_wedge_inequalities,
 )
+from .sequences import ExponentFit
 from .theorems import (
-    ExponentFit,
     InclusionVerdict,
     NormCache,
     compactness_witness_scan,

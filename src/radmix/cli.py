@@ -33,6 +33,7 @@ from .exponents import ExponentPair, ExtendedExponent, parse_fraction
 from .functions import Lacunary, Monomial, from_spec
 from .meshes import angular_distance, graded_radial_mesh
 from .norms import QuadratureConfig, mixed_norm
+from .sequences import ExponentFit
 from .theorems import (
     BOUNDARY_LADDER,
     NormCache,
@@ -347,7 +348,7 @@ def blowup_profile(p, grid: PolarGrid) -> tuple:
     gf = sample_on_grid(dens, grid)
     a = np.array(BLOWUP_POINTS)
     values = np.abs(project(gf, a, grid))
-    slope = float(np.polyfit(np.log(1 - a), np.log(values), 1)[0])
+    slope = ExponentFit.fit(zip(np.log(1 - a), np.log(values))).slope
     r, w = graded_radial_mesh(20)
     worst_ray = max(float(w @ np.abs(dens(r, t)) ** p)
                     for t in (np.arange(64) + 0.5) / 64 * 0.5)

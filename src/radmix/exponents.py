@@ -86,6 +86,12 @@ class ExponentPair:
     p: ExtendedExponent
     q: ExtendedExponent
 
+    def __post_init__(self):  # hashing two Fractions takes about 1.9 us
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @staticmethod
     def of(p: ExponentLike, q: ExponentLike) -> "ExponentPair":
         return ExponentPair(ExtendedExponent.of(p), ExtendedExponent.of(q))

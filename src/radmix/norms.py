@@ -15,11 +15,7 @@ onto [0, pi]: it samples only the mirror half of the rays, each with twice
 the weight, and reads the same value up to rounding.
 Estimates are refined by doubling the angular resolution and deepening
 both gradings one dyadic level at a time until two successive values agree
-to the requested relative tolerance.
-
-Divergent norms (functions outside the space) are recognised by sustained
-growth across refinements; the growth rate against the effective boundary
-cutoff is reported as a fitted exponent.
+to the requested relative tolerance (``sequences.refinement_stop``).
 
 Supremum branches (p or q infinite) replace the corresponding integral by a
 maximum over samples.  A q = inf level does not scan all of its angles: it
@@ -71,6 +67,7 @@ from .functions import AnalyticFunction, Sum, _integer, _real, dilate
 from .functions import evaluate  # noqa: F401
 from .meshes import (MAX_GRADING_LEVELS, NODES_PER_CELL, graded_radial_mesh,
                      midpoint_angles)
+from .sequences import ExponentFit, refinement_stop
 
 __all__ = [
     "NormEstimate",
@@ -139,17 +136,15 @@ class NormEstimate:
     """A refined quadrature result with its convergence verdict.
 
     ``trace`` lists (refinement level, value); ``converged`` is
-    ``stop == "tol"``, true exactly when the last two trace values are not
-    both zero and differ relatively by at most rel_tol.
+    ``stop == "tol"``.
     ``divergence_exponent`` (the growth rate of the estimates against the
     reciprocal boundary cutoff) is only set when the refinement diverged.
     ``to_dict`` writes a non-finite value, in ``value`` or in ``trace``, as
     null, so its output is strict JSON.
-    ``stop`` says why the refinement stopped: ``tol`` (two levels agreed),
-    ``growth`` (sustained growth, divergent), ``nonfinite`` (a level
-    overflowed, divergent), ``refine_max`` (the configured number of
-    refinements ran out) or ``depth_cap`` (the radial grading cannot deepen
-    further).
+    ``stop`` says why the refinement stopped: ``tol``, ``growth`` or
+    ``nonfinite`` (``sequences.refinement_stop``; the last two mean
+    divergent), ``refine_max`` (the configured number of refinements ran
+    out) or ``depth_cap`` (the radial grading cannot deepen further).
     ``evaluations`` counts, per level, the |f| samples the level took (the
     zoom pass of a q = inf level included, and of its coarse ring
     only the samples on the cells it did not reuse from the level before;
@@ -458,27 +453,6 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
             samples + _ZOOM_RAYS * _ZOOM_ROUNDS * len(r))
 
 
-def _fit_growth(trace: list, base_levels: int) -> float | None:
-    """Slope of log(value) against log(1/(1-R)) over the trailing ascent."""
-    pts = [(lvl, v) for lvl, v in trace if math.isfinite(v) and v > 0.0]
-    if len(pts) < 2:
-        return None
-    pts = pts[-6:]
-    x = np.array([(base_levels + lvl) * math.log(2.0) for lvl, _ in pts])
-    y = np.log([v for _, v in pts])
-    return float(np.polyfit(x, y, 1)[0])
-
-
-def _agree(a: float, b: float, rel_tol: float) -> bool:
-    """Two successive level values agree to rel_tol.
-
-    Two zeros do not agree: every sample may have underflowed (z^n for a
-    huge n), which says nothing about the norm.
-    """
-    scale = max(abs(a), abs(b))
-    return scale > 0.0 and abs(b - a) <= rel_tol * scale
-
-
 def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig) -> NormEstimate:
     """The mixed norm of f at the exponent pair pq, with refinement trace.
 
@@ -491,42 +465,27 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig) -> NormEstimate:
     """
     pq = as_pair(pq)
     base_count = cfg.theta_count if pq.q.is_finite else _SUP_RING
-    grow = 1.0 + cfg.rel_tol
     trace: list = []
-    values: list = []
     evaluations: list = []
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
-    stop = "refine_max" if top == cfg.refine_max else "depth_cap"
     carry: list = []
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
                             cfg.radial_levels + level, carry=carry)
         trace.append((level, v))
-        values.append(v)
         evaluations.append(n)
-        if not math.isfinite(v):
-            stop = "nonfinite"
+        if stop := refinement_stop([x for _, x in trace], cfg.rel_tol):
             break
-        if level >= 1 and _agree(values[-2], values[-1], cfg.rel_tol):
-            stop = "tol"
-            break
-        # growth factors need positive values (zeros are underflow)
-        if len(values) >= 6 and min(values[-6:]) > 0.0:
-            recent = values[-6:]
-            g = [recent[i + 1] / recent[i] for i in range(5)]
-            # Five sustained growths mark divergence, but only when the
-            # growth factors are not dying out: a slowly converging
-            # boundary-singular integral also gains a little at every
-            # refinement, yet its gains decay geometrically.
-            if all(gi > grow for gi in g) and g[-1] - 1.0 > 0.6 * (g[0] - 1.0):
-                stop = "growth"
-                break
-    if stop in ("nonfinite", "growth"):
-        return NormEstimate(
-            value=math.inf, trace=trace,
-            divergence_exponent=_fit_growth(trace, cfg.radial_levels),
-            stop=stop, evaluations=evaluations)
-    return NormEstimate(value=values[-1], trace=trace, stop=stop,
+    else:
+        stop = "refine_max" if top == cfg.refine_max else "depth_cap"
+    divergent = stop in ("nonfinite", "growth")
+    # log value against log 1/(1-R), over the last six finite positive levels
+    pts = [(lvl, x) for lvl, x in trace if math.isfinite(x) and x > 0.0][-6:]
+    slope = None if not divergent or len(pts) < 2 else ExponentFit.fit(zip(
+        [(cfg.radial_levels + lvl) * math.log(2.0) for lvl, _ in pts],
+        np.log([x for _, x in pts]))).slope
+    return NormEstimate(value=math.inf if divergent else trace[-1][1],
+                        trace=trace, divergence_exponent=slope, stop=stop,
                         evaluations=evaluations)
 
 

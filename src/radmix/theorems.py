@@ -5,11 +5,7 @@ pair on its boundary, and the compactness criterion are decided exactly in
 rational arithmetic.  Each predicate is then confronted with computed-norm
 evidence: monomial norm ratios, a boundary power singularity separating the
 two spaces, and the Cesaro-power family whose norms grow logarithmically.
-
-A growth scan never returns a silent verdict: a ratio trace is declared
-unbounded only when the last three budgeted ratios each exceed the first by
-a factor of at least two and are monotone; anything short of a clean signal
-is reported as inconclusive.
+``sequences`` judges their ratio traces and fits.
 """
 
 from __future__ import annotations
@@ -18,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .exponents import ExponentPair, as_pair
 from .functions import (
@@ -30,15 +24,14 @@ from .functions import (
     evaluate,
 )
 from .norms import NormEstimate, QuadratureConfig, mixed_norm
+from .sequences import ExponentFit, classify_ratio_trace
 from .witnesses import cesaro_power, power_singularity
 
 __all__ = [
     "BOUNDARY_LADDER",
-    "ExponentFit",
     "InclusionVerdict",
     "NormCache",
     "WitnessReport",
-    "classify_ratio_trace",
     "default_point_family",
     "evaluation_functional_fit",
     "inclusion_is_compact",
@@ -93,29 +86,6 @@ class InclusionVerdict:
         return (w == "included") == self.included
 
 
-@dataclass
-class ExponentFit:
-    """Least-squares line through (log-abscissa, log-ordinate) points."""
-
-    slope: float
-    intercept: float
-    residual: float
-    points: list
-
-    @staticmethod
-    def fit(points: Sequence[tuple]) -> "ExponentFit":
-        pts = [(x, y) for x, y in points if math.isfinite(x) and math.isfinite(y)]
-        if len(pts) < 4:
-            raise ValueError("an exponent fit needs at least 4 usable points")
-        x = np.array([p[0] for p in pts])
-        y = np.array([p[1] for p in pts])
-        if np.unique(x).size < 2:
-            raise ValueError("an exponent fit needs two distinct abscissae")
-        slope, intercept = np.polyfit(x, y, 1)
-        residual = float(np.max(np.abs(y - (slope * x + intercept))))
-        return ExponentFit(float(slope), float(intercept), residual, pts)
-
-
 # -- exact predicates ----------------------------------------------------------
 
 def inclusion_region_contains(p0, q0, p, q) -> tuple:
@@ -143,23 +113,6 @@ def inclusion_is_compact(p0, q0, p, q) -> bool:
             and dst.p < src.p and dst.p.is_finite)
 
 
-# -- ratio-trace classification -------------------------------------------------
-
-def classify_ratio_trace(ratios: Sequence[float]) -> str:
-    """'unbounded' needs the last three ratios monotone and >= 2x the first;
-    a trace capped below 2x the first is 'bounded'; otherwise 'inconclusive'."""
-    vals = [v for v in ratios if math.isfinite(v)]
-    if len(vals) < 4:
-        return "inconclusive"
-    first = vals[0]
-    tail = vals[-3:]
-    if all(v >= 2.0 * first for v in tail) and tail[0] <= tail[1] <= tail[2]:
-        return "unbounded"
-    if all(v < 2.0 * first for v in vals[1:]):
-        return "bounded"
-    return "inconclusive"
-
-
 class NormCache:
     """Memoised mixed norms keyed by (key, exponent pair), and the point
     bounds built from them.  This module's key is the function itself:
@@ -182,7 +135,6 @@ class NormCache:
         # this method; the quadrature takes none, so refuse, not ignore, one
         if angle_offset != 0.0:
             raise ValueError("mixed norms take no angle offset")
-        # one probe: a key hashes the pair's two Fractions in Python
         k = (key, as_pair(pq))
         est = self._store.get(k)
         if est is None:
@@ -377,4 +329,6 @@ def evaluation_functional_fit(pq, which: str, z_list: Sequence[float],
         est = _point_bound(cache, pq, float(z), which == "derivative")
         if est > 0:
             pts.append((math.log(1.0 / (1.0 - z * z)), math.log(est)))
+    if len(pts) < 4:
+        raise ValueError("an exponent fit needs at least 4 usable points")
     return ExponentFit.fit(pts)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -36,6 +37,21 @@ def test_reciprocal_sum_bounds():
         for q in (1, "4/3", "inf"):
             s = ExponentPair.of(p, q).reciprocal_sum()
             assert 0 <= s <= 2
+
+
+def test_equal_pairs_hash_equal_whatever_their_spelling():
+    spellings = [(2, "inf"), (Fraction(2), math.inf), ("4/2", "oo"),
+                 (2.0, "Infinity"),
+                 (ExtendedExponent.of(2), ExtendedExponent.of("inf"))]
+    pairs = [ExponentPair.of(*s) for s in spellings]
+    store = {pairs[0]: "estimate"}
+    for pair in pairs:
+        assert pair == pairs[0] and hash(pair) == hash(pairs[0])
+        assert store[pair] == "estimate" and {pair: 1}[pairs[0]] == 1
+    # the stored hash is the new pair's, not its source's
+    moved = dataclasses.replace(pairs[0], q=ExtendedExponent.of(2))
+    assert moved == ExponentPair.of(2, 2)
+    assert hash(moved) == hash(ExponentPair.of(2, 2)) != hash(pairs[0])
 
 
 def test_ordering():

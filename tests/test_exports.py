@@ -21,6 +21,8 @@ Likewise a defaulted parameter of a package function must be passed, by
 keyword or by position, by some call of that name in the package or the
 benchmark scripts, or have an entry in ``KEEP_PARAMS`` saying why it stays:
 a knob that only the tests turn is not part of the program.
+
+The package fits lines in one place: only ``sequences`` names ``polyfit``.
 """
 
 import ast
@@ -125,6 +127,15 @@ def _unused_imports(path: Path) -> list:
 def test_every_import_is_used():
     paths = _modules() + sorted(TESTS.glob("*.py"))
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def test_one_line_fit():
+    # sequences.ExponentFit is the package's only least-squares line
+    sites = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "polyfit" in (getattr(node, "id", None),
+                              getattr(node, "attr", None))]
+    assert sites == ["sequences.py"]
 
 
 def _keywords(path: Path, callee: str) -> set:

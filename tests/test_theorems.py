@@ -16,7 +16,8 @@ from radmix import (
     inclusion_witness_scan,
 )
 from radmix.cli import SCAN_CFG
-from radmix.theorems import _point_bound, classify_ratio_trace
+from radmix.sequences import classify_ratio_trace
+from radmix.theorems import _point_bound
 
 GRID5 = [1, Fraction(4, 3), 2, 4, "inf"]
 CFG = QuadratureConfig(refine_max=8, rel_tol=0.02)
@@ -163,14 +164,16 @@ def test_scans_refuse_a_cache_built_for_another_config():
 
 
 def test_exponent_fit_garbage_rejected():
-    with pytest.raises(ValueError):
-        ExponentFit.fit([(0.0, 1.0), (1.0, 2.0)])
     fit = ExponentFit.fit([(x, 2 * x + 1) for x in (0.0, 1.0, 2.0, 3.0)])
     assert fit.slope == pytest.approx(2.0)
     assert fit.residual < 1e-12
     # one repeated abscissa determines no slope
     with pytest.raises(ValueError):
         ExponentFit.fit([(0.5, y) for y in (1.0, 2.0, 3.0, 4.0)])
+    # the functional fit wants at least 4 usable points; the line fit does not
+    with pytest.raises(ValueError, match="at least 4 usable points"):
+        evaluation_functional_fit(("inf", "inf"), "point", [0.5, 0.75, 0.9],
+                                  CFG)
 
 
 def test_point_functional_slopes():
