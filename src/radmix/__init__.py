@@ -9,6 +9,7 @@ from .functions import (
     BranchCutError,
     CesaroPower,
     DomainError,
+    Features,
     Lacunary,
     Monomial,
     PowerSingularity,
@@ -16,7 +17,6 @@ from .functions import (
     Scaled,
     Sum,
     TaylorPolynomial,
-    cauchy_derivative,
     derivative_at,
     dilate,
     evaluate,

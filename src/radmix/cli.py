@@ -99,7 +99,11 @@ def _load_function(spec: str):
     p = Path(spec)
     if not spec.lstrip().startswith("{") and p.exists():
         text = p.read_text()
-    return from_spec(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("function spec nested too deeply to parse") from None
+    return from_spec(doc)
 
 
 def _fmt(x) -> str:
@@ -201,8 +205,13 @@ def cmd_project(args) -> int:
     if not isinstance(points, list):
         raise ValueError("--points must be a JSON list")
     zs = np.array([_parse_point(pt) for pt in points], dtype=complex)
-    rows = [[z.real, z.imag, val.real, val.imag]
-            for z, val in zip(zs, project(f, zs, grid))]
+    # an overflow shows as a non-finite sample, which GridFunction refuses,
+    # or as a non-finite value, refused here
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = project(f, zs, grid)
+    if not np.isfinite(vals).all():
+        raise ValueError("the projection is not finite at some point")
+    rows = [[z.real, z.imag, val.real, val.imag] for z, val in zip(zs, vals)]
     manifest = _config_hash(cfg, args.seed, {"cmd": "project",
                                              "grid": args.grid or "64x64"})
     _emit_csv(rows, ["z_re", "z_im", "P_re", "P_im"], manifest, args.out_file)

@@ -6,10 +6,10 @@ outside the disc, dilations and finite linear combinations.  Each
 representation is one frozen dataclass deriving from
 :class:`AnalyticFunction`, and that class is the only place that knows it:
 ``__post_init__`` coerces and validates the fields, and the methods give the
-evaluation, the closed-form derivative, the singular boundary directions
-and whether f(conj z) = conj f(z) (real Taylor coefficients, so |f| is even
-in the angle).  The JSON spec is derived from the dataclass fields, so
-adding a representation means adding one class.  Everything is immutable
+evaluation, the closed-form derivative and the one ``Features`` record
+(``features()``) of what a norm quadrature may assume of f.  The JSON spec
+is derived from the dataclass fields, so adding a representation means
+adding one class.  Everything is immutable
 and every operation is pure, so values can be shared freely between
 workers.  A finite power series is defined once, by the mixin ``_Series``:
 ``Monomial``, ``TaylorPolynomial`` and ``Lacunary`` give only their terms,
@@ -27,8 +27,7 @@ its radial factors (powers r^n, the chord terms of (1 - r)^2 +
 theta that never forms the complex point.  Without one, the
 modulus of ``_eval`` at the points r e^(i theta) is used, so a new class
 needs no kernel to be correct.  Differentiation uses the closed form of each
-representation; ``cauchy_derivative``, an independent contour quadrature, is
-the reference that the tests check it against.
+representation.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ __all__ = [
     "BranchCutError",
     "CesaroPower",
     "DomainError",
+    "Features",
     "Lacunary",
     "Monomial",
     "PowerSingularity",
@@ -53,7 +53,6 @@ __all__ = [
     "Scaled",
     "Sum",
     "TaylorPolynomial",
-    "cauchy_derivative",
     "derivative_at",
     "dilate",
     "evaluate",
@@ -144,6 +143,33 @@ def _function(g, what: str) -> "AnalyticFunction":
 
 # -- representations -------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Features:
+    """What a norm quadrature may assume of f beyond the samples of |f|.
+
+    ``singular_angles``: the boundary directions along which the radial
+    profile can peak: 0 for power singularities and Cesaro powers, the pole
+    direction for a rational bump.  Supremum-type norms seed their angular
+    sample set with these directions.
+
+    ``top_exponent``: the highest power of z in a finite series (for a
+    Cesaro power, in its inner sum), else 0.  Along a circle, |f| of such a
+    series varies on angular scales down to about 2 pi / N for the top
+    exponent N, so its peaks need not lie at a singular direction;
+    supremum-type norms scan a ring of angles fine enough to see them.
+
+    ``conjugate_symmetric``: whether f(conj z) = conj f(z) (real Taylor
+    coefficients), so that |f| takes equal values at the angles theta and
+    -theta.  False unless a representation proves it, so a new class is
+    never taken to be symmetric; a norm quadrature folds its angular rule
+    onto half the circle only when this holds.
+    """
+
+    singular_angles: tuple = ()
+    top_exponent: int = 0
+    conjugate_symmetric: bool = False
+
+
 class AnalyticFunction:
     """Base of the representations.
 
@@ -151,7 +177,7 @@ class AnalyticFunction:
     (a power series inherits them from ``_Series``): the values and the
     closed-form derivative at an array of points already checked to lie
     inside the disc.  A subclass may override ``_polar`` with its own
-    modulus kernel.
+    modulus kernel, and ``features`` with what it can declare.
     """
 
     def polar_kernel(self, r) -> Callable[[np.ndarray], np.ndarray]:
@@ -172,35 +198,9 @@ class AnalyticFunction:
         return lambda theta: np.abs(
             self._eval(r[None, :] * np.exp(1j * theta[:, None])))
 
-    def singular_angles(self) -> tuple:
-        """Boundary directions along which the radial profile can peak.
-
-        Power singularities and Cesaro powers concentrate at angle 0; a
-        rational bump concentrates at its pole direction.  Supremum-type
-        norms seed their angular sample set with these directions.
-        """
-        return ()
-
-    def top_exponent(self) -> int:
-        """The highest power of z in a finite series (for a Cesaro power,
-        in its inner sum); 0 for the other representations.
-
-        Along a circle, |f| of such a series varies on angular scales down
-        to about 2 pi / N for the top exponent N, so its peaks need not lie
-        at a singular direction; supremum-type norms scan a ring of angles
-        fine enough to see them.
-        """
-        return 0
-
-    def is_conjugate_symmetric(self) -> bool:
-        """Whether f(conj z) = conj f(z), so that |f| takes equal values at
-        the angles theta and -theta (real Taylor coefficients).
-
-        False unless a representation proves it, so a new class is never
-        taken to be symmetric; a norm quadrature folds its angular rule onto
-        half the circle only when this holds.
-        """
-        return False
+    def features(self) -> Features:
+        """What the norm quadratures may assume of f; nothing by default."""
+        return Features()
 
 
 def _horner(z: np.ndarray, exponents, coeffs) -> np.ndarray:
@@ -236,11 +236,10 @@ class _Series:
         radial = np.asarray(coeffs, dtype=complex)[:, None] * r ** n[:, None]
         return lambda theta: np.abs(np.exp(1j * np.outer(theta, n)) @ radial)
 
-    def top_exponent(self):
-        return self._terms()[0][-1]
-
-    def is_conjugate_symmetric(self):
-        return all(a.imag == 0.0 for a in self._terms()[1])
+    def features(self):
+        exponents, coeffs = self._terms()
+        return Features(top_exponent=exponents[-1], conjugate_symmetric=all(
+            a.imag == 0.0 for a in coeffs))
 
 
 @dataclass(frozen=True)
@@ -298,11 +297,8 @@ class PowerSingularity(AnalyticFunction):
         chord = _chord2(1.0 - r, r)
         return lambda theta: chord(theta) ** (-0.5 * self.alpha)
 
-    def singular_angles(self):
-        return (0.0,)
-
-    def is_conjugate_symmetric(self):
-        return True
+    def features(self):
+        return Features(singular_angles=(0.0,), conjugate_symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -342,14 +338,9 @@ class CesaroPower(AnalyticFunction):
         den = _chord2(1.0 - r, r)
         return lambda theta: (num(m * theta) / den(theta)) ** (0.5 / self.alpha)
 
-    def singular_angles(self):
-        return (0.0,)
-
-    def top_exponent(self):
-        return self.n
-
-    def is_conjugate_symmetric(self):
-        return True
+    def features(self):
+        return Features(singular_angles=(0.0,), top_exponent=self.n,
+                        conjugate_symmetric=True)
 
 
 @dataclass(frozen=True)
@@ -403,11 +394,9 @@ class RationalBump(AnalyticFunction):
         chord = _chord2(self.a - r, self.a * r)
         return lambda theta: self.eps / chord(theta - self.theta0)
 
-    def singular_angles(self):
-        return (self.theta0,)
-
-    def is_conjugate_symmetric(self):
-        return self.theta0 % (2.0 * np.pi) == 0.0
+    def features(self):
+        return Features(singular_angles=(self.theta0,), conjugate_symmetric=(
+            self.theta0 % (2.0 * np.pi) == 0.0))
 
 
 @dataclass(frozen=True)
@@ -432,14 +421,8 @@ class Scaled(AnalyticFunction):
     def _polar(self, r):
         return self.inner.polar_kernel(self.r * r)
 
-    def singular_angles(self):
-        return self.inner.singular_angles()
-
-    def top_exponent(self):
-        return self.inner.top_exponent()
-
-    def is_conjugate_symmetric(self):
-        return self.inner.is_conjugate_symmetric()
+    def features(self):
+        return self.inner.features()
 
 
 @dataclass(frozen=True)
@@ -459,17 +442,14 @@ class Sum(AnalyticFunction):
     def _deriv(self, z):
         return _weighted_sum(z, ((c, g._deriv(z)) for c, g in self.terms))
 
-    def singular_angles(self):
-        # first-seen order, without repeats
-        return tuple(dict.fromkeys(
-            t for _, g in self.terms for t in g.singular_angles()))
-
-    def top_exponent(self):
-        return max((g.top_exponent() for _, g in self.terms), default=0)
-
-    def is_conjugate_symmetric(self):
-        return all(c.imag == 0.0 and g.is_conjugate_symmetric()
-                   for c, g in self.terms)
+    def features(self):
+        parts = [(c, g.features()) for c, g in self.terms]
+        return Features(
+            # first-seen order, without repeats
+            tuple(dict.fromkeys(t for _, x in parts
+                                for t in x.singular_angles)),
+            max((x.top_exponent for _, x in parts), default=0),
+            all(c.imag == 0.0 and x.conjugate_symmetric for c, x in parts))
 
 
 # -- operations ------------------------------------------------------------------
@@ -488,30 +468,6 @@ def derivative_at(f: AnalyticFunction, z) -> complex | np.ndarray:
     _check_inside(arr)
     out = f._deriv(arr)
     return complex(out) if np.isscalar(z) or arr.ndim == 0 else out
-
-
-def cauchy_derivative(f: AnalyticFunction, z: complex) -> complex:
-    """f'(z) by trapezoid quadrature of the Cauchy integral.
-
-    The contour is the circle of radius (1 - |z|)/2 about z; the node count
-    starts at 64 and doubles until two successive estimates agree to 1e-10.
-    The independent reference that the tests check ``derivative_at`` against.
-    """
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainError("contour centre must lie inside the disc")
-    s = 0.5 * (1.0 - abs(z))
-    m = 64
-    prev = None
-    for _ in range(10):
-        t = 2.0 * np.pi * np.arange(m) / m
-        ring = z + s * np.exp(1j * t)
-        est = complex(np.mean(f._eval(ring) * np.exp(-1j * t)) / s)
-        if prev is not None and abs(est - prev) <= 1e-10 * max(1.0, abs(est)):
-            return est
-        prev = est
-        m *= 2
-    return est
 
 
 def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:
@@ -560,7 +516,8 @@ def to_spec(f: AnalyticFunction) -> dict:
 
 
 def from_spec(d: dict) -> AnalyticFunction:
-    """Inverse of :func:`to_spec`; a malformed spec raises ValueError."""
+    """Inverse of :func:`to_spec`; a malformed spec raises ValueError, and
+    so does one nested too deeply for Python's stack to decode."""
     try:
         kind = d["repr"]
         cls = _REPRESENTATIONS[kind]
@@ -571,3 +528,5 @@ def from_spec(d: dict) -> AnalyticFunction:
         return cls(**{k: _decode(v) for k, v in d.items() if k != "repr"})
     except (TypeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} spec: {exc}") from None
+    except RecursionError:
+        raise ValueError("function spec nested too deeply to decode") from None

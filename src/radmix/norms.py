@@ -3,16 +3,16 @@
 The inner radial integral int_0^1 |f(r e^(i t))|^p dr is computed on a
 dyadically graded composite Gauss mesh (nodes accumulating at r = 1).  The
 outer angular average uses the normalised measure dt / 2 pi on a uniform
-half-step-offset rule, except near the declared singular directions of the
-representation, where the uniform cells are replaced by panels graded
-toward the singularity: the angular profile of a boundary power
-singularity is itself an integrable power of the angle, and a uniform rule
-would converge too slowly there to tell membership from divergence.  A
-function with real Taylor coefficients has |f| even in the angle
-(``AnalyticFunction.is_conjugate_symmetric``); when its singular directions
-are all 0 as well, that rule is symmetric, and a q-finite level folds it
-onto [0, pi]: it samples only the mirror half of the rays, each with twice
-the weight, and reads the same value up to rounding.
+half-step-offset rule, except near the singular directions declared in the
+representation's ``features()`` record, where the uniform cells are replaced
+by panels graded toward the singularity: the angular profile of a boundary
+power singularity is itself an integrable power of the angle, and a uniform
+rule would converge too slowly there to tell membership from divergence.
+When the record declares f conjugate-symmetric (real Taylor coefficients,
+so |f| is even in the angle) and its singular directions are all 0, that
+rule is symmetric, and a q-finite level folds it onto [0, pi]: it samples
+only the mirror half of the rays, each with twice the weight, and reads the
+same value up to rounding.
 Estimates are refined by doubling the angular resolution and deepening
 both gradings one dyadic level at a time until two successive values agree
 to the requested relative tolerance (``sequences.refinement_stop``).
@@ -24,8 +24,8 @@ singular directions of the representation (a needle-thin radial profile,
 e.g. of a bump function aimed at one boundary point, would otherwise be
 invisible to any uniform scan).  The ring has 512 rays (``_SUP_RING``,
 also the ray count of level 0), doubled until it holds four rays per unit
-of the representation's top exponent (``AnalyticFunction.top_exponent``:
-a series of top exponent N oscillates on angular scales down to 2 pi / N),
+of the top exponent in the record (a series of top exponent N oscillates
+on angular scales down to 2 pi / N),
 and at most as many as the level's fine rule.  The level then samples its
 fine midpoint rule only within one coarse step of the largest local maxima
 of the ring (each a strict rise from its left neighbour, so a ring flat up to
@@ -203,24 +203,25 @@ _ZOOM_ROUNDS = 3
 def _angular_rule(f: AnalyticFunction, count: int, levels: int):
     """Angular nodes and weights for the measure dt / 2 pi (mass one).
 
-    Base rule: uniform midpoints.  Around each singular direction of the
-    representation a block of 2 * _PANEL_CELLS uniform cells is replaced by
-    two meshes graded toward the singular angle.  Directions too close
-    together (merged bump clusters) fall back to the plain uniform rule;
-    their profiles are bounded, so nothing is lost.
+    Base rule: uniform midpoints.  Around each singular direction that
+    ``f.features()`` declares, a block of 2 * _PANEL_CELLS uniform cells is
+    replaced by two meshes graded toward the singular angle.  Directions too
+    close together (merged bump clusters) fall back to the plain uniform
+    rule; their profiles are bounded, so nothing is lost.
 
-    Folded rule: when |f| is even in the angle
-    (``f.is_conjugate_symmetric()``) and every singular direction is 0, the
-    rule is symmetric under t -> -t, and only its half in [0, pi] is kept,
-    with twice the weight: the midpoint cells j < count / 2 (cell j mirrors
+    Folded rule: when the record also declares |f| even in the angle
+    (``conjugate_symmetric``) and every singular direction is 0, the rule is
+    symmetric under t -> -t, and only its half in [0, pi] is kept, with
+    twice the weight: the midpoint cells j < count / 2 (cell j mirrors
     cell count - 1 - j; an odd count's cell at pi mirrors itself and keeps
     its weight) and the panel on the positive side of 0.  Nodes are paired
     by index, so the folded level is the full one up to rounding, at half
     the samples.
     """
     two_pi = 2.0 * math.pi
-    taus = sorted({t % two_pi for t in f.singular_angles()})
-    fold = f.is_conjugate_symmetric() and set(taus) <= {0.0}
+    features = f.features()
+    taus = sorted({t % two_pi for t in features.singular_angles})
+    fold = features.conjugate_symmetric and set(taus) <= {0.0}
     h = two_pi / count
     base = midpoint_angles(count)
     base_w = np.full(count, 1.0 / count)
@@ -386,8 +387,8 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
 def _sup_ring(f: AnalyticFunction, count: int) -> int:
     """Rays of the coarse ring of a q = inf level of ``count`` rays:
     ``_SUP_RING << j`` for the least j giving ``_SUP_RAYS_PER_EXPONENT``
-    rays per unit of ``f.top_exponent()``, capped at ``count``."""
-    need = min(_SUP_RAYS_PER_EXPONENT * f.top_exponent(), count)
+    rays per unit of ``f.features().top_exponent``, capped at ``count``."""
+    need = min(_SUP_RAYS_PER_EXPONENT * f.features().top_exponent, count)
     coarse = _SUP_RING
     while coarse < need:
         coarse <<= 1
@@ -421,7 +422,7 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
     cells and joins the first of them to the carried part.
     """
     coarse = _sup_ring(f, count)
-    specials = np.array(f.singular_angles())
+    specials = np.array(f.features().singular_angles)
     thetas = np.concatenate([midpoint_angles(coarse), specials])
     join = np.add if pq.p.is_finite else np.maximum
     first = len(r) - 2 * NODES_PER_CELL if carry else 0

@@ -9,6 +9,7 @@ from radmix import (
     GridFunction,
     Monomial,
     PolarGrid,
+    RationalBump,
     TaylorPolynomial,
     apply_kernel_operator,
     bergman_kernel,
@@ -563,6 +564,23 @@ def test_project_rejects_points_outside_disc():
               [0.2, 1.0 + 1e-12]):
         with pytest.raises(DomainError):
             project(gf, z, GRID)
+
+
+def test_non_finite_samples_rejected():
+    # a function that overflows on the grid is refused where its samples
+    # become a grid function, so no projection, operator or pairing sees it
+    for bad in (np.inf, np.nan, complex(0.0, -np.inf)):
+        values = np.ones(GRID.shape, dtype=complex)
+        values[3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(GRID, values)
+    big = RationalBump(1e302, 1.00001, 0.0)
+    with np.errstate(over="ignore"):
+        for use in (lambda: sample_on_grid(big, GRID),
+                    lambda: project(big, 0.5, GRID),
+                    lambda: duality_pairing(big, big, GRID)):
+            with pytest.raises(ValueError, match="finite"):
+                use()
 
 
 def test_grid_function_on_other_nodes_rejected():

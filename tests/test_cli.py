@@ -65,14 +65,24 @@ def test_malformed_spec_fails(capsys):
     assert "error" in err
 
 
+def _nested(depth: int) -> str:
+    """The JSON spec of z inside ``depth`` levels of Scaled(r = 1)."""
+    return ('{"repr": "Scaled", "r": 1.0, "inner": ' * depth + MONOMIAL1
+            + "}" * depth)
+
+
 @pytest.mark.parametrize("spec", [
     {"repr": "Monomial", "n": 2.7},
     {"repr": "Monomial"},
     {"repr": "PowerSingularity", "alpha": "nan"},
     {"repr": "Lacunary", "nodes": [[1, [1.0, 0.0]], [1.5, [1.0, 0.0]]]},
+    pytest.param(_nested(600), id="too_deep_to_decode"),
+    # this deep, json.loads itself gives up
+    pytest.param(_nested(3000), id="too_deep_to_parse"),
 ])
 def test_invalid_spec_exits_1_without_output(capsys, spec):
-    code, out, err = run_cli(["norm", "--function", json.dumps(spec),
+    text = spec if isinstance(spec, str) else json.dumps(spec)
+    code, out, err = run_cli(["norm", "--function", text,
                               "--p", "2", "--q", "2"], capsys)
     assert code == 1
     assert out == ""
@@ -160,6 +170,23 @@ def test_project_bad_point_exits_1_without_output(capsys, points):
     # refused before anything is printed
     code, out, err = run_cli(["--grid", "64x64", "project", "--function",
                               MONOMIAL1, "--points", points], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", [
+    {"repr": "PowerSingularity", "alpha": 400},
+    {"repr": "RationalBump", "eps": 1e302, "a": 1.00001, "theta0": 0.0},
+    # finite samples, but their moments overflow
+    {"repr": "RationalBump", "eps": 1e307, "a": 1.5, "theta0": 0.0},
+])
+def test_project_overflow_exits_1_without_output(capsys, spec):
+    # a function that overflows on the grid has no finite projection, and
+    # no NaN reaches the CSV
+    code, out, err = run_cli(["--grid", "64x64", "project", "--function",
+                              json.dumps(spec), "--points",
+                              "[[0.1, 0], [0.9, 0]]"], capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")

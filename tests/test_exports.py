@@ -23,6 +23,9 @@ benchmark scripts, or have an entry in ``KEEP_PARAMS`` saying why it stays:
 a knob that only the tests turn is not part of the program.
 
 The package fits lines in one place: only ``sequences`` names ``polyfit``.
+A representation declares its quadrature features in one record: no class
+defines ``singular_angles``, ``top_exponent`` or ``is_conjugate_symmetric``
+as a method.
 """
 
 import ast
@@ -37,7 +40,6 @@ TESTS = ROOT / "tests"
 BENCH = ROOT / "perfbench"
 
 KEEP = {
-    "cauchy_derivative": "the contour-integral reference derivative_at is tested against",
     "circle_maximal": "the Fefferman-Stein check, and the boundedness of P",
     "running_average_maximal": "criterion 11, and the boundedness of P",
     "dilation_convergence": "criterion 11, and the separability scan",
@@ -136,6 +138,20 @@ def test_one_line_fit():
              if "polyfit" in (getattr(node, "id", None),
                               getattr(node, "attr", None))]
     assert sites == ["sequences.py"]
+
+
+def test_features_are_declared_in_one_record():
+    # what a representation tells the quadratures is one functions.Features
+    # record from features(); no class defines a parallel method for it
+    parallel = {"singular_angles", "top_exponent", "is_conjugate_symmetric"}
+    defined = sorted(f"{path.stem}.{cls.name}.{node.name}"
+                     for path in _modules()
+                     for cls in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(cls, ast.ClassDef)
+                     for node in cls.body
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name in parallel)
+    assert defined == []
 
 
 def _keywords(path: Path, callee: str) -> set:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from radmix import (
     CesaroPower,
     DomainError,
+    Features,
     Lacunary,
     Monomial,
     PowerSingularity,
@@ -16,7 +17,6 @@ from radmix import (
     Scaled,
     Sum,
     TaylorPolynomial,
-    cauchy_derivative,
     derivative_at,
     dilate,
     evaluate,
@@ -98,8 +98,8 @@ def test_series_classes_agree_on_one_term(n):
         np.testing.assert_allclose(f.polar_kernel(r)(t),
                                    mono.polar_kernel(r)(t),
                                    rtol=1e-14, err_msg=repr(f))
-        assert f.top_exponent() == mono.top_exponent() == n
-        assert f.is_conjugate_symmetric() and mono.is_conjugate_symmetric()
+        assert f.features() == mono.features() == Features(
+            top_exponent=n, conjugate_symmetric=True)
 
 
 def test_representation_registry_names_the_eight_classes():
@@ -128,9 +128,6 @@ def test_non_finite_points_raise_domain_errors():
                 evaluate(f, z)
             with pytest.raises(DomainError):
                 derivative_at(f, z)
-        if np.ndim(z) == 0:
-            with pytest.raises(DomainError):
-                cauchy_derivative(Monomial(2), z)
 
 
 @settings(max_examples=100, deadline=None)
@@ -225,13 +222,59 @@ def test_conjugate_symmetry_claims_are_honest(seed):
     t = np.concatenate([rng.uniform(0.0, math.pi, 16), [1e-6, math.pi]])
     claims = 0
     for f in (g for fs in instances.values() for g in fs):
-        if not f.is_conjugate_symmetric():
+        if not f.features().conjugate_symmetric:
             continue
         claims += 1
         kernel = f.polar_kernel(r)
         np.testing.assert_allclose(kernel(-t), kernel(t), rtol=1e-14,
                                    atol=0.0, err_msg=repr(f))
     assert claims >= len(_REPRESENTATIONS)
+
+
+def test_each_class_declares_its_documented_features():
+    # one seeded instance of every representation against what its class
+    # documents: singular directions, top exponent and conjugate symmetry
+    from radmix.functions import _REPRESENTATIONS
+    instances = {name: fs[0] for name, fs in
+                 _seeded_instances(np.random.default_rng(0)).items()}
+    expected = {
+        "Monomial": lambda f: Features((), f.n, True),
+        "TaylorPolynomial": lambda f: Features(
+            (), len(f.coeffs) - 1, all(c.imag == 0.0 for c in f.coeffs)),
+        "PowerSingularity": lambda f: Features((0.0,), 0, True),
+        "CesaroPower": lambda f: Features((0.0,), f.n, True),
+        "Lacunary": lambda f: Features((), f.nodes[-1][0], all(
+            a.imag == 0.0 for _, a in f.nodes)),
+        "RationalBump": lambda f: Features(
+            (f.theta0,), 0, f.theta0 % (2 * math.pi) == 0.0),
+        "Scaled": lambda f: f.inner.features(),
+        "Sum": lambda f: Features((0.0,), 3, True),
+    }
+    assert set(expected) == set(instances) == set(_REPRESENTATIONS)
+    for name, f in instances.items():
+        assert f.features() == expected[name](f), name
+    assert instances["Scaled"].features() == Features((0.0,), 0, True)
+
+
+def test_sum_and_scaled_combine_features():
+    series = Lacunary(((2, 1.0), (9, -0.5), (40, 0.25)))
+    bump = RationalBump(0.05, 1.02, 0.7)
+    # angles in first-seen order without repeats, the largest top exponent,
+    # and asymmetric as soon as one term is
+    f = Sum(((1.0, series), (2.0, PowerSingularity(0.5)), (1.0, bump),
+             (0.5, CesaroPower(3, 2.0))))
+    assert f.features() == Features((0.0, 0.7), 40, False)
+    assert Sum(((1.0, bump), (1.0, f))).features().singular_angles == (0.7, 0.0)
+    # symmetric terms with real weights stay symmetric; one complex weight
+    # breaks it
+    terms = ((1.0, PowerSingularity(0.4)), (-2.0, series))
+    assert Sum(terms).features() == Features((0.0,), 40, True)
+    assert not Sum(terms[:1] + ((2j, series),)).features().conjugate_symmetric
+    # a dilation declares what its inner function does
+    for g in (f, series, bump, Sum(terms)):
+        assert Scaled(g, 0.9).features() == g.features()
+    # the empty sum is the zero function, which is symmetric
+    assert Sum(()).features() == Features(conjugate_symmetric=True)
 
 
 @pytest.mark.parametrize("f", [
@@ -243,7 +286,7 @@ def test_conjugate_symmetry_claims_are_honest(seed):
     Scaled(Lacunary(((1, 1.0), (4, 0.5j))), 0.9),
 ], ids=repr)
 def test_asymmetric_functions_claim_no_symmetry(f):
-    assert not f.is_conjugate_symmetric()
+    assert not f.features().conjugate_symmetric
     # and they are not symmetric: the claim would fold a wrong rule
     kernel = f.polar_kernel(np.array([0.5, 0.9]))
     t = np.array([0.3, 1.1, 2.5])
@@ -308,13 +351,35 @@ def test_derivative_finite_difference_100_points_per_representation():
         assert np.max(rel) <= 1e-6
 
 
+def _cauchy_derivative(f, z: complex) -> complex:
+    """f'(z) by trapezoid quadrature of the Cauchy integral, the independent
+    reference that ``derivative_at`` is checked against.
+
+    The contour is the circle of radius (1 - |z|)/2 about z, for z inside
+    the disc; the node count starts at 64 and doubles until two successive
+    estimates agree to 1e-10.
+    """
+    s = 0.5 * (1.0 - abs(z))
+    m = 64
+    prev = None
+    for _ in range(10):
+        t = 2.0 * np.pi * np.arange(m) / m
+        est = complex(np.mean(evaluate(f, z + s * np.exp(1j * t))
+                              * np.exp(-1j * t)) / s)
+        if prev is not None and abs(est - prev) <= 1e-10 * max(1.0, abs(est)):
+            return est
+        prev = est
+        m *= 2
+    return est
+
+
 def test_cauchy_quadrature_against_closed_form():
-    # derivative of z^2 at an interior point via the contour fallback
-    d = cauchy_derivative(TaylorPolynomial([0, 0, 1]), 0.3 + 0.4j)
+    # derivative of z^2 at an interior point via the contour reference
+    d = _cauchy_derivative(TaylorPolynomial([0, 0, 1]), 0.3 + 0.4j)
     assert abs(d - (0.6 + 0.8j)) < 1e-10
     for f in ALL_REPS:
         z = 0.25 - 0.3j
-        assert abs(cauchy_derivative(f, z) - derivative_at(f, z)) < 1e-9
+        assert abs(_cauchy_derivative(f, z) - derivative_at(f, z)) < 1e-9
 
 
 def test_dilate():
@@ -385,6 +450,13 @@ def test_spec_missing_or_malformed_fields():
         from_spec({"repr": "Scaled", "inner": 3, "r": 0.5})
     with pytest.raises(ValueError):
         from_spec(["repr", "Monomial"])
+    # z inside 600 levels of Scaled(r = 1), too deep for Python's stack to
+    # decode; not an @example of the round-trip property: Hypothesis prints
+    # every explicit example, and its printer recurses as deep
+    deep = json.loads('{"repr": "Scaled", "r": 1.0, "inner": ' * 600
+                      + '{"repr": "Monomial", "n": 1}' + "}" * 600)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        from_spec(deep)
 
 
 _REPR_NAMES = sorted({type(f).__name__ for f in ALL_REPS}) + ["NoSuch"]

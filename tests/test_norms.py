@@ -12,6 +12,7 @@ from scipy import integrate
 from radmix import (
     CesaroPower,
     ExponentPair,
+    Features,
     Lacunary,
     Monomial,
     PowerSingularity,
@@ -373,7 +374,8 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
     if pq.q.is_finite:
         thetas, ang_w = norms._angular_rule(f, count, levels)
     else:
-        thetas = np.concatenate([midpoint_angles(count), f.singular_angles()])
+        thetas = np.concatenate([midpoint_angles(count),
+                                 f.features().singular_angles])
         ang_w = np.full(len(thetas), 1.0 / len(thetas))
     full = discrete_mixed_norm(f.polar_kernel(r)(thetas), w, ang_w, pq)
     level, _ = norms._level_value(f, pq, count, levels)
@@ -401,13 +403,15 @@ def test_folded_level_matches_the_full_circle(monkeypatch, f):
     # [0, pi]; the unfolded rule, forced by denying the symmetry, takes the
     # whole circle and must read the same level up to rounding.  Count 8 is
     # the uniform fallback (no panels), 9 an odd count with a cell at pi.
-    assert f.is_conjugate_symmetric()
+    features = f.features()
+    assert features.conjugate_symmetric
     levels = []
     for count, level, p, q in itertools.product(
             (8, 9, 64), range(4), (1, 1.5, 2, "inf"), (1, 2, 4)):
         levels.append((ExponentPair.of(p, q), count << level, 12 + level))
     folded = [norms._level_value(f, *args) for args in levels]
-    monkeypatch.setattr(type(f), "is_conjugate_symmetric", lambda self: False)
+    monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
+        features, conjugate_symmetric=False))
     for args, (v, n) in zip(levels, folded):
         full, n_full = norms._level_value(f, *args)
         assert v == pytest.approx(full, rel=1e-14, abs=0.0), args
@@ -426,8 +430,8 @@ def test_fold_needs_every_singular_direction_at_zero(monkeypatch):
     # a symmetry claim with a singular direction off 0 keeps the full rule
     f = RationalBump(0.05, 1.02, 0.7)
     full = norms._angular_rule(f, 64, 12)
-    monkeypatch.setattr(RationalBump, "is_conjugate_symmetric",
-                        lambda self: True)
+    monkeypatch.setattr(RationalBump, "features", lambda self: Features(
+        singular_angles=(0.7,), conjugate_symmetric=True))
     claimed = norms._angular_rule(f, 64, 12)
     for a, b in zip(full, claimed):
         assert np.array_equal(a, b)
@@ -489,7 +493,8 @@ def _dense_sup_level(f, pq, count, levels):
     def inner(vals):
         return vals.max(axis=-1) if not pq.p.is_finite else vals ** p @ w
 
-    thetas = np.concatenate([midpoint_angles(count), f.singular_angles()])
+    thetas = np.concatenate([midpoint_angles(count),
+                             f.features().singular_angles])
     kernel = f.polar_kernel(r)
     per_angle = inner(kernel(thetas))
     k = int(np.argmax(per_angle))
@@ -705,7 +710,7 @@ def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
         assert v == pytest.approx(w, rel=1e-15, abs=0.0)
     # a level whose ring is the previous level's samples the ring only on
     # its last two cells, 16 radii, and every other ray at all its radii
-    rays = len(f.singular_angles())
+    rays = len(f.features().singular_angles)
     for level in range(1, len(nested.trace)):
         count = norms._SUP_RING << level
         ring = norms._sup_ring(f, count)
