@@ -259,6 +259,19 @@ def kernel_offdiag_dyadic_sum(d, x, y):
 _POINT_BLOCK = 64
 
 
+_OVERFLOW = "the projection or pairing overflowed the float range"
+
+
+def _finite(result):
+    """``result``, a complex or a complex array, if it is finite.  Finite
+    samples can still have moments, products or sums beyond the float
+    range; numpy returns inf or NaN for them, and this raises ValueError."""
+    if not np.isfinite(result).all():
+        raise ValueError(_OVERFLOW)
+    return result
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def project(f, z, grid: PolarGrid):
     """P f(z) = sum_{0 <= k < m/2} (k + 1) mu_k z^k at point(s) z.
 
@@ -270,7 +283,8 @@ def project(f, z, grid: PolarGrid):
     polar form, one block of points at a time.
 
     z must be finite and lie in the open unit disc (``DomainError``).
-    Returns a complex for a scalar z, else an array of z's shape.
+    Returns a complex for a scalar z, else an array of z's shape; a value
+    beyond the float range raises ValueError (``_finite``).
     """
     zs = np.asarray(z, dtype=complex)
     if not np.all(np.abs(zs) < 1.0):
@@ -285,6 +299,7 @@ def project(f, z, grid: PolarGrid):
         zb = flat[None, s:s + _POINT_BLOCK]
         out[s:s + _POINT_BLOCK] = coeffs @ (
             np.abs(zb) ** k[:, None] * np.exp(1j * np.angle(zb) * k[:, None]))
+    _finite(out)
     return complex(out[0]) if zs.ndim == 0 else out.reshape(zs.shape)
 
 
@@ -323,15 +338,22 @@ def bergman_projection_operator(grid: PolarGrid) -> Callable[[GridFunction], Gri
     area) P is no contraction: mode k has norm (k + 1) 2 / sqrt((2k + 1)
     (2k + 3)) (exact while the radial rule integrates degree 2k + 2),
     2 / sqrt(3) at k = 0 for the input 2 rho, and that is the norm of P.
+    An output beyond the float range raises ValueError, as in ``_finite``.
     """
     m = grid.n_angles
     k = np.arange(grid.mode_weights.shape[1])
     out_factors = (k + 1.0)[None, :] * grid.radii[:, None] ** k[None, :]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def op(gf: GridFunction) -> GridFunction:
         moments = m * _on_grid(gf, grid).moments
-        return GridFunction(grid, np.fft.ifft(out_factors * moments, n=m,
-                                              axis=1))
+        try:
+            return GridFunction(grid, np.fft.ifft(out_factors * moments, n=m,
+                                                  axis=1))
+        except ValueError:
+            # the output has the grid's shape, so its one refusal is a
+            # non-finite value: no second pass over it is needed
+            raise ValueError(_OVERFLOW) from None
     return op
 
 
@@ -443,12 +465,14 @@ def operator_norm_estimate(op: Callable[[GridFunction], GridFunction], pq,
 
 # -- duality pairing and the boundary-wedge inequalities ------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def duality_pairing(f, g, grid: PolarGrid) -> complex:
     """int f conj(g) over the unit-mass area measure, on the grid; f is
-    sampled once when g is f."""
+    sampled once when g is f.  A pairing beyond the float range raises
+    ValueError (``_finite``)."""
     fv = _on_grid(f, grid).values
     gv = fv if g is f else _on_grid(g, grid).values
-    return complex(np.sum(grid.weights * fv * np.conjugate(gv)))
+    return _finite(complex(np.sum(grid.weights * fv * np.conjugate(gv))))
 
 
 def stolz_wedge_inequalities(z, w) -> tuple:

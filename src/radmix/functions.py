@@ -163,11 +163,18 @@ class Features:
     -theta.  False unless a representation proves it, so a new class is
     never taken to be symmetric; a norm quadrature folds its angular rule
     onto half the circle only when this holds.
+
+    ``rotation_invariant``: whether |f| depends on |z| alone, that is (for
+    an analytic f) f = c z^n: a series with at most one nonzero
+    coefficient, or a dilation of one.  False unless a representation
+    proves it; a norm quadrature then samples a single ray for every
+    exponent pair.
     """
 
     singular_angles: tuple = ()
     top_exponent: int = 0
     conjugate_symmetric: bool = False
+    rotation_invariant: bool = False
 
 
 class AnalyticFunction:
@@ -239,7 +246,8 @@ class _Series:
     def features(self):
         exponents, coeffs = self._terms()
         return Features(top_exponent=exponents[-1], conjugate_symmetric=all(
-            a.imag == 0.0 for a in coeffs))
+            a.imag == 0.0 for a in coeffs), rotation_invariant=len(
+                coeffs) - coeffs.count(0.0) <= 1)
 
 
 @dataclass(frozen=True)
@@ -485,6 +493,12 @@ def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:
 
 _REPRESENTATIONS = {cls.__name__: cls
                     for cls in AnalyticFunction.__subclasses__()}
+# A spec nests at most this many JSON objects and arrays, its own object
+# included: Scaled(Scaled(z)) takes three, and each Sum level three (the
+# terms array, a [weight, term] pair and the term).  Counting them bounds
+# the decoder's stack, so a spec is refused at the same depth however deep
+# the caller's stack already is (100 levels take about 300 frames).
+_SPEC_DEPTH = 100
 
 
 def _encode(v):
@@ -494,14 +508,6 @@ def _encode(v):
         return [v.real, v.imag]
     if isinstance(v, tuple):
         return [_encode(x) for x in v]
-    return v
-
-
-def _decode(v):
-    if isinstance(v, dict):
-        return from_spec(v)
-    if isinstance(v, list):
-        return tuple(_decode(x) for x in v)
     return v
 
 
@@ -517,7 +523,13 @@ def to_spec(f: AnalyticFunction) -> dict:
 
 def from_spec(d: dict) -> AnalyticFunction:
     """Inverse of :func:`to_spec`; a malformed spec raises ValueError, and
-    so does one nested too deeply for Python's stack to decode."""
+    so does one that nests more than ``_SPEC_DEPTH`` objects and arrays."""
+    return _decode_spec(d, 1)
+
+
+def _decode_spec(d, depth: int) -> AnalyticFunction:
+    """The representation of the spec ``d``, an object at nesting depth
+    ``depth``."""
     try:
         kind = d["repr"]
         cls = _REPRESENTATIONS[kind]
@@ -525,8 +537,20 @@ def from_spec(d: dict) -> AnalyticFunction:
         raise ValueError("function spec needs a 'repr' field naming one of "
                          f"{sorted(_REPRESENTATIONS)}") from None
     try:
-        return cls(**{k: _decode(v) for k, v in d.items() if k != "repr"})
+        return cls(**{k: _decode(v, depth + 1) for k, v in d.items()
+                      if k != "repr"})
     except (TypeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed {kind} spec: {exc}") from None
-    except RecursionError:
-        raise ValueError("function spec nested too deeply to decode") from None
+
+
+def _decode(v, depth: int):
+    """A field value at nesting depth ``depth``: a nested spec, an array
+    (as a tuple) or a scalar."""
+    if isinstance(v, (dict, list)) and depth > _SPEC_DEPTH:
+        raise ValueError("function spec nested too deeply to decode (more "
+                         f"than {_SPEC_DEPTH} objects and arrays)")
+    if isinstance(v, dict):
+        return _decode_spec(v, depth)
+    if isinstance(v, list):
+        return tuple(_decode(x, depth + 1) for x in v)
+    return v

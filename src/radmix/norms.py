@@ -12,7 +12,9 @@ When the record declares f conjugate-symmetric (real Taylor coefficients,
 so |f| is even in the angle) and its singular directions are all 0, that
 rule is symmetric, and a q-finite level folds it onto [0, pi]: it samples
 only the mirror half of the rays, each with twice the weight, and reads the
-same value up to rounding.
+same value up to rounding.  When the record declares f rotation-invariant
+(f = c z^n, so |f| depends on |z| alone), every ray of any rule reads the
+same, and a level of any exponent pair samples one ray of its radial mesh.
 Estimates are refined by doubling the angular resolution and deepening
 both gradings one dyadic level at a time until two successive values agree
 to the requested relative tolerance (``sequences.refinement_stop``).
@@ -28,13 +30,17 @@ of the top exponent in the record (a series of top exponent N oscillates
 on angular scales down to 2 pi / N),
 and at most as many as the level's fine rule.  The level then samples its
 fine midpoint rule only within one coarse step of the largest local maxima
-of the ring (each a strict rise from its left neighbour, so a ring flat up to
-rounding has none) and of the singular directions, and a zoom pass of a few
+of the ring (each a strict rise from its left neighbour, so a ring of one
+value has none) and of the singular directions, and a zoom pass of a few
 vectorised rounds refines around the discrete maximiser.  The fine samples
 are a subset of the full fine rule, so none falls on a singular direction.
 A peak narrower than one coarse step that neither a singular direction nor
 the top exponent accounts for can fall between the coarse rays and be
-missed.  The ring's angles stay the same from level to level until it
+missed.  For a record that folds the q-finite rule, the q = inf level folds
+too: it samples only the mirror half of its ring, finds the peaks on that
+half followed by its reverse (so a peak next to 0 or pi has its mirrored
+neighbour) and takes each fine window to its mirror in [0, pi].  The ring's
+angles stay the same from level to level until it
 grows, and each level's radial mesh keeps every cell of the one before but
 the last, so a level of the refinement reuses the ring's radial sums over
 those closed cells and samples the ring only on its own last two cells.
@@ -61,7 +67,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .exponents import ExponentPair, ExtendedExponent, as_pair
-from .functions import AnalyticFunction, Sum, _integer, _real, dilate
+from .functions import (AnalyticFunction, Features, Sum, _integer, _real,
+                        dilate)
 # ``evaluate`` is not called here; perfbench's traced run wraps
 # ``norms.evaluate``, so the name stays importable from this module.
 from .functions import evaluate  # noqa: F401
@@ -148,8 +155,9 @@ class NormEstimate:
     ``evaluations`` counts, per level, the |f| samples the level took (the
     zoom pass of a q = inf level included, and of its coarse ring
     only the samples on the cells it did not reuse from the level before;
-    a folded q-finite level, see ``_angular_rule``, counts only its half of
-    the circle); it is a diagnostic and stays out of ``to_dict``.
+    a folded level, see ``_angular_rule`` and ``_sup_level``, counts only
+    its half of the circle, and a rotation-invariant f one ray, the length
+    of the radial mesh); it is a diagnostic and stays out of ``to_dict``.
     """
 
     value: float
@@ -187,9 +195,6 @@ _SUP_RING = 512
 # A q = inf level refines around this many of the largest local maxima of its
 # coarse ring, besides the singular directions.
 _SUP_PEAKS = 8
-# A ring spread by at most this many ulps of its largest value is flat:
-# rounding alone spreads the finite-p radial sums of equal rays (by <= 5).
-_FLAT_ULPS = 16
 # The coarse ring of a q = inf level holds at least this many rays per unit
 # of the representation's top exponent, about four per period of its fastest
 # oscillation along a circle.
@@ -200,28 +205,33 @@ _ZOOM_RAYS = 10
 _ZOOM_ROUNDS = 3
 
 
-def _angular_rule(f: AnalyticFunction, count: int, levels: int):
+def _folds(features: Features) -> bool:
+    """Whether a level may sample only the rays in [0, pi]: |f| is even in
+    the angle (``conjugate_symmetric``) and every singular direction is 0,
+    so the level's angular rule is symmetric under t -> -t."""
+    return features.conjugate_symmetric and all(
+        t % (2.0 * math.pi) == 0.0 for t in features.singular_angles)
+
+
+def _angular_rule(features: Features, count: int, levels: int):
     """Angular nodes and weights for the measure dt / 2 pi (mass one).
 
-    Base rule: uniform midpoints.  Around each singular direction that
-    ``f.features()`` declares, a block of 2 * _PANEL_CELLS uniform cells is
-    replaced by two meshes graded toward the singular angle.  Directions too
-    close together (merged bump clusters) fall back to the plain uniform
+    Base rule: uniform midpoints.  Around each singular direction that the
+    ``features`` record declares, a block of 2 * _PANEL_CELLS uniform cells
+    is replaced by two meshes graded toward the singular angle.  Directions
+    too close together (merged bump clusters) fall back to the plain uniform
     rule; their profiles are bounded, so nothing is lost.
 
-    Folded rule: when the record also declares |f| even in the angle
-    (``conjugate_symmetric``) and every singular direction is 0, the rule is
-    symmetric under t -> -t, and only its half in [0, pi] is kept, with
-    twice the weight: the midpoint cells j < count / 2 (cell j mirrors
-    cell count - 1 - j; an odd count's cell at pi mirrors itself and keeps
-    its weight) and the panel on the positive side of 0.  Nodes are paired
-    by index, so the folded level is the full one up to rounding, at half
-    the samples.
+    Folded rule: when ``_folds(features)``, only the rule's half in [0, pi]
+    is kept, with twice the weight: the midpoint cells j < count / 2 (cell j
+    mirrors cell count - 1 - j; an odd count's cell at pi mirrors itself and
+    keeps its weight) and the panel on the positive side of 0.  Nodes are
+    paired by index, so the folded level is the full one up to rounding, at
+    half the samples.
     """
     two_pi = 2.0 * math.pi
-    features = f.features()
     taus = sorted({t % two_pi for t in features.singular_angles})
-    fold = features.conjugate_symmetric and set(taus) <= {0.0}
+    fold = _folds(features)
     h = two_pi / count
     base = midpoint_angles(count)
     base_w = np.full(count, 1.0 / count)
@@ -325,20 +335,19 @@ def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
     return _angular_norm(inner, angular_w, pq)
 
 
-def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
-                 ) -> np.ndarray:
+def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int,
+                 fold: bool = False) -> np.ndarray:
     """Indices into ``midpoint_angles(count)`` within one coarse step of a
     candidate: the ``_SUP_PEAKS`` largest cyclic local maxima of the coarse
     per-ray values ``ring`` (taken at ``midpoint_angles(len(ring))``) and
     every singular direction in ``specials``.  A local maximum rises
-    strictly from its left neighbour, so a ring of one value has none, nor
-    has a ring flat up to rounding (``_FLAT_ULPS``)."""
+    strictly from its left neighbour, so a ring of one value has none.
+    With ``fold``, each index j is taken to its mirror count - 1 - j when
+    that is smaller, so every index lies in [0, pi]."""
     coarse = len(ring)
-    top = ring.max()
     # argmax passes, not a sort: the first call of a numpy sort routine
     # faults in about 180 kB of its code
-    is_peak = ((top - ring.min() > _FLAT_ULPS * np.spacing(top))
-               & (ring > np.roll(ring, 1)) & (ring >= np.roll(ring, -1)))
+    is_peak = (ring > np.roll(ring, 1)) & (ring >= np.roll(ring, -1))
     heights = np.where(is_peak, ring, -np.inf)
     peaks = []
     for _ in range(_SUP_PEAKS):
@@ -357,6 +366,9 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int
     # a mask, not np.unique: its first call loads about 1.8 MB
     hit = np.zeros(count, dtype=bool)
     hit[idx[idx <= last[:, None]].astype(int) % count] = True
+    if fold:
+        half = (count + 1) // 2
+        hit = hit[:half] | hit[::-1][:half]
     return np.flatnonzero(hit)
 
 
@@ -367,63 +379,82 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     """One quadrature level of the mixed norm with radii in [lo, 1]: the
     value and the number of |f| samples it took.
 
-    q finite: the q-mean over the panel-graded angular rule of ``count``
-    cells.  q = inf: ``_sup_level``, which reads and refills ``carry`` (the
-    ring's closed-cell values, see there); without one the level stands
-    alone.  Either way the level binds one kernel (``f.polar_kernel`` at its
-    radii) and streams the per-ray values through it (``_ray_values``).  A
-    modulus or a power beyond the float range is inf, without a warning, so
-    the refinement stops there as ``nonfinite``.
+    A rotation-invariant f (|f| depends on |z| alone, see ``Features``):
+    one ray, the value of every ray of any angular rule, for every (p, q).
+    Else, q finite: the q-mean over the panel-graded angular rule of
+    ``count`` cells.  q = inf: ``_sup_level``, which reads and refills
+    ``carry`` (the ring's closed-cell values, see there); without one the
+    level stands alone.  Either way the level binds one kernel
+    (``f.polar_kernel`` at its radii) and streams the per-ray values through
+    it (``_ray_values``), and reads ``f.features()`` once.  A modulus or a
+    power beyond the float range is inf, without a warning, so the
+    refinement stops there as ``nonfinite``.
     """
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
+    features = f.features()
+    if features.rotation_invariant:
+        return (_angular_norm(_ray_values(kernel, np.zeros(1), w, pq.p)[0],
+                              np.ones(1), pq), len(r))
     if not pq.q.is_finite:
-        return _sup_level(f, kernel, pq, count, r, w, carry)
-    thetas, ang_w = _angular_rule(f, count, levels)
+        return _sup_level(f, features, kernel, pq, count, r, w, carry)
+    thetas, ang_w = _angular_rule(features, count, levels)
     return (_angular_norm(_ray_values(kernel, thetas, w, pq.p)[0],
                           ang_w, pq), len(thetas) * len(r))
 
 
-def _sup_ring(f: AnalyticFunction, count: int) -> int:
+def _sup_ring(features: Features, count: int) -> int:
     """Rays of the coarse ring of a q = inf level of ``count`` rays:
     ``_SUP_RING << j`` for the least j giving ``_SUP_RAYS_PER_EXPONENT``
-    rays per unit of ``f.features().top_exponent``, capped at ``count``."""
-    need = min(_SUP_RAYS_PER_EXPONENT * f.features().top_exponent, count)
+    rays per unit of ``features.top_exponent``, capped at ``count``."""
+    need = min(_SUP_RAYS_PER_EXPONENT * features.top_exponent, count)
     coarse = _SUP_RING
     while coarse < need:
         coarse <<= 1
     return min(coarse, count)
 
 
-def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
-               count: int, r: np.ndarray, w: np.ndarray,
+def _sup_level(f: AnalyticFunction, features: Features, kernel: Callable,
+               pq: ExponentPair, count: int, r: np.ndarray, w: np.ndarray,
                carry: list | None) -> tuple:
-    """The q = inf level and its sample count, its samples taken by the
-    level's bound ``kernel`` at the radii ``r`` with radial weights ``w``.
+    """The q = inf level of f and its sample count, given f's ``features``
+    record, its samples taken by the level's bound ``kernel`` at the radii
+    ``r`` with radial weights ``w``.
 
     The per-ray values on the coarse ring ``midpoint_angles(ring)``, ring =
-    ``_sup_ring(f, count)``, and on the singular directions pick the
+    ``_sup_ring(features, count)``, and on the singular directions pick the
     candidates of ``_sup_windows``; the level is the max over the singular
     directions, over the midpoints of ``midpoint_angles(count)`` within one
     coarse step of a candidate, and over a zoom pass (``_zoom_max``) within
     one fine step of their maximiser.  The ring of a series holds about four
     rays per period of its top exponent; once it reaches ``count`` the level
-    scans every midpoint.  Without a candidate (a flat ring, no singular
-    direction) the ring's own rays stand in for the fine pass.  A narrower
-    peak that no singular direction declares can fall between the coarse
-    rays and be missed.
+    scans every midpoint.  Without a candidate (a ring of one value, no
+    singular direction) the ring's own rays stand in for the fine pass.  A
+    narrower peak that no singular direction declares can fall between the
+    coarse rays and be missed.
+
+    Folded level: when ``_folds(features)``, ring ray j and its mirror
+    ring - 1 - j see equal values, so only the mirror half
+    ``midpoint_angles(ring)[:(ring + 1) // 2]`` is sampled.  Peaks are found
+    on that half followed by its reverse, the full ring up to rounding, so a
+    peak next to 0 or pi is found just as on the full ring, and each fine
+    window is taken to its mirror in [0, pi] (``_sup_windows``).  The level
+    reads the unfolded value up to rounding, at about half the samples.
 
     Each ring ray is reduced over its closed cells and over its last cell,
     the two joined by a sum for finite p and a max for p = inf.  The ring is
     the next level's ring too unless it grows, and the next level's radial
     mesh keeps every cell of this one but the last (see ``meshes``).  So a
-    level given a ``carry`` whose ring stays leaves in it the closed part,
-    and a level that finds one there samples the ring only on its last two
-    cells and joins the first of them to the carried part.
+    level given a ``carry`` whose ring stays leaves in it the closed part of
+    the rays it samples (the mirror half, when folded), and a level that
+    finds one there samples the ring only on its last two cells and joins
+    the first of them to the carried part.
     """
-    coarse = _sup_ring(f, count)
-    specials = np.array(f.features().singular_angles)
-    thetas = np.concatenate([midpoint_angles(coarse), specials])
+    coarse = _sup_ring(features, count)
+    fold = _folds(features)
+    kept = (coarse + 1) // 2 if fold else coarse
+    specials = np.array(features.singular_angles)
+    thetas = np.concatenate([midpoint_angles(coarse)[:kept], specials])
     join = np.add if pq.p.is_finite else np.maximum
     first = len(r) - 2 * NODES_PER_CELL if carry else 0
     ring_kernel = f.polar_kernel(r[first:]) if first else kernel
@@ -431,20 +462,23 @@ def _sup_level(f: AnalyticFunction, kernel: Callable, pq: ExponentPair,
                                (0, len(w) - first - NODES_PER_CELL))
     if carry:
         closed = join(carry.pop(), closed)
-    if carry is not None and _sup_ring(f, 2 * count) == coarse:
+    if carry is not None and _sup_ring(features, 2 * count) == coarse:
         carry.append(closed)
     per_angle = join(closed, last)
     samples = len(thetas) * (len(r) - first)
     if not np.isfinite(per_angle).all():
         # an overflowing ray ends the refinement; no window can undo it
         return _angular_norm(per_angle, None, pq), samples
-    windows = (_sup_windows(per_angle[:coarse], specials, count)
+    ring = per_angle[:kept]
+    if fold:
+        ring = np.concatenate([ring, ring[:coarse // 2][::-1]])
+    windows = (_sup_windows(ring, specials, count, fold)
                if count != coarse else ())
     if len(windows):
         fine = midpoint_angles(count)[windows]
         thetas = np.concatenate([fine, specials])
         per_angle = np.concatenate(
-            [_ray_values(kernel, fine, w, pq.p)[0], per_angle[coarse:]])
+            [_ray_values(kernel, fine, w, pq.p)[0], per_angle[kept:]])
         samples += len(fine) * len(r)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count

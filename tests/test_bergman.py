@@ -583,6 +583,26 @@ def test_non_finite_samples_rejected():
                 use()
 
 
+def test_overflowing_projection_is_refused():
+    # finite samples whose moments overflow: project, the grid operator
+    # and the pairing each raise one ValueError about their own result,
+    # where numpy gives NaN or inf, and none blames the samples; no
+    # overflow warning escapes (warnings are errors here)
+    gf = sample_on_grid(RationalBump(1e307, 1.5, 0.0), GRID)
+    assert np.isfinite(gf.values).all()
+    for use in (lambda: project(gf, 0.5, GRID),
+                lambda: project(gf, [0.1, 0.5j], GRID),
+                lambda: bergman_projection_operator(GRID)(gf),
+                lambda: duality_pairing(gf, gf, GRID)):
+        with pytest.raises(ValueError, match="overflowed the float range"):
+            use()
+    # a large but representable input passes the same gates
+    ok = sample_on_grid(RationalBump(1e300, 1.5, 0.0), GRID)
+    assert np.isfinite(project(ok, 0.5, GRID))
+    assert np.isfinite(bergman_projection_operator(GRID)(ok).values).all()
+    assert np.isfinite(duality_pairing(ok, Monomial(1), GRID))
+
+
 def test_grid_function_on_other_nodes_rejected():
     # same shape as GRID, different radii and weights
     other = PolarGrid.build(64, 64, nodes_per_cell=16)

@@ -25,14 +25,16 @@ a knob that only the tests turn is not part of the program.
 The package fits lines in one place: only ``sequences`` names ``polyfit``.
 A representation declares its quadrature features in one record: no class
 defines ``singular_angles``, ``top_exponent`` or ``is_conjugate_symmetric``
-as a method.
+as a method.  Every field of that record is named in its docstring and read
+by attribute in ``norms``, so no declared feature goes unused by the
+quadratures.
 """
 
 import ast
 from dataclasses import fields
 from pathlib import Path
 
-from radmix import QuadratureConfig
+from radmix import Features, QuadratureConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "radmix"
@@ -152,6 +154,16 @@ def test_features_are_declared_in_one_record():
                      if isinstance(node, ast.FunctionDef)
                      and node.name in parallel)
     assert defined == []
+
+
+def test_every_feature_is_documented_and_read_by_the_quadratures():
+    names = [f.name for f in fields(Features)]
+    assert sorted(name for name in names
+                  if f"``{name}``" not in Features.__doc__) == []
+    read = {node.attr for node in ast.walk(ast.parse(
+                (PACKAGE / "norms.py").read_text()))
+            if isinstance(node, ast.Attribute)}
+    assert sorted(set(names) - read) == []
 
 
 def _keywords(path: Path, callee: str) -> set:

@@ -99,7 +99,7 @@ def test_series_classes_agree_on_one_term(n):
                                    mono.polar_kernel(r)(t),
                                    rtol=1e-14, err_msg=repr(f))
         assert f.features() == mono.features() == Features(
-            top_exponent=n, conjugate_symmetric=True)
+            top_exponent=n, conjugate_symmetric=True, rotation_invariant=True)
 
 
 def test_representation_registry_names_the_eight_classes():
@@ -233,18 +233,20 @@ def test_conjugate_symmetry_claims_are_honest(seed):
 
 def test_each_class_declares_its_documented_features():
     # one seeded instance of every representation against what its class
-    # documents: singular directions, top exponent and conjugate symmetry
+    # documents: singular directions, top exponent, conjugate symmetry and
+    # rotation invariance (the seeded series have several nonzero terms)
     from radmix.functions import _REPRESENTATIONS
     instances = {name: fs[0] for name, fs in
                  _seeded_instances(np.random.default_rng(0)).items()}
     expected = {
-        "Monomial": lambda f: Features((), f.n, True),
+        "Monomial": lambda f: Features((), f.n, True, True),
         "TaylorPolynomial": lambda f: Features(
-            (), len(f.coeffs) - 1, all(c.imag == 0.0 for c in f.coeffs)),
+            (), len(f.coeffs) - 1, all(c.imag == 0.0 for c in f.coeffs),
+            False),
         "PowerSingularity": lambda f: Features((0.0,), 0, True),
         "CesaroPower": lambda f: Features((0.0,), f.n, True),
         "Lacunary": lambda f: Features((), f.nodes[-1][0], all(
-            a.imag == 0.0 for _, a in f.nodes)),
+            a.imag == 0.0 for _, a in f.nodes), False),
         "RationalBump": lambda f: Features(
             (f.theta0,), 0, f.theta0 % (2 * math.pi) == 0.0),
         "Scaled": lambda f: f.inner.features(),
@@ -254,6 +256,30 @@ def test_each_class_declares_its_documented_features():
     for name, f in instances.items():
         assert f.features() == expected[name](f), name
     assert instances["Scaled"].features() == Features((0.0,), 0, True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rotation_invariance_claims_are_honest(seed):
+    # a series is rotation invariant when at most one coefficient is
+    # nonzero, and a dilation when its inner function is; every claim has
+    # |f| constant along each circle, which the one-ray level relies on
+    rng = np.random.default_rng(seed)
+    c = complex(*rng.standard_normal(2))
+    claimed = [Monomial(int(rng.integers(0, 40))),
+               TaylorPolynomial([0.0, 0.0, c]), TaylorPolynomial(()),
+               Lacunary(((int(rng.integers(1, 99)), c),)),
+               Scaled(Monomial(4), 0.5), Scaled(Lacunary(((3, c),)), 0.9)]
+    unclaimed = [g for fs in _seeded_instances(rng).values() for g in fs
+                 if not isinstance(g, Monomial)]
+    unclaimed += [TaylorPolynomial([1.0, 0.0, c]), Sum(((1.0, Monomial(3)),))]
+    assert [f.features().rotation_invariant for f in claimed + unclaimed] \
+        == [True] * len(claimed) + [False] * len(unclaimed)
+    r = np.array([0.0, 0.3, 0.9, 0.999])
+    t = rng.uniform(-math.pi, math.pi, 16)
+    for f in claimed:
+        vals = f.polar_kernel(r)(t)
+        np.testing.assert_allclose(vals, np.broadcast_to(vals[0], vals.shape),
+                                   rtol=1e-14, atol=0.0, err_msg=repr(f))
 
 
 def test_sum_and_scaled_combine_features():
@@ -450,13 +476,49 @@ def test_spec_missing_or_malformed_fields():
         from_spec({"repr": "Scaled", "inner": 3, "r": 0.5})
     with pytest.raises(ValueError):
         from_spec(["repr", "Monomial"])
-    # z inside 600 levels of Scaled(r = 1), too deep for Python's stack to
-    # decode; not an @example of the round-trip property: Hypothesis prints
-    # every explicit example, and its printer recurses as deep
+    # z inside 600 levels of Scaled(r = 1), beyond the nesting limit; not
+    # an @example of the round-trip property: Hypothesis prints every
+    # explicit example, and its printer recurses as deep
     deep = json.loads('{"repr": "Scaled", "r": 1.0, "inner": ' * 600
                       + '{"repr": "Monomial", "n": 1}' + "}" * 600)
     with pytest.raises(ValueError, match="nested too deeply"):
         from_spec(deep)
+
+
+def _scaled_spec(depth: int) -> dict:
+    """The spec of z inside depth - 1 levels of Scaled(r = 1): ``depth``
+    nested objects."""
+    spec = {"repr": "Monomial", "n": 1}
+    for _ in range(depth - 1):
+        spec = {"repr": "Scaled", "r": 1.0, "inner": spec}
+    return spec
+
+
+def _called_below(frames: int, fn):
+    """fn(), called ``frames`` Python frames below the caller."""
+    return fn() if frames == 0 else _called_below(frames - 1, fn)
+
+
+@pytest.mark.parametrize("frames", [0, 500])
+def test_spec_nesting_limit_holds_at_any_stack_depth(frames):
+    # the decoder counts nested objects and arrays against one limit, so a
+    # spec is refused at the same depth at the top of the stack and from
+    # inside a deep recursion (with Python's recursion limit alone, 600
+    # frames deep refused even 300 levels)
+    from radmix.functions import _SPEC_DEPTH
+    limit = _scaled_spec(_SPEC_DEPTH)
+    assert to_spec(_called_below(frames, lambda: from_spec(limit))) == limit
+    beyond = _scaled_spec(_SPEC_DEPTH + 1)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _called_below(frames, lambda: from_spec(beyond))
+    # arrays count too: the polynomial's object, its coefficient array and
+    # the 99 arrays within it are one level too many
+    coeffs = [[1.0, 0.0]]
+    for _ in range(_SPEC_DEPTH - 3):
+        coeffs = [coeffs]
+    with pytest.raises(ValueError, match="nested too deeply"):
+        _called_below(frames, lambda: from_spec(
+            {"repr": "TaylorPolynomial", "coeffs": [coeffs]}))
 
 
 _REPR_NAMES = sorted({type(f).__name__ for f in ALL_REPS}) + ["NoSuch"]

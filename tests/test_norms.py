@@ -372,7 +372,7 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
     count, levels = 256, 12
     r, w = graded_radial_mesh(levels)
     if pq.q.is_finite:
-        thetas, ang_w = norms._angular_rule(f, count, levels)
+        thetas, ang_w = norms._angular_rule(f.features(), count, levels)
     else:
         thetas = np.concatenate([midpoint_angles(count),
                                  f.features().singular_angles])
@@ -403,8 +403,11 @@ def test_folded_level_matches_the_full_circle(monkeypatch, f):
     # [0, pi]; the unfolded rule, forced by denying the symmetry, takes the
     # whole circle and must read the same level up to rounding.  Count 8 is
     # the uniform fallback (no panels), 9 an odd count with a cell at pi.
-    features = f.features()
+    # z^5 is rotation invariant too, which is denied throughout, so that
+    # its levels take the angular rule rather than one ray
+    features = dataclasses.replace(f.features(), rotation_invariant=False)
     assert features.conjugate_symmetric
+    monkeypatch.setattr(type(f), "features", lambda self: features)
     levels = []
     for count, level, p, q in itertools.product(
             (8, 9, 64), range(4), (1, 1.5, 2, "inf"), (1, 2, 4)):
@@ -420,19 +423,43 @@ def test_folded_level_matches_the_full_circle(monkeypatch, f):
         assert 2 * n == n_full + args[1] % 2 * radii, args
 
 
+@pytest.mark.parametrize("f", [
+    Monomial(0),
+    Monomial(5),
+    TaylorPolynomial([0.0, 0.0, 0.0, 0.5 - 2.0j]),
+    Scaled(Monomial(3), 0.9),
+], ids=repr)
+def test_rotation_invariant_level_takes_one_ray(monkeypatch, f):
+    # |c z^n| depends on |z| alone: the level takes one ray of its radial
+    # mesh for every (p, q), and reads the full rule, forced by denying the
+    # field, up to rounding
+    features = f.features()
+    assert features.rotation_invariant
+    levels = [(ExponentPair.of(p, q), 64 if q != "inf" else norms._SUP_RING,
+               12 + level)
+              for level, p, q in itertools.product(
+                  range(2), (1, 1.5, 2, "inf"), (1, 2, 4, "inf"))]
+    one_ray = [norms._level_value(f, *args) for args in levels]
+    monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
+        features, rotation_invariant=False))
+    for args, (v, n) in zip(levels, one_ray):
+        full, n_full = norms._level_value(f, *args)
+        assert v == pytest.approx(full, rel=1e-14, abs=0.0), args
+        assert n == len(graded_radial_mesh(args[2])[0]) < n_full, args
+
+
 def test_fold_halves_the_scan_samples():
     from radmix.cli import SCAN_CFG
     est = mixed_norm(PowerSingularity(0.75), (2, 2), SCAN_CFG)
     assert est.evaluations[0] == 13728  # 27,456 on the full circle
 
 
-def test_fold_needs_every_singular_direction_at_zero(monkeypatch):
+def test_fold_needs_every_singular_direction_at_zero():
     # a symmetry claim with a singular direction off 0 keeps the full rule
-    f = RationalBump(0.05, 1.02, 0.7)
-    full = norms._angular_rule(f, 64, 12)
-    monkeypatch.setattr(RationalBump, "features", lambda self: Features(
-        singular_angles=(0.7,), conjugate_symmetric=True))
-    claimed = norms._angular_rule(f, 64, 12)
+    full = norms._angular_rule(RationalBump(0.05, 1.02, 0.7).features(), 64,
+                               12)
+    claimed = norms._angular_rule(Features(singular_angles=(0.7,),
+                                           conjugate_symmetric=True), 64, 12)
     for a, b in zip(full, claimed):
         assert np.array_equal(a, b)
 
@@ -473,7 +500,7 @@ def test_streamed_level_memory():
     # alone would take 16,385 x 144 x 8 bytes = 18.9 MB.  A top exponent of
     # 4,096 widens the coarse ring to every angle, so the level is dense.
     f, count, levels = CesaroPower(4096, 1.5), 512 << 5, 17
-    assert norms._sup_ring(f, count) == count
+    assert norms._sup_ring(f.features(), count) == count
     assert (count + 1) * len(graded_radial_mesh(levels)[0]) * 8 > 18e6
     tracemalloc.start()
     try:
@@ -534,6 +561,54 @@ def test_local_sup_level_matches_dense_scan(f, pq):
         assert n < (count + 40) * len(graded_radial_mesh(levels)[0])
 
 
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+@pytest.mark.parametrize("f", [
+    PowerSingularity(0.75),
+    CesaroPower(8, 1.5),
+    RationalBump(0.05, 1.02, 0.0),
+    pytest.param(dilate(power_singularity(1.5), 0.97), id="dilated_kernel"),
+], ids=lambda f: type(f).__name__)
+def test_folded_sup_level_matches_the_full_ring(monkeypatch, f, p):
+    # a conjugate-symmetric f with every singular direction at 0 samples
+    # the mirror half of its q = inf ring and the fine windows mirrored into
+    # [0, pi]; denying the symmetry scans the whole ring, which must read
+    # the same level up to rounding, level by level and carried through a
+    # refinement, at about twice the samples
+    pq = ExponentPair.of(p, "inf")
+    features = f.features()
+    assert norms._folds(features)
+    args = [(pq, norms._SUP_RING << level, CFG.radial_levels + level)
+            for level in range(5)]
+    cfg = QuadratureConfig(refine_max=4, rel_tol=1e-9)
+    folded = [norms._level_value(f, *a) for a in args]
+    folded_est = mixed_norm(f, pq, cfg)
+    monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
+        features, conjugate_symmetric=False))
+    for a, (v, n) in zip(args, folded):
+        full, n_full = norms._level_value(f, *a)
+        assert v == pytest.approx(full, rel=1e-14, abs=0.0), a
+        assert 0.5 < n / n_full < 0.55, a
+    full_est = mixed_norm(f, pq, cfg)
+    assert folded_est.stop == full_est.stop
+    assert len(folded_est.trace) == len(full_est.trace)
+    for (_, v), (_, w) in zip(folded_est.trace, full_est.trace):
+        assert v == pytest.approx(w, rel=1e-14, abs=0.0)
+    assert sum(folded_est.evaluations) < 0.6 * sum(full_est.evaluations)
+
+
+def test_folded_windows_are_mirrored_into_the_upper_half():
+    # each fine window index j becomes min(j, count - 1 - j), once; an odd
+    # count's middle index mirrors itself
+    ring = np.random.default_rng(3).random(16)
+    specials = np.array([0.0])
+    for count in (64, 65):
+        full = norms._sup_windows(ring, specials, count)
+        folded = norms._sup_windows(ring, specials, count, fold=True)
+        expected = sorted({min(j, count - 1 - j) for j in full.tolist()})
+        assert folded.tolist() == expected
+        assert folded.max() < (count + 1) // 2
+
+
 def test_sup_windows_cover_largest_peaks_and_singular_directions():
     # every fine midpoint within one coarse step of the 8 largest cyclic
     # local maxima of the coarse values or of a singular direction, and no
@@ -567,46 +642,28 @@ def test_flat_ring_stretches_are_one_peak():
     assert norms._sup_windows(plateau, none, count).tolist() == expected
     assert norms._sup_windows(np.ones(coarse), none, count).size == 0
     assert norms._sup_windows(np.ones(coarse), np.array([1.0]), count).size
-    # a spread of a few ulps is rounding, not a peak
-    ring = np.full(coarse, 1.0 / 11.0)
-    ring[[2, 5]] += 4 * np.spacing(ring[0])
-    assert norms._sup_windows(ring, none, count).size == 0
-    ring[5] += 64 * np.spacing(ring[0])
-    assert norms._sup_windows(ring, none, count).size
 
 
-def test_flat_ring_skips_the_fine_pass():
+def test_flat_ring_skips_the_fine_pass(monkeypatch):
     # |z^5| does not depend on the angle: with no peak and no singular
     # direction, a level samples only its ring (the closed cells carried)
-    # and the zoom pass, and reads the dense scan's value
+    # and the zoom pass, and reads the dense scan's value.  Its record says
+    # so, and would take one ray; denying that keeps the ring path
     f, pq = Monomial(5), ExponentPair.of("inf", "inf")
+    features = dataclasses.replace(f.features(), rotation_invariant=False)
+    monkeypatch.setattr(Monomial, "features", lambda self: features)
     cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
     est = mixed_norm(f, pq, cfg)
     assert len(est.trace) == 6
     for level, v in est.trace:
         count, levels = norms._SUP_RING << level, cfg.radial_levels + level
         radii = len(graded_radial_mesh(levels)[0])
-        ring = norms._SUP_RING * (radii if level == 0 else 16)
+        # the ring of z^5 is symmetric too, so only its mirror half is
+        # sampled
+        ring = norms._SUP_RING // 2 * (radii if level == 0 else 16)
         zoom = norms._ZOOM_RAYS * norms._ZOOM_ROUNDS * radii
         assert est.evaluations[level] == ring + zoom
         assert v == _dense_sup_level(f, pq, count, levels)
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_rounding_flat_ring_skips_the_fine_pass(p):
-    # at finite p the ring's radial sums of equal rows differ in their last
-    # bits (z^5 at p = 2: three values over 3 ulps); such a ring has no
-    # peak either, so every level of the scan's estimate samples only its
-    # ring and the zoom pass
-    from radmix.cli import SCAN_CFG
-    est = mixed_norm(Monomial(5), (p, "inf"), SCAN_CFG)
-    assert est.stop == "tol" and len(est.trace) == 2
-    for level, v in est.trace:
-        radii = len(graded_radial_mesh(SCAN_CFG.radial_levels + level)[0])
-        ring = norms._SUP_RING * (radii if level == 0 else 16)
-        zoom = norms._ZOOM_RAYS * norms._ZOOM_ROUNDS * radii
-        assert est.evaluations[level] == ring + zoom
-        assert v == pytest.approx((5 * p + 1) ** (-1 / p), rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -657,20 +714,23 @@ def test_zoom_finds_the_highest_lobe_of_its_bracket():
 def test_sup_ring_resolves_the_top_exponent():
     # four rays per unit of the top exponent, doubling the base ring and
     # capped at the level's own rule
-    assert norms._sup_ring(PowerSingularity(0.75), 8192) == 512
-    assert norms._sup_ring(Monomial(128), 8192) == 512
-    assert norms._sup_ring(Monomial(129), 8192) == 1024
-    assert norms._sup_ring(CesaroPower(256, 1.5), 8192) == 1024
-    assert norms._sup_ring(TaylorPolynomial([1.0] * 300), 8192) == 2048
-    assert norms._sup_ring(RationalBump(0.05, 1.02, 2.0), 8192) == 512
+    def ring(f, count=8192):
+        return norms._sup_ring(f.features(), count)
+
+    assert ring(PowerSingularity(0.75)) == 512
+    assert ring(Monomial(128)) == 512
+    assert ring(Monomial(129)) == 1024
+    assert ring(CesaroPower(256, 1.5)) == 1024
+    assert ring(TaylorPolynomial([1.0] * 300)) == 2048
+    assert ring(RationalBump(0.05, 1.02, 2.0)) == 512
     series = Lacunary(((1, 1.0), (3, 1.0), (243, 1.0)))
-    assert norms._sup_ring(series, 8192) == 1024
-    assert norms._sup_ring(Sum(((1.0, PowerSingularity(0.5)),
-                                (1.0, dilate(series, 0.9)))), 8192) == 1024
-    assert norms._sup_ring(Lacunary(((6561, 1.0),)), 8192) == 8192
-    assert norms._sup_ring(Monomial(10 ** 9), 512) == 512
+    assert ring(series) == 1024
+    assert ring(Sum(((1.0, PowerSingularity(0.5)),
+                     (1.0, dilate(series, 0.9))))) == 1024
+    assert ring(Lacunary(((6561, 1.0),))) == 8192
+    assert ring(Monomial(10 ** 9), 512) == 512
     # a level of fewer rays than the base ring scans all of them
-    assert norms._sup_ring(Monomial(5), 256) == 256
+    assert ring(Monomial(5), 256) == 256
 
 
 def test_local_sup_level_evaluation_budget():
@@ -708,14 +768,21 @@ def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
     assert len(nested.trace) == len(fresh.trace)
     for (_, v), (_, w) in zip(nested.trace, fresh.trace):
         assert v == pytest.approx(w, rel=1e-15, abs=0.0)
-    # a level whose ring is the previous level's samples the ring only on
-    # its last two cells, 16 radii, and every other ray at all its radii
-    rays = len(f.features().singular_angles)
+    # a level whose ring is the previous level's samples the ring (its
+    # mirror half, when folded) only on its last two cells, 16 radii, and
+    # every other ray at all its radii; a rotation-invariant f takes one ray
+    features = f.features()
+    rays = len(features.singular_angles)
     for level in range(1, len(nested.trace)):
         count = norms._SUP_RING << level
-        ring = norms._sup_ring(f, count)
-        if ring != norms._sup_ring(f, count // 2):
-            continue
         radii = len(graded_radial_mesh(cfg.radial_levels + level)[0])
-        assert (nested.evaluations[level] - 16 * (ring + rays)) % radii == 0
+        if features.rotation_invariant:
+            assert nested.evaluations[level] == fresh.evaluations[level] \
+                == radii
+            continue
+        ring = norms._sup_ring(features, count)
+        if ring != norms._sup_ring(features, count // 2):
+            continue
+        kept = (ring + 1) // 2 if norms._folds(features) else ring
+        assert (nested.evaluations[level] - 16 * (kept + rays)) % radii == 0
         assert nested.evaluations[level] < fresh.evaluations[level]

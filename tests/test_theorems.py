@@ -1,4 +1,7 @@
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,3 +261,22 @@ def test_point_functional_sup_space_is_flat():
     fit = evaluation_functional_fit(("inf", "inf"), "point", zs, CFG)
     assert abs(fit.slope) < 0.02
 
+
+def test_acceptance_scan_samples_and_verdicts():
+    # the 81-cell inclusion scan over {1, 2, inf} at the acceptance config,
+    # as the benchmark runs it: its 184 estimates take exactly this many |f|
+    # samples (monomials one ray per level, the q = inf ring of a mirror-
+    # symmetric function its half), and each verdict is the reference
+    # table's, which this test only reads
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    reference = json.loads((bench / "scan_verdicts.json").read_text())
+    cache = NormCache(SCAN_CFG)
+    verdicts = {}
+    for cell in itertools.product((1, 2, "inf"), repeat=4):
+        v = inclusion_witness_scan(*cell, SCAN_CFG, cache)
+        verdicts[",".join(map(str, cell))] = [
+            v.included, v.excluded_point, v.witness_conclusion()]
+    assert verdicts == reference["verdicts"]
+    estimates = list(cache._store.values())
+    assert len(estimates) == 184
+    assert sum(sum(est.evaluations) for est in estimates) == 6_370_392
