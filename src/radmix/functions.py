@@ -495,10 +495,12 @@ _REPRESENTATIONS = {cls.__name__: cls
                     for cls in AnalyticFunction.__subclasses__()}
 # A spec nests at most this many JSON objects and arrays, its own object
 # included: Scaled(Scaled(z)) takes three, and each Sum level three (the
-# terms array, a [weight, term] pair and the term).  Counting them bounds
-# the decoder's stack, so a spec is refused at the same depth however deep
-# the caller's stack already is (100 levels take about 300 frames).
+# terms array, a [weight, term] pair and the term).  The decoder walks the
+# spec on a stack of its own, so this is the only limit on the depth,
+# however deep the caller's stack already is.
 _SPEC_DEPTH = 100
+# what the decoder reads from a spec whose values are all decoded
+_DONE = object()
 
 
 def _encode(v):
@@ -523,34 +525,48 @@ def to_spec(f: AnalyticFunction) -> dict:
 
 def from_spec(d: dict) -> AnalyticFunction:
     """Inverse of :func:`to_spec`; a malformed spec raises ValueError, and
-    so does one that nests more than ``_SPEC_DEPTH`` objects and arrays."""
-    return _decode_spec(d, 1)
+    so does one that nests more than ``_SPEC_DEPTH`` objects and arrays.
+
+    Each open object or array is one entry of an explicit stack, so
+    decoding takes no Python frame per level.  A field value is a nested
+    spec, an array (decoded as a tuple) or a scalar; an object is built once
+    all its fields are decoded."""
+    stack = [_spec_entry(d)]
+    while True:
+        cls, keys, todo, done = stack[-1]
+        child = next(todo, _DONE)
+        if child is _DONE:
+            stack.pop()
+            value = tuple(done) if cls is None else _build(cls, keys, done)
+            if not stack:
+                return value
+            stack[-1][3].append(value)
+        elif not isinstance(child, (dict, list)):
+            done.append(child)
+        elif len(stack) >= _SPEC_DEPTH:
+            raise ValueError("function spec nested too deeply to decode (more "
+                             f"than {_SPEC_DEPTH} objects and arrays)")
+        elif isinstance(child, list):
+            stack.append((None, None, iter(child), []))
+        else:
+            stack.append(_spec_entry(child))
 
 
-def _decode_spec(d, depth: int) -> AnalyticFunction:
-    """The representation of the spec ``d``, an object at nesting depth
-    ``depth``."""
+def _spec_entry(d) -> tuple:
+    """The decoder's stack entry for the spec ``d``: (its class, its field
+    names, an iterator over their values, the values decoded so far); an
+    array's entry has no class and no names."""
     try:
-        kind = d["repr"]
-        cls = _REPRESENTATIONS[kind]
+        cls = _REPRESENTATIONS[d["repr"]]
     except (TypeError, KeyError):
         raise ValueError("function spec needs a 'repr' field naming one of "
                          f"{sorted(_REPRESENTATIONS)}") from None
+    keys = [k for k in d if k != "repr"]
+    return cls, keys, iter([d[k] for k in keys]), []
+
+
+def _build(cls, keys: list, values: list) -> AnalyticFunction:
     try:
-        return cls(**{k: _decode(v, depth + 1) for k, v in d.items()
-                      if k != "repr"})
+        return cls(**dict(zip(keys, values)))
     except (TypeError, KeyError, OverflowError) as exc:
-        raise ValueError(f"malformed {kind} spec: {exc}") from None
-
-
-def _decode(v, depth: int):
-    """A field value at nesting depth ``depth``: a nested spec, an array
-    (as a tuple) or a scalar."""
-    if isinstance(v, (dict, list)) and depth > _SPEC_DEPTH:
-        raise ValueError("function spec nested too deeply to decode (more "
-                         f"than {_SPEC_DEPTH} objects and arrays)")
-    if isinstance(v, dict):
-        return _decode_spec(v, depth)
-    if isinstance(v, list):
-        return tuple(_decode(x, depth + 1) for x in v)
-    return v
+        raise ValueError(f"malformed {cls.__name__} spec: {exc}") from None

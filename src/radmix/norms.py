@@ -56,6 +56,21 @@ evaluated on one block of angles at a time, a block holding about
 ``_CHUNK_BUDGET`` samples, and each block is reduced at once to its per-ray
 radial values.  Only the vector of per-angle values reaches the angular
 reduction, so the angle x radius grid of a level is never held in memory.
+
+A q-finite level's per-ray values depend on f, its angular count, its
+grading depth and the radial exponent p, not on q.  Under a ``LevelStore``
+(the ``store`` of ``mixed_norm``; each ``theorems.NormCache`` keeps one)
+they are shared across exponent pairs: the store keeps, for each (f, count,
+levels), the angular weights, the sample count and one per-ray vector for
+each p, and a level it lacks is streamed once, each block reduced for every
+radial exponent asked of a q-finite level so far.  A later pair of the same
+f reads the vector and pays only for its q-mean; a pair whose p the stored
+level lacks streams the level again, for every asked exponent it lacks.
+Grids are never kept, and nothing outlives the store.  The q = inf levels
+(whose ring, windows and zoom follow the maxima at their own p) and the one
+ray of a rotation-invariant f are not stored; they stay per pair.  A level
+read from the store counts in ``evaluations`` the samples it consists of,
+so an estimate is the same, field for field, with or without a store.
 """
 
 from __future__ import annotations
@@ -77,6 +92,7 @@ from .meshes import (MAX_GRADING_LEVELS, NODES_PER_CELL, graded_radial_mesh,
 from .sequences import ExponentFit, refinement_stop
 
 __all__ = [
+    "LevelStore",
     "NormEstimate",
     "QuadratureConfig",
     "dilation_convergence",
@@ -281,33 +297,38 @@ def _zoom_max(fun: Callable, lo: float, hi: float) -> float:
 
 
 def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
-                p, starts: Sequence = (0,)) -> np.ndarray:
+                ps: Sequence, starts: Sequence = (0,)) -> np.ndarray:
     """Per-ray values of |f| along each ray in ``thetas``, from a bound
     kernel (``AnalyticFunction.polar_kernel``) at the radii of
-    ``radial_w``: one row for each radial part that begins at an index in
-    ``starts``, the sum of |f|^p dr over the part (the max for p = inf).
+    ``radial_w``: out[i, j] holds, for the radial exponent ``ps[i]`` and
+    the radial part j that begins at index ``starts[j]``, the sum of
+    |f|^p dr over the part (the max for p = inf).
 
-    |f| is evaluated on one block of angles at a time and reduced at once,
-    so no angle x radius grid is built.  The angles are cut into
-    ceil(samples / ``_CHUNK_BUDGET``) blocks of nearly equal size, so no
-    block is a small remainder that pays a kernel call for a few angles.
+    |f| is evaluated on one block of angles at a time and reduced at once
+    for every exponent, so no angle x radius grid is built and each sample
+    is taken once.  The angles are cut into ceil(samples /
+    ``_CHUNK_BUDGET``) blocks of nearly equal size, so no block is a small
+    remainder that pays a kernel call for a few angles.
     """
-    pf = float(p) if p.is_finite else math.inf
+    pfs = [float(p) if p.is_finite else math.inf for p in ps]
     parts = list(zip(starts, [*starts[1:], len(radial_w)]))
-    out = np.empty((len(parts), len(thetas)))
+    out = np.empty((len(pfs), len(parts), len(thetas)))
     blocks = math.ceil(len(thetas) * len(radial_w) / _CHUNK_BUDGET)
     step = math.ceil(len(thetas) / blocks)
     for k in range(0, len(thetas), step):
         block = kernel(thetas[k:k + step])
-        if pf == math.inf:
-            # one call takes every part: numpy's max along the 8 radii of a
-            # cell pays per row (513 x 16 samples: 34 us for both cells, 68
-            # us for two calls of .max; numpy 2.4.6, one thread)
-            out[:, k:k + step] = np.maximum.reduceat(block, starts, axis=1).T
-            continue
-        block = block ** pf
-        for j, (a, b) in enumerate(parts):
-            out[j, k:k + step] = block[:, a:b] @ radial_w[a:b]
+        for i, pf in enumerate(pfs):
+            if pf == math.inf:
+                # one call takes every part: numpy's max along the 8 radii
+                # of a cell pays per row (513 x 16 samples: 34 us for both
+                # cells, 68 us for two calls of .max; numpy 2.4.6, one
+                # thread)
+                out[i, :, k:k + step] = np.maximum.reduceat(
+                    block, starts, axis=1).T
+                continue
+            powered = block ** pf
+            for j, (a, b) in enumerate(parts):
+                out[i, j, k:k + step] = powered[:, a:b] @ radial_w[a:b]
     return out
 
 
@@ -372,35 +393,89 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int,
     return np.flatnonzero(hit)
 
 
+def _rule_rays(f: AnalyticFunction, features: Features, ps: Sequence,
+               count: int, levels: int, lo: float = 0.0) -> tuple:
+    """The per-ray values of f over the panel-graded angular rule of
+    ``count`` cells (``_angular_rule``), one row for each radial exponent
+    in ``ps``, with the rule's weights and the samples the level takes.
+    The level binds one kernel (``f.polar_kernel`` at its radii in [lo, 1])
+    and streams the rays through it once (``_ray_values``)."""
+    r, w = graded_radial_mesh(levels, lo=lo)
+    thetas, ang_w = _angular_rule(features, count, levels)
+    return (_ray_values(f.polar_kernel(r), thetas, w, ps)[:, 0], ang_w,
+            len(thetas) * len(r))
+
+
+class LevelStore:
+    """The per-ray values of the q-finite levels that ``mixed_norm`` took
+    under this store, for every radial exponent asked of such a level so
+    far: a later pair of the same f reads a level it holds and pays only
+    for its q-mean (see the module docstring).  ``served`` counts the
+    levels read without a sample."""
+
+    def __init__(self):
+        self._exponents: dict = {}  # the radial exponents asked, in order
+        # (f, count, levels) -> (angular weights, samples, {p: per-ray values})
+        self._levels: dict = {}
+        self.served = 0
+
+    def rays(self, f: AnalyticFunction, features: Features, p, count: int,
+             levels: int) -> tuple:
+        """``_rule_rays`` of f at the radial exponent p alone, as the
+        per-ray values, the weights and the samples of the level.  A level
+        sampled before without p is sampled again, for every exponent
+        asked so far that it lacks."""
+        self._exponents[p] = None
+        key = (f, count, levels)
+        entry = self._levels.get(key)
+        if entry is not None and p in entry[2]:
+            self.served += 1
+        else:
+            missing = [e for e in self._exponents
+                       if entry is None or e not in entry[2]]
+            rows, ang_w, samples = _rule_rays(f, features, missing, count,
+                                              levels)
+            entry = self._levels.setdefault(key, (ang_w, samples, {}))
+            entry[2].update(zip(missing, rows))
+        return entry[2][p], entry[0], entry[1]
+
+
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 lo: float = 0.0, carry: list | None = None) -> tuple:
+                 lo: float = 0.0, carry: list | None = None,
+                 store: LevelStore | None = None) -> tuple:
     """One quadrature level of the mixed norm with radii in [lo, 1]: the
-    value and the number of |f| samples it took.
+    value and the number of |f| samples it consists of.
 
     A rotation-invariant f (|f| depends on |z| alone, see ``Features``):
     one ray, the value of every ray of any angular rule, for every (p, q).
-    Else, q finite: the q-mean over the panel-graded angular rule of
-    ``count`` cells.  q = inf: ``_sup_level``, which reads and refills
-    ``carry`` (the ring's closed-cell values, see there); without one the
-    level stands alone.  Either way the level binds one kernel
-    (``f.polar_kernel`` at its radii) and streams the per-ray values through
-    it (``_ray_values``), and reads ``f.features()`` once.  A modulus or a
-    power beyond the float range is inf, without a warning, so the
-    refinement stops there as ``nonfinite``.
+    Else, q finite: the q-mean of ``_rule_rays`` over the panel-graded
+    angular rule of ``count`` cells, read from ``store`` when one is given
+    (``mixed_norm`` passes it, and lo = 0).  q = inf: ``_sup_level``, which
+    reads and refills ``carry`` (the ring's closed-cell values, see there);
+    without one the level stands alone.  Either way a level that samples
+    binds one kernel (``f.polar_kernel`` at its radii) and streams the
+    per-ray values through it (``_ray_values``), and reads ``f.features()``
+    once.  A modulus or a power beyond the float range is inf, without a
+    warning, so the refinement stops there as ``nonfinite``.
     """
+    features = f.features()
+    if pq.q.is_finite and not features.rotation_invariant:
+        if store is None:
+            rows, ang_w, samples = _rule_rays(f, features, (pq.p,), count,
+                                              levels, lo)
+            inner = rows[0]
+        else:
+            inner, ang_w, samples = store.rays(f, features, pq.p, count,
+                                               levels)
+        return _angular_norm(inner, ang_w, pq), samples
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
-    features = f.features()
     if features.rotation_invariant:
-        return (_angular_norm(_ray_values(kernel, np.zeros(1), w, pq.p)[0],
-                              np.ones(1), pq), len(r))
-    if not pq.q.is_finite:
-        return _sup_level(f, features, kernel, pq, count, r, w, carry)
-    thetas, ang_w = _angular_rule(features, count, levels)
-    return (_angular_norm(_ray_values(kernel, thetas, w, pq.p)[0],
-                          ang_w, pq), len(thetas) * len(r))
+        ray = _ray_values(kernel, np.zeros(1), w, (pq.p,))[0, 0]
+        return _angular_norm(ray, np.ones(1), pq), len(r)
+    return _sup_level(f, features, kernel, pq, count, r, w, carry)
 
 
 def _sup_ring(features: Features, count: int) -> int:
@@ -458,8 +533,8 @@ def _sup_level(f: AnalyticFunction, features: Features, kernel: Callable,
     join = np.add if pq.p.is_finite else np.maximum
     first = len(r) - 2 * NODES_PER_CELL if carry else 0
     ring_kernel = f.polar_kernel(r[first:]) if first else kernel
-    closed, last = _ray_values(ring_kernel, thetas, w[first:], pq.p,
-                               (0, len(w) - first - NODES_PER_CELL))
+    closed, last = _ray_values(ring_kernel, thetas, w[first:], (pq.p,),
+                               (0, len(w) - first - NODES_PER_CELL))[0]
     if carry:
         closed = join(carry.pop(), closed)
     if carry is not None and _sup_ring(features, 2 * count) == coarse:
@@ -478,18 +553,23 @@ def _sup_level(f: AnalyticFunction, features: Features, kernel: Callable,
         fine = midpoint_angles(count)[windows]
         thetas = np.concatenate([fine, specials])
         per_angle = np.concatenate(
-            [_ray_values(kernel, fine, w, pq.p)[0], per_angle[kept:]])
+            [_ray_values(kernel, fine, w, (pq.p,))[0, 0], per_angle[kept:]])
         samples += len(fine) * len(r)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
-    zoom = _zoom_max(lambda ts: _ray_values(kernel, ts, w, pq.p)[0],
+    zoom = _zoom_max(lambda ts: _ray_values(kernel, ts, w, (pq.p,))[0, 0],
                      thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, zoom), None, pq),
             samples + _ZOOM_RAYS * _ZOOM_ROUNDS * len(r))
 
 
-def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig) -> NormEstimate:
+def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
+               store: LevelStore | None = None) -> NormEstimate:
     """The mixed norm of f at the exponent pair pq, with refinement trace.
+
+    Under a ``store`` (each ``theorems.NormCache`` keeps one) the q-finite
+    levels are shared with every other pair asked of f under it; the
+    estimate is the same, field for field, with or without one.
 
     The quadrature mesh is fixed; to move it against a function's features,
     rotate the representation (the norm is rotation invariant).
@@ -506,7 +586,8 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig) -> NormEstimate:
     carry: list = []
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, carry=carry)
+                            cfg.radial_levels + level, carry=carry,
+                            store=store)
         trace.append((level, v))
         evaluations.append(n)
         if stop := refinement_stop([x for _, x in trace], cfg.rel_tol):

@@ -23,7 +23,7 @@ from .functions import (
     derivative_at,
     evaluate,
 )
-from .norms import NormEstimate, QuadratureConfig, mixed_norm
+from .norms import LevelStore, NormEstimate, QuadratureConfig, mixed_norm
 from .sequences import ExponentFit, classify_ratio_trace
 from .witnesses import cesaro_power, power_singularity
 
@@ -117,17 +117,26 @@ class NormCache:
     """Memoised mixed norms keyed by (key, exponent pair), and the point
     bounds built from them.  This module's key is the function itself:
     equal (frozen) representations hash equal and share one estimate.
+    Every estimate is computed under the cache's one ``norms.LevelStore``,
+    so a q-finite level of f is sampled once for all the pairs asked of f.
 
     ``hits`` and ``misses`` count the ``norm`` lookups answered from the
-    store and those that computed a new estimate.
+    store and those that computed a new estimate; ``shared_levels`` counts
+    the q-finite levels of those estimates read from the level store
+    without a sample.
     """
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
         self._store: dict = {}
+        self._levels = LevelStore()
         self._point_bounds: dict = {}
         self.hits = 0
         self.misses = 0
+
+    @property
+    def shared_levels(self) -> int:
+        return self._levels.served
 
     def norm(self, key, f: AnalyticFunction, pq: ExponentPair,
              angle_offset: float = 0.0) -> NormEstimate:
@@ -139,7 +148,8 @@ class NormCache:
         est = self._store.get(k)
         if est is None:
             self.misses += 1
-            est = self._store[k] = mixed_norm(f, pq, self.cfg)
+            est = self._store[k] = mixed_norm(f, pq, self.cfg,
+                                              store=self._levels)
         else:
             self.hits += 1
         return est

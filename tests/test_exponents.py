@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radmix import ExponentPair, ExtendedExponent
+from radmix import ExponentPair, ExtendedExponent, exponents
+from radmix.exponents import as_pair
 
 
 def test_parsing_and_float():
@@ -52,6 +53,40 @@ def test_equal_pairs_hash_equal_whatever_their_spelling():
     moved = dataclasses.replace(pairs[0], q=ExtendedExponent.of(2))
     assert moved == ExponentPair.of(2, 2)
     assert hash(moved) == hash(ExponentPair.of(2, 2)) != hash(pairs[0])
+
+
+def test_equal_exponents_and_pairs_are_one_object():
+    assert (ExponentPair.of(2, "inf") is as_pair((2.0, "oo"))
+            is ExponentPair.of(Fraction(2), math.inf))
+    assert (ExtendedExponent.of(2) is ExtendedExponent.of(" 4/2 ")
+            is ExtendedExponent.of(Fraction(2)))
+    with pytest.raises(TypeError):
+        ExtendedExponent.of(True)
+    for bad in (float("nan"), 0.5):
+        with pytest.raises(ValueError):
+            ExtendedExponent.of(bad)
+    # one built by the dataclass constructor is another object, equal and
+    # hashing equal, with the same stored reciprocal sum
+    pair = ExponentPair.of(4, 2)
+    built = ExponentPair(ExtendedExponent(Fraction(1, 4)),
+                         ExtendedExponent(Fraction(1, 2)))
+    assert built is not pair and built == pair and hash(built) == hash(pair)
+    assert {pair: "estimate"}[built] == "estimate"
+    assert built.p == pair.p and hash(built.p) == hash(pair.p)
+    assert built.reciprocal_sum() == pair.reciprocal_sum() == Fraction(3, 4)
+
+
+def test_intern_table_stays_bounded():
+    for k in range(10_000):
+        ExtendedExponent.of(1.0 + k / 7.0)
+        if k % 100 == 0:
+            ExponentPair.of(1.0 + k / 7.0, "inf")
+    assert len(exponents._interned) <= exponents._INTERNED_MAX
+    assert all(isinstance(v, (ExtendedExponent, ExponentPair))
+               for v in exponents._interned.values())
+    # the oldest entries went first, and a value still has one object
+    assert ExtendedExponent.of(2) is ExtendedExponent.of(2.0)
+    assert ExponentPair.of(1, 2) is ExponentPair.of("1", "2")
 
 
 def test_ordering():

@@ -499,12 +499,14 @@ def _called_below(frames: int, fn):
     return fn() if frames == 0 else _called_below(frames - 1, fn)
 
 
-@pytest.mark.parametrize("frames", [0, 500])
+@pytest.mark.parametrize("frames", [0, 500, 700])
 def test_spec_nesting_limit_holds_at_any_stack_depth(frames):
     # the decoder counts nested objects and arrays against one limit, so a
     # spec is refused at the same depth at the top of the stack and from
     # inside a deep recursion (with Python's recursion limit alone, 600
-    # frames deep refused even 300 levels)
+    # frames deep refused even 300 levels); it keeps its own stack, so
+    # 100 levels decode even 700 frames deep, where a decoder taking three
+    # frames a level would pass Python's limit of 1,000
     from radmix.functions import _SPEC_DEPTH
     limit = _scaled_spec(_SPEC_DEPTH)
     assert to_spec(_called_below(frames, lambda: from_spec(limit))) == limit

@@ -762,7 +762,7 @@ def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
     nested = mixed_norm(f, pq, cfg)
     fresh_level = norms._level_value
     monkeypatch.setattr(norms, "_level_value",
-                        lambda *args, carry: fresh_level(*args))
+                        lambda *args, carry, store: fresh_level(*args))
     fresh = mixed_norm(f, pq, cfg)
     assert nested.stop == fresh.stop
     assert len(nested.trace) == len(fresh.trace)

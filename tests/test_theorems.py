@@ -5,18 +5,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from radmix import (
+    CesaroPower,
     ExponentFit,
     ExponentPair,
+    Lacunary,
     Monomial,
     NormCache,
+    PowerSingularity,
     QuadratureConfig,
+    Sum,
     compactness_witness_scan,
     evaluation_functional_fit,
     inclusion_is_compact,
     inclusion_region_contains,
     inclusion_witness_scan,
+    mixed_norm,
+    norms,
 )
 from radmix.cli import SCAN_CFG
 from radmix.sequences import classify_ratio_trace
@@ -216,6 +223,73 @@ def test_norm_cache_counts_hits_and_misses():
     assert cache.hits > 0 and cache.misses > 0
     assert cache.hits + cache.misses == len(lookups)
     assert cache.misses == len(cache._store)
+
+
+def test_norm_cache_samples_each_shared_level_once(monkeypatch):
+    # (1 - z)^-1.25 lies in RM(2, 1) and not in RM(2, 2), so the second
+    # pair refines past the levels of the first; the levels both take are
+    # sampled for the first and read from the cache's level store by the
+    # second, which samples only its deeper levels
+    sampled = []
+    ray_values = norms._ray_values
+
+    def counting(kernel, thetas, radial_w, *rest):
+        sampled.append(len(thetas) * len(radial_w))
+        return ray_values(kernel, thetas, radial_w, *rest)
+
+    monkeypatch.setattr(norms, "_ray_values", counting)
+    f = PowerSingularity(1.25)
+    cache = NormCache(CFG)
+    first = cache.norm(f, f, (2, 1))
+    assert first.converged and cache.shared_levels == 0
+    assert sampled == first.evaluations
+    sampled.clear()
+    second = cache.norm(f, f, (2, 2))
+    shared = len(first.trace)
+    assert second.stop == "growth" and len(second.trace) > shared
+    assert cache.shared_levels == shared
+    assert sampled == second.evaluations[shared:]
+    # a served level reads as a computed one, evaluations included
+    monkeypatch.setattr(norms, "_ray_values", ray_values)
+    assert second == mixed_norm(f, (2, 2), CFG)
+    assert (cache.misses, cache.hits) == (2, 0)
+
+
+# One seeded function of each kind, and every (p, q) over {1, 4/3, 2, 4,
+# inf} x {1, 2, 4, inf}: the power singularity and the sum diverge at some
+# pairs, where the refinement runs deeper than at the others.
+_RNG = np.random.default_rng(29)
+_SHARED_CFG = QuadratureConfig(theta_count=16, radial_levels=6, refine_max=6,
+                               rel_tol=0.02)
+_KINDS = [
+    PowerSingularity(round(1.0 + _RNG.uniform(0.1, 0.3), 3)),
+    CesaroPower(int(_RNG.integers(4, 12)), round(_RNG.uniform(0.6, 0.9), 3)),
+    Lacunary(tuple((4 ** k, complex(*_RNG.normal(size=2))) for k in range(3))),
+    Monomial(int(_RNG.integers(1, 8))),
+    Sum(((1.0, PowerSingularity(0.3)),
+         (complex(*_RNG.normal(size=2)), Monomial(2)))),
+]
+_PAIRS = [ExponentPair.of(p, q) for p in (1, Fraction(4, 3), 2, 4, "inf")
+          for q in (1, 2, 4, "inf")]
+_DIRECT: dict = {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(range(len(_KINDS))),
+                          st.sampled_from(_PAIRS)), min_size=1, max_size=10))
+# the power singularity stops "tol" at (2, 1) and "growth" at (2, 2): the
+# second pair needs deeper levels than the store holds
+@example([(0, _PAIRS[8]), (0, _PAIRS[9]), (2, _PAIRS[9]), (2, _PAIRS[5])])
+def test_cached_estimates_equal_direct_ones(requests):
+    cache = NormCache(_SHARED_CFG)
+    for kind, pq in requests:
+        f = _KINDS[kind]
+        est = cache.norm(f, f, pq)
+        if (f, pq) not in _DIRECT:
+            _DIRECT[f, pq] = mixed_norm(f, pq, _SHARED_CFG)
+        # NormEstimate's == compares value, trace, divergence_exponent, stop
+        # and evaluations
+        assert est == _DIRECT[f, pq]
 
 
 def test_norm_cache_keys_a_tuple_as_its_pair():
