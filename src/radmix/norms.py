@@ -427,17 +427,16 @@ class LevelStore:
         asked so far that it lacks."""
         self._exponents[p] = None
         key = (f, count, levels)
-        entry = self._levels.get(key)
-        if entry is not None and p in entry[2]:
+        ang_w, samples, rays = self._levels.get(key, (None, 0, {}))
+        if p in rays:
             self.served += 1
         else:
-            missing = [e for e in self._exponents
-                       if entry is None or e not in entry[2]]
+            missing = [e for e in self._exponents if e not in rays]
             rows, ang_w, samples = _rule_rays(f, features, missing, count,
                                               levels)
-            entry = self._levels.setdefault(key, (ang_w, samples, {}))
-            entry[2].update(zip(missing, rows))
-        return entry[2][p], entry[0], entry[1]
+            rays.update(zip(missing, rows))
+            self._levels[key] = ang_w, samples, rays
+        return rays[p], ang_w, samples
 
 
 # a decorator builds its error state once; a with-block per level costs more
