@@ -173,7 +173,9 @@ class NormEstimate:
     only the samples on the cells it did not reuse from the level before;
     a folded level, see ``_angular_rule`` and ``_sup_level``, counts only
     its half of the circle, and a rotation-invariant f one ray, the length
-    of the radial mesh); it is a diagnostic and stays out of ``to_dict``.
+    of the radial mesh; a level read from a ``LevelStore`` counts the
+    samples it consists of, as when it was taken); it is a diagnostic and
+    stays out of ``to_dict``.
     """
 
     value: float
