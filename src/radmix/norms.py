@@ -63,14 +63,17 @@ grading depth and the radial exponent p, not on q.  Under a ``LevelStore``
 they are shared across exponent pairs: the store keeps, for each (f, count,
 levels), the angular weights, the sample count and one per-ray vector for
 each p, and a level it lacks is streamed once, each block reduced for every
-radial exponent asked of a q-finite level so far.  A later pair of the same
-f reads the vector and pays only for its q-mean; a pair whose p the stored
-level lacks streams the level again, for every asked exponent it lacks.
-Grids are never kept, and nothing outlives the store.  The q = inf levels
-(whose ring, windows and zoom follow the maxima at their own p) and the one
-ray of a rotation-invariant f are not stored; they stay per pair.  A level
-read from the store counts in ``evaluations`` the samples it consists of,
-so an estimate is the same, field for field, with or without a store.
+radial exponent asked of a q-finite level so far, of any function (the
+exponents asked of f alone would leave more levels to stream again).  A
+later pair of the same f reads the vector and pays only for its q-mean; a
+pair whose p the stored level lacks streams the level again, for every
+asked exponent it lacks.  Without a store, each level goes through a store
+of its own.  Grids are never kept, and nothing outlives the store.  The
+q = inf levels (whose ring, windows and zoom follow the maxima at their own
+p) and the one ray of a rotation-invariant f are not stored; they stay per
+pair.  A level read from the store counts in ``evaluations`` the samples it
+consists of, so an estimate is the same, field for field, with or without a
+store.
 """
 
 from __future__ import annotations
@@ -400,19 +403,6 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int,
     return np.flatnonzero(hit)
 
 
-def _rule_rays(f: AnalyticFunction, features: Features, ps: Sequence,
-               count: int, levels: int, lo: float = 0.0) -> tuple:
-    """The per-ray values of f over the panel-graded angular rule of
-    ``count`` cells (``_angular_rule``), one row for each radial exponent
-    in ``ps``, with the rule's weights and the samples the level takes.
-    The level binds one kernel (``f.polar_kernel`` at its radii in [lo, 1])
-    and streams the rays through it once (``_ray_values``)."""
-    r, w = graded_radial_mesh(levels, lo=lo)
-    thetas, ang_w = _angular_rule(features, count, levels)
-    return (_ray_values(f.polar_kernel(r), thetas, w, ps)[:, 0], ang_w,
-            len(thetas) * len(r))
-
-
 class LevelStore:
     """The per-ray values of the q-finite levels that ``mixed_norm`` took
     under this store, for every radial exponent asked of such a level so
@@ -428,10 +418,13 @@ class LevelStore:
 
     def rays(self, f: AnalyticFunction, features: Features, p, count: int,
              levels: int) -> tuple:
-        """``_rule_rays`` of f at the radial exponent p alone, as the
-        per-ray values, the weights and the samples of the level.  A level
-        sampled before without p is sampled again, for every exponent
-        asked so far that it lacks."""
+        """The per-ray values of f at the radial exponent p over the
+        panel-graded angular rule of ``count`` cells (``_angular_rule``),
+        with the rule's weights and the samples the level consists of.  A
+        level not held at p binds one kernel (``f.polar_kernel`` at its
+        radii) and streams the rays through it once (``_ray_values``), each
+        block reduced for every exponent asked so far that the level
+        lacks."""
         self._exponents[p] = None
         key = (f, count, levels)
         ang_w, samples, rays = self._levels.get(key, (None, 0, {}))
@@ -439,9 +432,11 @@ class LevelStore:
             self.served += 1
         else:
             missing = [e for e in self._exponents if e not in rays]
-            rows, ang_w, samples = _rule_rays(f, features, missing, count,
-                                              levels)
+            r, w = graded_radial_mesh(levels)
+            thetas, ang_w = _angular_rule(features, count, levels)
+            rows = _ray_values(f.polar_kernel(r), thetas, w, missing)[:, 0]
             rays.update(zip(missing, rows))
+            samples = len(thetas) * len(r)
             self._levels[key] = ang_w, samples, rays
         return rays[p], ang_w, samples
 
@@ -449,33 +444,36 @@ class LevelStore:
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 lo: float = 0.0, carry: list | None = None,
+                 carry: list | None = None,
                  store: LevelStore | None = None) -> tuple:
-    """One quadrature level of the mixed norm with radii in [lo, 1]: the
-    value and the number of |f| samples it consists of.
+    """One quadrature level of the mixed norm: the value and the number of
+    |f| samples it consists of.
 
-    A rotation-invariant f (|f| depends on |z| alone, see ``Features``):
-    one ray, the value of every ray of any angular rule, for every (p, q).
-    Else, q finite: the q-mean of ``_rule_rays`` over the panel-graded
-    angular rule of ``count`` cells, read from ``store`` when one is given
-    (``mixed_norm`` passes it, and lo = 0).  q = inf: ``_sup_level``, which
-    reads and refills ``carry`` (the ring's closed-cell values, see there);
-    without one the level stands alone.  Either way a level that samples
-    binds one kernel (``f.polar_kernel`` at its radii) and streams the
-    per-ray values through it (``_ray_values``), and reads ``f.features()``
-    once.  A modulus or a power beyond the float range is inf, without a
-    warning, so the refinement stops there as ``nonfinite``.
+    q finite and f not rotation invariant: the q-mean of the per-ray values
+    over the panel-graded angular rule of ``count`` cells, read from
+    ``store`` (``LevelStore.rays``), or from a store of this level alone
+    when none is given.  Else ``_kernel_level`` with radii in [0, 1].  A
+    modulus or a power beyond the float range is inf, without a warning,
+    so the refinement stops there as ``nonfinite``.
     """
     features = f.features()
     if pq.q.is_finite and not features.rotation_invariant:
-        if store is None:
-            rows, ang_w, samples = _rule_rays(f, features, (pq.p,), count,
-                                              levels, lo)
-            inner = rows[0]
-        else:
-            inner, ang_w, samples = store.rays(f, features, pq.p, count,
-                                               levels)
+        inner, ang_w, samples = (store or LevelStore()).rays(
+            f, features, pq.p, count, levels)
         return _angular_norm(inner, ang_w, pq), samples
+    return _kernel_level(f, features, pq, count, levels, 0.0, carry)
+
+
+def _kernel_level(f: AnalyticFunction, features: Features, pq: ExponentPair,
+                  count: int, levels: int, lo: float,
+                  carry: list | None) -> tuple:
+    """A level with radii in [lo, 1] that no store keeps: it binds one
+    kernel (``f.polar_kernel`` at its radii) and streams the per-ray values
+    through it (``_ray_values``).  A rotation-invariant f (|f| depends on
+    |z| alone, see ``Features``): one ray, the value of every ray of any
+    angular rule, for every (p, q).  Else q = inf: ``_sup_level``, which
+    reads and refills ``carry`` (the ring's closed-cell values, see there);
+    without one the level stands alone."""
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
     if features.rotation_invariant:
@@ -611,6 +609,7 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
                         evaluations=evaluations)
 
 
+@np.errstate(over="ignore")
 def tail_sup_norm(f: AnalyticFunction, p, rho: float,
                   cfg: QuadratureConfig) -> float:
     """sup over theta of (int_rho^1 |f(r e^(i theta))|^p dr)^(1/p).
@@ -624,8 +623,8 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
         raise ValueError("tail norm is defined for finite p")
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
-    return _level_value(f, ExponentPair.of(p, "inf"), _SUP_RING,
-                        cfg.radial_levels, lo=rho)[0]
+    return _kernel_level(f, f.features(), ExponentPair.of(p, "inf"),
+                         _SUP_RING, cfg.radial_levels, rho, None)[0]
 
 
 def dilation_convergence(f: AnalyticFunction, pq, r_list: Sequence[float],
