@@ -106,7 +106,8 @@ class ExtendedExponent:
 
     def conjugate(self) -> "ExtendedExponent":
         """The e' with 1/e + 1/e' = 1; conjugate(1) = inf, conjugate(inf) = 1."""
-        return ExtendedExponent(1 - self.reciprocal)
+        key = (ExtendedExponent, 1 - self.reciprocal)
+        return _intern(key, lambda: (key, ExtendedExponent(key[1])))
 
     def __float__(self) -> float:
         r = self.reciprocal
@@ -147,7 +148,7 @@ class ExponentPair:
         return self._sum
 
     def conjugate(self) -> "ExponentPair":
-        return ExponentPair(self.p.conjugate(), self.q.conjugate())
+        return ExponentPair.of(self.p.conjugate(), self.q.conjugate())
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"

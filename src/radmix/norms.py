@@ -40,10 +40,10 @@ missed.  For a record that folds the q-finite rule, the q = inf level folds
 too: it samples only the mirror half of its ring, finds the peaks on that
 half followed by its reverse (so a peak next to 0 or pi has its mirrored
 neighbour) and takes each fine window to its mirror in [0, pi].  The ring's
-angles stay the same from level to level until it
-grows, and each level's radial mesh keeps every cell of the one before but
-the last, so a level of the refinement reuses the ring's radial sums over
-those closed cells and samples the ring only on its own last two cells.
+angles stay the same from level to level until it grows, and each level's
+radial mesh keeps every cell of the one before but the last, so a level
+reuses the ring's radial sums over those closed cells from the level store
+and samples the ring only on its own last two cells.
 
 Each quadrature level binds one modulus kernel,
 ``AnalyticFunction.polar_kernel`` at the level's radii, so the radii are
@@ -57,23 +57,22 @@ evaluated on one block of angles at a time, a block holding about
 radial values.  Only the vector of per-angle values reaches the angular
 reduction, so the angle x radius grid of a level is never held in memory.
 
-A q-finite level's per-ray values depend on f, its angular count, its
-grading depth and the radial exponent p, not on q.  Under a ``LevelStore``
-(the ``store`` of ``mixed_norm``; each ``theorems.NormCache`` keeps one)
-they are shared across exponent pairs: the store keeps, for each (f, count,
+Every level of ``mixed_norm`` goes through one ``LevelStore`` (its
+``store``; each ``theorems.NormCache`` keeps one, and an estimate given
+none builds its own).  The per-ray values of a level of q finite, or of a
+rotation-invariant f, depend on f, its angular count, its grading depth and
+the radial exponent p, not on q: the store keeps, for each (f, count,
 levels), the angular weights, the sample count and one per-ray vector for
 each p, and a level it lacks is streamed once, each block reduced for every
-radial exponent asked of a q-finite level so far, of any function (the
+radial exponent asked of such a level so far, of any function (the
 exponents asked of f alone would leave more levels to stream again).  A
 later pair of the same f reads the vector and pays only for its q-mean; a
 pair whose p the stored level lacks streams the level again, for every
-asked exponent it lacks.  Without a store, each level goes through a store
-of its own.  Grids are never kept, and nothing outlives the store.  The
-q = inf levels (whose ring, windows and zoom follow the maxima at their own
-p) and the one ray of a rotation-invariant f are not stored; they stay per
-pair.  A level read from the store counts in ``evaluations`` the samples it
-consists of, so an estimate is the same, field for field, with or without a
-store.
+asked exponent it lacks.  Of the other q = inf levels (whose windows and
+zoom follow the maxima at their own p) the store keeps only the ring's
+closed-cell sums.  Grids are never kept, and nothing outlives the store.  A
+level read from the store counts in ``evaluations`` the samples it consists
+of.
 """
 
 from __future__ import annotations
@@ -249,7 +248,12 @@ def _angular_rule(features: Features, count: int, levels: int):
     keeps its weight) and the panel on the positive side of 0.  Nodes are
     paired by index, so the folded level is the full one up to rounding, at
     half the samples.
+
+    One-ray rule: a rotation-invariant f (``Features``) reads the same on
+    every ray, so for any ``count`` the rule is the ray at 0, weight one.
     """
+    if features.rotation_invariant:
+        return np.zeros(1), np.ones(1)
     two_pi = 2.0 * math.pi
     taus = sorted({t % two_pi for t in features.singular_angles})
     fold = _folds(features)
@@ -404,27 +408,30 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int,
 
 
 class LevelStore:
-    """The per-ray values of the q-finite levels that ``mixed_norm`` took
-    under this store, for every radial exponent asked of such a level so
-    far: a later pair of the same f reads a level it holds and pays only
-    for its q-mean (see the module docstring).  ``served`` counts the
-    levels read without a sample."""
+    """The levels that ``mixed_norm`` took under this store, keyed by f
+    itself, whose ``features()`` record is assumed never to change: the
+    per-ray values that ``rays`` serves, for every radial exponent asked of
+    such a level so far (see the module docstring), and in ``rings`` the
+    q = inf ring's closed-cell sums of the last level of each (f, p, lo)
+    (see ``_sup_level``).  ``served`` counts the levels read without a
+    sample."""
 
     def __init__(self):
         self._exponents: dict = {}  # the radial exponents asked, in order
         # (f, count, levels) -> (angular weights, samples, {p: per-ray values})
         self._levels: dict = {}
+        # (f, p, lo) -> (ring, levels, closed-cell sums of the ring's rays)
+        self.rings: dict = {}
         self.served = 0
 
     def rays(self, f: AnalyticFunction, features: Features, p, count: int,
              levels: int) -> tuple:
         """The per-ray values of f at the radial exponent p over the
-        panel-graded angular rule of ``count`` cells (``_angular_rule``),
-        with the rule's weights and the samples the level consists of.  A
-        level not held at p binds one kernel (``f.polar_kernel`` at its
-        radii) and streams the rays through it once (``_ray_values``), each
-        block reduced for every exponent asked so far that the level
-        lacks."""
+        angular rule of ``count`` cells (``_angular_rule``), with the rule's
+        weights and the samples the level consists of.  A level not held at
+        p binds one kernel (``f.polar_kernel`` at its radii) and streams the
+        rays through it once (``_ray_values``), each block reduced for every
+        exponent asked so far that the level lacks."""
         self._exponents[p] = None
         key = (f, count, levels)
         ang_w, samples, rays = self._levels.get(key, (None, 0, {}))
@@ -444,42 +451,21 @@ class LevelStore:
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
 def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 carry: list | None = None,
-                 store: LevelStore | None = None) -> tuple:
-    """One quadrature level of the mixed norm: the value and the number of
-    |f| samples it consists of.
+                 store: LevelStore) -> tuple:
+    """One quadrature level of the mixed norm, radii in [0, 1]: the value
+    and the number of |f| samples it consists of.
 
-    q finite and f not rotation invariant: the q-mean of the per-ray values
-    over the panel-graded angular rule of ``count`` cells, read from
-    ``store`` (``LevelStore.rays``), or from a store of this level alone
-    when none is given.  Else ``_kernel_level`` with radii in [0, 1].  A
-    modulus or a power beyond the float range is inf, without a warning,
-    so the refinement stops there as ``nonfinite``.
+    q finite or f rotation invariant: the q-mean (or max) of the per-ray
+    values over the angular rule of ``count`` cells, read from ``store``
+    (``LevelStore.rays``).  Else ``_sup_level``.  A modulus or a power
+    beyond the float range is inf, without a warning, so the refinement
+    stops there as ``nonfinite``.
     """
     features = f.features()
-    if pq.q.is_finite and not features.rotation_invariant:
-        inner, ang_w, samples = (store or LevelStore()).rays(
-            f, features, pq.p, count, levels)
+    if pq.q.is_finite or features.rotation_invariant:
+        inner, ang_w, samples = store.rays(f, features, pq.p, count, levels)
         return _angular_norm(inner, ang_w, pq), samples
-    return _kernel_level(f, features, pq, count, levels, 0.0, carry)
-
-
-def _kernel_level(f: AnalyticFunction, features: Features, pq: ExponentPair,
-                  count: int, levels: int, lo: float,
-                  carry: list | None) -> tuple:
-    """A level with radii in [lo, 1] that no store keeps: it binds one
-    kernel (``f.polar_kernel`` at its radii) and streams the per-ray values
-    through it (``_ray_values``).  A rotation-invariant f (|f| depends on
-    |z| alone, see ``Features``): one ray, the value of every ray of any
-    angular rule, for every (p, q).  Else q = inf: ``_sup_level``, which
-    reads and refills ``carry`` (the ring's closed-cell values, see there);
-    without one the level stands alone."""
-    r, w = graded_radial_mesh(levels, lo=lo)
-    kernel = f.polar_kernel(r)
-    if features.rotation_invariant:
-        ray = _ray_values(kernel, np.zeros(1), w, (pq.p,))[0, 0]
-        return _angular_norm(ray, np.ones(1), pq), len(r)
-    return _sup_level(f, features, kernel, pq, count, r, w, carry)
+    return _sup_level(f, features, pq, count, levels, store)
 
 
 def _sup_ring(features: Features, count: int) -> int:
@@ -493,12 +479,12 @@ def _sup_ring(features: Features, count: int) -> int:
     return min(coarse, count)
 
 
-def _sup_level(f: AnalyticFunction, features: Features, kernel: Callable,
-               pq: ExponentPair, count: int, r: np.ndarray, w: np.ndarray,
-               carry: list | None) -> tuple:
-    """The q = inf level of f and its sample count, given f's ``features``
-    record, its samples taken by the level's bound ``kernel`` at the radii
-    ``r`` with radial weights ``w``.
+def _sup_level(f: AnalyticFunction, features: Features, pq: ExponentPair,
+               count: int, levels: int, store: LevelStore,
+               lo: float = 0.0) -> tuple:
+    """The q = inf level of f over radii in [lo, 1] of depth ``levels``,
+    and its sample count, given f's ``features`` record; its samples are
+    taken by one kernel (``f.polar_kernel`` at its radii).
 
     The per-ray values on the coarse ring ``midpoint_angles(ring)``, ring =
     ``_sup_ring(features, count)``, and on the singular directions pick the
@@ -521,28 +507,32 @@ def _sup_level(f: AnalyticFunction, features: Features, kernel: Callable,
     reads the unfolded value up to rounding, at about half the samples.
 
     Each ring ray is reduced over its closed cells and over its last cell,
-    the two joined by a sum for finite p and a max for p = inf.  The ring is
-    the next level's ring too unless it grows, and the next level's radial
-    mesh keeps every cell of this one but the last (see ``meshes``).  So a
-    level given a ``carry`` whose ring stays leaves in it the closed part of
-    the rays it samples (the mirror half, when folded), and a level that
-    finds one there samples the ring only on its last two cells and joins
-    the first of them to the carried part.
+    the two joined by a sum for finite p and a max for p = inf.  The closed
+    part of the rays it samples (the mirror half, when folded) replaces the
+    entry of ``store.rings`` under (f, p, lo), with the ring and ``levels``:
+    it depends on nothing else, and a mesh of depth ``levels`` keeps every
+    cell of depth ``levels - 1`` but the last (see ``meshes``).  So a level
+    that finds its own ring there at depth ``levels - 1`` samples the ring
+    only on its last two cells and joins the first of them to that entry.
     """
+    r, w = graded_radial_mesh(levels, lo=lo)
+    kernel = f.polar_kernel(r)
     coarse = _sup_ring(features, count)
     fold = _folds(features)
     kept = (coarse + 1) // 2 if fold else coarse
     specials = np.array(features.singular_angles)
     thetas = np.concatenate([midpoint_angles(coarse)[:kept], specials])
     join = np.add if pq.p.is_finite else np.maximum
-    first = len(r) - 2 * NODES_PER_CELL if carry else 0
-    ring_kernel = f.polar_kernel(r[first:]) if first else kernel
+    key = (f, pq.p, lo)
+    entry = store.rings.get(key)
+    reuse = entry is not None and entry[:2] == (coarse, levels - 1)
+    first = len(r) - 2 * NODES_PER_CELL if reuse else 0
+    ring_kernel = f.polar_kernel(r[first:]) if reuse else kernel
     closed, last = _ray_values(ring_kernel, thetas, w[first:], (pq.p,),
                                (0, len(w) - first - NODES_PER_CELL))[0]
-    if carry:
-        closed = join(carry.pop(), closed)
-    if carry is not None and _sup_ring(features, 2 * count) == coarse:
-        carry.append(closed)
+    if reuse:
+        closed = join(entry[2], closed)
+    store.rings[key] = coarse, levels, closed
     per_angle = join(closed, last)
     samples = len(thetas) * (len(r) - first)
     if not np.isfinite(per_angle).all():
@@ -571,9 +561,11 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
                store: LevelStore | None = None) -> NormEstimate:
     """The mixed norm of f at the exponent pair pq, with refinement trace.
 
-    Under a ``store`` (each ``theorems.NormCache`` keeps one) the q-finite
-    levels are shared with every other pair asked of f under it; the
-    estimate is the same, field for field, with or without one.
+    Under a ``store`` (each ``theorems.NormCache`` keeps one) the levels
+    are shared with every other estimate of f under it.  Among estimates of
+    one config, the estimate is the same, field for field, with or without
+    one; a q = inf level 0 that finds its ring one depth shallower, left by
+    another config, reads the same up to rounding at fewer samples.
 
     The quadrature mesh is fixed; to move it against a function's features,
     rotate the representation (the norm is rotation invariant).
@@ -583,15 +575,14 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     estimate stopped there is not converged.
     """
     pq = as_pair(pq)
+    store = store or LevelStore()
     base_count = cfg.theta_count if pq.q.is_finite else _SUP_RING
     trace: list = []
     evaluations: list = []
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
-    carry: list = []
     for level in range(top + 1):
         v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, carry=carry,
-                            store=store)
+                            cfg.radial_levels + level, store=store)
         trace.append((level, v))
         evaluations.append(n)
         if stop := refinement_stop([x for _, x in trace], cfg.rel_tol):
@@ -614,17 +605,17 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
                   cfg: QuadratureConfig) -> float:
     """sup over theta of (int_rho^1 |f(r e^(i theta))|^p dr)^(1/p).
 
-    One unrefined q = inf level of 512 rays (``_SUP_RING``) and
-    ``cfg.radial_levels``, with no stop reason: ``cfg.refine_max`` and
-    ``cfg.rel_tol`` never reach it.
+    One unrefined q = inf level of 512 rays (``_SUP_RING``, a ring even for
+    a rotation-invariant f) and ``cfg.radial_levels``, with no stop reason:
+    ``cfg.refine_max`` and ``cfg.rel_tol`` never reach it.
     """
     p = ExtendedExponent.of(p)
     if not p.is_finite:
         raise ValueError("tail norm is defined for finite p")
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
-    return _kernel_level(f, f.features(), ExponentPair.of(p, "inf"),
-                         _SUP_RING, cfg.radial_levels, rho, None)[0]
+    return _sup_level(f, f.features(), ExponentPair.of(p, "inf"), _SUP_RING,
+                      cfg.radial_levels, LevelStore(), rho)[0]
 
 
 def dilation_convergence(f: AnalyticFunction, pq, r_list: Sequence[float],

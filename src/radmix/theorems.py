@@ -118,12 +118,13 @@ class NormCache:
     bounds built from them.  This module's key is the function itself:
     equal (frozen) representations hash equal and share one estimate.
     Every estimate is computed under the cache's one ``norms.LevelStore``,
-    so a q-finite level of f is sampled once for all the pairs asked of f.
+    so a q-finite level of f, and the one ray of a rotation-invariant f at
+    any q, is sampled once for all the pairs asked of f.
 
     ``hits`` and ``misses`` count the ``norm`` lookups answered from the
     store and those that computed a new estimate; ``shared_levels`` counts
-    the q-finite levels of those estimates read from the level store
-    without a sample.
+    the levels of those estimates read from the level store without a
+    sample.
     """
 
     def __init__(self, cfg: QuadratureConfig):

@@ -60,6 +60,11 @@ def test_equal_exponents_and_pairs_are_one_object():
             is ExponentPair.of(Fraction(2), math.inf))
     assert (ExtendedExponent.of(2) is ExtendedExponent.of(" 4/2 ")
             is ExtendedExponent.of(Fraction(2)))
+    # a conjugate is the kept object of its value too
+    assert ExtendedExponent.of(2).conjugate() is ExtendedExponent.of(2)
+    assert ExtendedExponent.of(1).conjugate() is ExtendedExponent.of("inf")
+    assert ExtendedExponent.of("inf").conjugate() is ExtendedExponent.of(1)
+    assert ExponentPair.of(2, 4).conjugate() is ExponentPair.of(2, "4/3")
     with pytest.raises(TypeError):
         ExtendedExponent.of(True)
     for bad in (float("nan"), 0.5):

@@ -15,6 +15,7 @@ from radmix import (
     Features,
     Lacunary,
     Monomial,
+    NormCache,
     PowerSingularity,
     QuadratureConfig,
     RationalBump,
@@ -83,7 +84,7 @@ def test_graded_mesh_rejects_depth_beyond_cap():
 
 def test_graded_mesh_nests_across_levels():
     # level L + 1 keeps the first L cells of level L bit for bit and splits
-    # only its last, open cell; the q = inf ring's carry relies on it
+    # only its last, open cell; the q = inf ring's reuse relies on it
     for levels in range(4, MAX_GRADING_LEVELS):
         u0, w0 = graded_radial_mesh(levels)
         u1, w1 = graded_radial_mesh(levels + 1)
@@ -359,6 +360,13 @@ _LEVEL_FUNCTIONS = (
 )
 
 
+def _fresh_level(f, pq, count, levels):
+    # one level under a store of its own: a shared store would serve a
+    # later call from an earlier one, since it keys by f, not by a
+    # monkeypatched features() record
+    return norms._level_value(f, pq, count, levels, norms.LevelStore())
+
+
 @pytest.mark.parametrize("budget", [None, 1])
 @pytest.mark.parametrize("pq", [(2, 3), (1.5, "inf"), ("inf", 2),
                                 ("inf", "inf")])
@@ -378,14 +386,14 @@ def test_streamed_level_matches_full_grid(monkeypatch, f, pq, budget):
                                  f.features().singular_angles])
         ang_w = np.full(len(thetas), 1.0 / len(thetas))
     full = discrete_mixed_norm(f.polar_kernel(r)(thetas), w, ang_w, pq)
-    level, _ = norms._level_value(f, pq, count, levels)
+    level, _ = _fresh_level(f, pq, count, levels)
     if pq.q.is_finite:
         assert level == pytest.approx(full, rel=1e-14)
         return
     # q = inf adds the zoom pass to the discrete maximum
     assert level >= full * (1 - 1e-14)
     monkeypatch.setattr(norms, "_zoom_max", lambda *args: -math.inf)
-    level, _ = norms._level_value(f, pq, count, levels)
+    level, _ = _fresh_level(f, pq, count, levels)
     assert level == pytest.approx(full, rel=1e-14)
 
 
@@ -412,11 +420,11 @@ def test_folded_level_matches_the_full_circle(monkeypatch, f):
     for count, level, p, q in itertools.product(
             (8, 9, 64), range(4), (1, 1.5, 2, "inf"), (1, 2, 4)):
         levels.append((ExponentPair.of(p, q), count << level, 12 + level))
-    folded = [norms._level_value(f, *args) for args in levels]
+    folded = [_fresh_level(f, *args) for args in levels]
     monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
         features, conjugate_symmetric=False))
     for args, (v, n) in zip(levels, folded):
-        full, n_full = norms._level_value(f, *args)
+        full, n_full = _fresh_level(f, *args)
         assert v == pytest.approx(full, rel=1e-14, abs=0.0), args
         # half the rays, and the ray at pi of an odd count
         radii = len(graded_radial_mesh(args[2])[0])
@@ -439,11 +447,11 @@ def test_rotation_invariant_level_takes_one_ray(monkeypatch, f):
                12 + level)
               for level, p, q in itertools.product(
                   range(2), (1, 1.5, 2, "inf"), (1, 2, 4, "inf"))]
-    one_ray = [norms._level_value(f, *args) for args in levels]
+    one_ray = [_fresh_level(f, *args) for args in levels]
     monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
         features, rotation_invariant=False))
     for args, (v, n) in zip(levels, one_ray):
-        full, n_full = norms._level_value(f, *args)
+        full, n_full = _fresh_level(f, *args)
         assert v == pytest.approx(full, rel=1e-14, abs=0.0), args
         assert n == len(graded_radial_mesh(args[2])[0]) < n_full, args
 
@@ -485,7 +493,7 @@ def test_level_binds_one_polar_kernel(monkeypatch, q):
 
     monkeypatch.setattr(PowerSingularity, "polar_kernel", counting)
     pq = ExponentPair.of(2, q)
-    _, samples = norms._level_value(f, pq, norms._SUP_RING << 1, 12)
+    _, samples = _fresh_level(f, pq, norms._SUP_RING << 1, 12)
     assert bound == [len(graded_radial_mesh(12)[0])]
     assert sum(kernel_calls) * bound[0] == samples
     if q == "inf":
@@ -504,7 +512,7 @@ def test_streamed_level_memory():
     assert (count + 1) * len(graded_radial_mesh(levels)[0]) * 8 > 18e6
     tracemalloc.start()
     try:
-        norms._level_value(f, ExponentPair.of(2, "inf"), count, levels)
+        _fresh_level(f, ExponentPair.of(2, "inf"), count, levels)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -531,6 +539,9 @@ def _dense_sup_level(f, pq, count, levels):
     return max(float(per_angle.max()), zoom) ** (1.0 / p)
 
 
+_RING_GROWS = Sum(((1.0, PowerSingularity(0.75)), (1.0, Lacunary(tuple(
+    (3 ** k, 1.0 / (k + 1)) for k in range(6))))))
+
 _SUP_CASES = [
     pytest.param(PowerSingularity(0.75), id="PowerSingularity"),
     pytest.param(CesaroPower(8, 1.5), id="CesaroPower"),
@@ -555,7 +566,7 @@ def test_local_sup_level_matches_dense_scan(f, pq):
     pq = ExponentPair.of(*pq)
     for level in range(5):
         count, levels = norms._SUP_RING << level, CFG.radial_levels + level
-        local, n = norms._level_value(f, pq, count, levels)
+        local, n = _fresh_level(f, pq, count, levels)
         dense = _dense_sup_level(f, pq, count, levels)
         assert local == pytest.approx(dense, rel=1e-14, abs=0.0)
         assert n < (count + 40) * len(graded_radial_mesh(levels)[0])
@@ -580,12 +591,12 @@ def test_folded_sup_level_matches_the_full_ring(monkeypatch, f, p):
     args = [(pq, norms._SUP_RING << level, CFG.radial_levels + level)
             for level in range(5)]
     cfg = QuadratureConfig(refine_max=4, rel_tol=1e-9)
-    folded = [norms._level_value(f, *a) for a in args]
+    folded = [_fresh_level(f, *a) for a in args]
     folded_est = mixed_norm(f, pq, cfg)
     monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
         features, conjugate_symmetric=False))
     for a, (v, n) in zip(args, folded):
-        full, n_full = norms._level_value(f, *a)
+        full, n_full = _fresh_level(f, *a)
         assert v == pytest.approx(full, rel=1e-14, abs=0.0), a
         assert 0.5 < n / n_full < 0.55, a
     full_est = mixed_norm(f, pq, cfg)
@@ -685,7 +696,7 @@ def test_local_sup_level_on_lacunary_series(base, nodes, seed, p):
     pq = ExponentPair.of(p, "inf")
     for level in range(5):
         count, levels = norms._SUP_RING << level, CFG.radial_levels + level
-        local, _ = norms._level_value(f, pq, count, levels)
+        local, _ = _fresh_level(f, pq, count, levels)
         dense = _dense_sup_level(f, pq, count, levels)
         assert local == pytest.approx(dense, rel=CFG.rel_tol)
 
@@ -703,7 +714,7 @@ def test_zoom_finds_the_highest_lobe_of_its_bracket():
         coeffs = rng.standard_normal(13) + 1j * rng.standard_normal(13)
     f = Lacunary(tuple((2 ** k, coeffs[k]) for k in range(13)))
     count, levels = 1024, 15
-    level, _ = norms._level_value(f, ExponentPair.of(2, "inf"), count, levels)
+    level, _ = _fresh_level(f, ExponentPair.of(2, "inf"), count, levels)
     r, w = graded_radial_mesh(levels)
     kernel = f.polar_kernel(r)
     dense = max(float((kernel(ts) ** 2 @ w).max())
@@ -750,19 +761,17 @@ def test_local_sup_level_evaluation_budget():
 @pytest.mark.parametrize("f", _SUP_CASES + [
     # top exponent 243: the ring grows from 512 to 1,024 rays at level 1;
     # the singularity keeps every p refining to the last level
-    pytest.param(Sum(((1.0, PowerSingularity(0.75)), (1.0, Lacunary(tuple(
-        (3 ** k, 1.0 / (k + 1)) for k in range(6)))))),
-        id="lacunary_ring_grows"),
+    pytest.param(_RING_GROWS, id="lacunary_ring_grows"),
 ])
 def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
-    # the refinement that carries the ring's closed cells from level to
+    # the refinement that reuses the ring's closed cells from level to
     # level reads, at every level, the value of that level evaluated alone
     pq = ExponentPair.of(p, "inf")
     cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
     nested = mixed_norm(f, pq, cfg)
     fresh_level = norms._level_value
-    monkeypatch.setattr(norms, "_level_value",
-                        lambda *args, carry, store: fresh_level(*args))
+    monkeypatch.setattr(norms, "_level_value", lambda *args, store:
+                        fresh_level(*args, norms.LevelStore()))
     fresh = mixed_norm(f, pq, cfg)
     assert nested.stop == fresh.stop
     assert len(nested.trace) == len(fresh.trace)
@@ -786,3 +795,79 @@ def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
         kept = (ring + 1) // 2 if norms._folds(features) else ring
         assert (nested.evaluations[level] - 16 * (kept + rays)) % radii == 0
         assert nested.evaluations[level] < fresh.evaluations[level]
+
+
+def _carried_levels(f, runs):
+    """The (run, level) pairs of q = inf estimates of f, taken in order
+    under one store as ``runs`` of (pq, cfg, estimate), that reused the
+    ring's closed cells: a level whose ring and depth less one are those of
+    the last level of the same p.  Every level reads its fresh-store value,
+    and samples its ring on 16 radii only if it reused them."""
+    features = f.features()
+    rays = len(features.singular_angles)
+    held: dict = {}
+    carried = []
+    for i, (pq, cfg, est) in enumerate(runs):
+        for level, v in est.trace:
+            count, depth = norms._SUP_RING << level, cfg.radial_levels + level
+            fresh, n_fresh = _fresh_level(f, pq, count, depth)
+            assert v == pytest.approx(fresh, rel=1e-15, abs=0.0), (i, level)
+            ring = norms._sup_ring(features, count)
+            n = est.evaluations[level]
+            if held.get(pq.p) == (ring, depth - 1):
+                carried.append((i, level))
+                radii = len(graded_radial_mesh(depth)[0])
+                kept = (ring + 1) // 2 if norms._folds(features) else ring
+                assert (n - 16 * (kept + rays)) % radii == 0, (i, level)
+                assert n < n_fresh, (i, level)
+            else:
+                assert n == n_fresh, (i, level)
+            held[pq.p] = ring, depth
+    return carried
+
+
+@pytest.mark.parametrize("f", [
+    pytest.param(PowerSingularity(0.75), id="folded"),
+    pytest.param(RationalBump(0.05, 1.02, 2.0), id="RationalBump"),
+    pytest.param(_RING_GROWS, id="lacunary_ring_grows"),
+])
+def test_ring_memo_is_keyed_by_what_it_depends_on(f):
+    # q = inf estimates of one f share one level store: the ring's stored
+    # closed-cell sums are reused only at their own ring, p and lo and the
+    # next depth, whichever estimate left them
+    store = norms.LevelStore()
+
+    def run(*requests):
+        return [(ExponentPair.of(*pair), cfg, mixed_norm(f, pair, cfg, store))
+                for pair, cfg in requests]
+
+    deep = dict(refine_max=3, rel_tol=1e-9)
+    cfg12, cfg13, cfg14 = (QuadratureConfig(radial_levels=n, **deep)
+                           for n in (12, 13, 14))
+    # radial_levels 12 and then 13: the second estimate's level 0 finds the
+    # first's deepest ring, not the one a depth shallower
+    carried = _carried_levels(f, run(((2, "inf"), cfg12),
+                                     ((2, "inf"), cfg13)))
+    assert (1, 0) not in carried and any(i == 1 for i, _ in carried)
+    # two levels at 12 and then 14: a level 0 at 14 reuses the ring of the
+    # same p at depth 13 whenever the ring is the same, and never another p's
+    store = norms.LevelStore()
+    carried = _carried_levels(f, run(
+        ((2, "inf"), QuadratureConfig(refine_max=1, rel_tol=1e-9)),
+        ((1, "inf"), cfg14), ((2, "inf"), cfg14)))
+    ring_stays = norms._sup_ring(f.features(), 2 * norms._SUP_RING) \
+        == norms._SUP_RING
+    assert (1, 0) not in carried and ((2, 0) in carried) == ring_stays
+    # a tail level over [0.5, 1] never reads the sums over [0, 1]
+    pq, features = ExponentPair.of(2, "inf"), f.features()
+    norms._sup_level(f, features, pq, 512, 12, store)
+    tail = norms._sup_level(f, features, pq, 512, 13, store, 0.5)
+    assert tail == norms._sup_level(f, features, pq, 512, 13,
+                                    norms.LevelStore(), 0.5)
+    # two cache keys for one f, and a second p under the first key
+    cache = NormCache(cfg12)
+    runs = [(ExponentPair.of(*pair), cfg12, cache.norm(key, f, pair))
+            for key, pair in (("a", (2, "inf")), ("b", (2, "inf")),
+                              ("a", (1, "inf")))]
+    assert runs[0][2] == runs[1][2] and cache.misses == 3
+    assert all(level > 0 for _, level in _carried_levels(f, runs))

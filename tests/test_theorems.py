@@ -354,3 +354,6 @@ def test_acceptance_scan_samples_and_verdicts():
     estimates = list(cache._store.values())
     assert len(estimates) == 184
     assert sum(sum(est.evaluations) for est in estimates) == 6_370_392
+    # levels read from the cache's level store without a sample, the one
+    # ray of a rotation-invariant f at any q included
+    assert cache.shared_levels == 178
