@@ -60,12 +60,13 @@ reduction, so the angle x radius grid of a level is never held in memory.
 Every level of ``mixed_norm`` goes through one ``LevelStore`` (its
 ``store``; each ``theorems.NormCache`` keeps one, and an estimate given
 none builds its own).  The per-ray values of a level of q finite, or of a
-rotation-invariant f, depend on f, its angular count, its grading depth and
-the radial exponent p, not on q: the store keeps, for each (f, count,
-levels), the angular weights, the sample count and one per-ray vector for
-each p, and a level it lacks is streamed once, each block reduced for every
-radial exponent asked of such a level so far, of any function (the
-exponents asked of f alone would leave more levels to stream again).  A
+rotation-invariant f, depend on f, its angular count (the one ray of a
+rotation-invariant f not even on that), its grading depth and the radial
+exponent p, not on q: the store keeps, for each (f, count, levels), the
+angular weights, the sample count and one per-ray vector for each p, and a
+level it lacks is streamed once, each block reduced for every radial
+exponent asked of such a level so far, of any function (the exponents
+asked of f alone would leave more levels to stream again).  A
 later pair of the same f reads the vector and pays only for its q-mean; a
 pair whose p the stored level lacks streams the level again, for every
 asked exponent it lacks.  Of the other q = inf levels (whose windows and
@@ -433,7 +434,8 @@ class LevelStore:
         rays through it once (``_ray_values``), each block reduced for every
         exponent asked so far that the level lacks."""
         self._exponents[p] = None
-        key = (f, count, levels)
+        # the one-ray rule of a rotation-invariant f is that of every count
+        key = (f, 1 if features.rotation_invariant else count, levels)
         ang_w, samples, rays = self._levels.get(key, (None, 0, {}))
         if p in rays:
             self.served += 1

@@ -255,6 +255,30 @@ def test_norm_cache_samples_each_shared_level_once(monkeypatch):
     assert (cache.misses, cache.hits) == (2, 0)
 
 
+def test_norm_cache_shares_one_ray_levels_across_counts(monkeypatch):
+    # z^3 is rotation invariant: its one-ray level is the same at the
+    # q-finite angular count and at the q = inf ring's, so the q = inf
+    # pair reads every level the q-finite pair sampled
+    sampled = []
+    ray_values = norms._ray_values
+
+    def counting(kernel, thetas, radial_w, *rest):
+        sampled.append(len(thetas) * len(radial_w))
+        return ray_values(kernel, thetas, radial_w, *rest)
+
+    monkeypatch.setattr(norms, "_ray_values", counting)
+    f = Monomial(3)
+    cache = NormCache(CFG)
+    first = cache.norm(f, f, (2, 2))
+    assert sampled == first.evaluations
+    sampled.clear()
+    second = cache.norm(f, f, (2, "inf"))
+    assert len(second.trace) <= len(first.trace)
+    assert sampled == [] and cache.shared_levels == len(second.trace)
+    monkeypatch.setattr(norms, "_ray_values", ray_values)
+    assert second == mixed_norm(f, (2, "inf"), CFG)
+
+
 # One seeded function of each kind, and every (p, q) over {1, 4/3, 2, 4,
 # inf} x {1, 2, 4, inf}: the power singularity and the sum diverge at some
 # pairs, where the refinement runs deeper than at the others.
@@ -355,5 +379,5 @@ def test_acceptance_scan_samples_and_verdicts():
     assert len(estimates) == 184
     assert sum(sum(est.evaluations) for est in estimates) == 6_370_392
     # levels read from the cache's level store without a sample, the one
-    # ray of a rotation-invariant f at any q included
-    assert cache.shared_levels == 178
+    # ray of a rotation-invariant f at any q and angular count included
+    assert cache.shared_levels == 222
