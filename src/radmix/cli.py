@@ -49,11 +49,15 @@ DEFAULT_EXPONENT_GRID = "1,4/3,2,4,inf"
 
 
 def _config_from_args(args, default_tol: float | None = None) -> QuadratureConfig:
+    """The --config file's config; --tol sets its rel_tol, and ``default_tol``
+    does when neither --tol nor the file does."""
     base = {}
     if args.config:
         base = json.loads(Path(args.config).read_text())
     cfg = QuadratureConfig.from_dict(base)
-    tol = args.tol if args.tol is not None else default_tol
+    tol = args.tol
+    if tol is None and "rel_tol" not in base:
+        tol = default_tol
     if tol is not None:
         cfg = QuadratureConfig(**{**cfg.to_dict(), "rel_tol": tol})
     return cfg
@@ -452,8 +456,16 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as input errors do."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="radmix",
         description="Mixed radial/angular norm laboratory for analytic "
                     "functions on the unit disc.")

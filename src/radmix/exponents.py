@@ -8,6 +8,7 @@ no branch of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,30 +35,24 @@ def parse_fraction(text: str) -> Fraction:
     return x
 
 
-# Canonical exponents and pairs: ``of`` returns the object kept here for
-# its value, so equal exponents and pairs are one object and a cache key
-# compares them by identity.  An exponent is kept under the (type, value)
-# of each spelling it was asked by and under its reciprocal, a pair under
-# its two canonical exponents; at most _INTERNED_MAX entries, the oldest
-# dropped first.
+# Canonical exponents and pairs: ``of`` and ``conjugate`` return the object
+# kept for a value, so equal exponents and pairs are one object and a cache
+# key compares them by identity.  Each table keeps the _INTERNED_MAX values
+# asked for most recently; a spelling kept after its value left
+# ``_canonical`` still names the older, equal object.
 _INTERNED_MAX = 512
-_interned: dict = {}
 
 
-def _intern(spelling: tuple, build):
-    """The object kept for the value that ``spelling`` names.  On a miss
-    ``build()`` gives the value's own key and a new object; an object kept
-    under that key wins over the new one, and the key is entered again
-    after the spelling, so it outlives every spelling of its value."""
-    obj = _interned.get(spelling)
-    if obj is None:
-        value_key, new = build()
-        obj = _interned.pop(value_key, new)
-        _interned[spelling] = obj
-        _interned[value_key] = obj
-        while len(_interned) > _INTERNED_MAX:
-            del _interned[next(iter(_interned))]
-    return obj
+@functools.lru_cache(maxsize=_INTERNED_MAX)
+def _canonical(cls, *fields):
+    """The one ``cls(*fields)``: an exponent of its reciprocal, or a pair."""
+    return cls(*fields)
+
+
+@functools.lru_cache(maxsize=_INTERNED_MAX, typed=True)
+def _spelled(x):
+    """The canonical exponent that the spelling ``x`` names."""
+    return _canonical(ExtendedExponent, _reciprocal(x))
 
 
 def _reciprocal(x) -> Fraction:
@@ -77,7 +72,7 @@ def _reciprocal(x) -> Fraction:
 class ExtendedExponent:
     """An exponent e in [1, +inf], held as its reciprocal 1/e in [0, 1]:
     ``reciprocal == 0`` is +inf.  Build one with ``ExtendedExponent.of``,
-    which returns one object per value (see ``_intern``)."""
+    which returns one object per value (see ``_canonical``)."""
 
     reciprocal: Fraction
 
@@ -94,11 +89,7 @@ class ExtendedExponent:
         if isinstance(x, bool) or not isinstance(x, (int, float, str,
                                                      Fraction)):
             raise TypeError(f"cannot interpret {x!r} as an exponent")
-
-        def build():
-            r = _reciprocal(x)
-            return (ExtendedExponent, r), ExtendedExponent(r)
-        return _intern((type(x), x), build)
+        return _spelled(x)
 
     @property
     def is_finite(self) -> bool:
@@ -106,8 +97,7 @@ class ExtendedExponent:
 
     def conjugate(self) -> "ExtendedExponent":
         """The e' with 1/e + 1/e' = 1; conjugate(1) = inf, conjugate(inf) = 1."""
-        key = (ExtendedExponent, 1 - self.reciprocal)
-        return _intern(key, lambda: (key, ExtendedExponent(key[1])))
+        return _canonical(ExtendedExponent, 1 - self.reciprocal)
 
     def __float__(self) -> float:
         r = self.reciprocal
@@ -139,9 +129,9 @@ class ExponentPair:
 
     @staticmethod
     def of(p: ExponentLike, q: ExponentLike) -> "ExponentPair":
-        """The one pair of these exponents (see ``_intern``)."""
-        key = (ExponentPair, ExtendedExponent.of(p), ExtendedExponent.of(q))
-        return _intern(key, lambda: (key, ExponentPair(*key[1:])))
+        """The one pair of these exponents (see ``_canonical``)."""
+        return _canonical(ExponentPair, ExtendedExponent.of(p),
+                          ExtendedExponent.of(q))
 
     def reciprocal_sum(self) -> Fraction:
         """1/p + 1/q, always in [0, 2], added once at construction."""

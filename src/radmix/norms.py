@@ -569,8 +569,8 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     one; a q = inf level 0 that finds its ring one depth shallower, left by
     another config, reads the same up to rounding at fewer samples.
 
-    The quadrature mesh is fixed; to move it against a function's features,
-    rotate the representation (the norm is rotation invariant).
+    The quadrature mesh is fixed; a representation places its own singular
+    directions in ``features()`` (``RationalBump.theta0``, for example).
 
     Levels deeper than the meshes can grade (MAX_GRADING_LEVELS) are not
     evaluated: they would repeat the last mesh and agree spuriously.  An

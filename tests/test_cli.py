@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from radmix import theorems
-from radmix.cli import main
+from radmix.cli import _config_hash, main
+from radmix.norms import QuadratureConfig
 
 MONOMIAL1 = json.dumps({"repr": "Monomial", "n": 1})
 
@@ -214,6 +215,37 @@ def test_config_file_and_grid_parsing(capsys, tmp_path):
                             "--function", MONOMIAL1, "--p", "1", "--q", "1"],
                            capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("tol, rel_tol", [([], 0.001), (["--tol", "0.05"], 0.05)])
+def test_config_file_rel_tol_beats_the_scan_default(capsys, tmp_path, tol,
+                                                    rel_tol):
+    # scan-inclusion defaults rel_tol to 0.02 only when neither --tol nor
+    # the --config file sets it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"rel_tol": 0.001, "refine_max": 2}))
+    code, out, _ = run_cli(["--config", str(cfg_path), *tol, "scan-inclusion",
+                            "--exponents", "2"], capsys)
+    assert code == 0
+    cfg = QuadratureConfig(rel_tol=rel_tol, refine_max=2)
+    manifest = _config_hash(cfg, 0, {"cmd": "scan-inclusion"})
+    assert out.splitlines()[-1] == f"# manifest: {manifest}"
+
+
+@pytest.mark.parametrize("args", [
+    ["norm", "--p", "2", "--q", "2"],
+    ["--seed", "abc", "report"],
+    ["bogus"],
+    ["witness", "--p", "2", "--K", "x"],
+])
+def test_usage_error_exits_1_without_output(capsys, args):
+    # exit code 2 is kept for a norm that did not converge
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: radmix")
 
 
 @pytest.mark.parametrize("config", [{"theta_count": "64"}, {"rel_tol": None},

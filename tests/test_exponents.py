@@ -86,12 +86,19 @@ def test_intern_table_stays_bounded():
         ExtendedExponent.of(1.0 + k / 7.0)
         if k % 100 == 0:
             ExponentPair.of(1.0 + k / 7.0, "inf")
-    assert len(exponents._interned) <= exponents._INTERNED_MAX
-    assert all(isinstance(v, (ExtendedExponent, ExponentPair))
-               for v in exponents._interned.values())
-    # the oldest entries went first, and a value still has one object
+    for table in (exponents._canonical, exponents._spelled):
+        assert table.cache_info().currsize <= exponents._INTERNED_MAX
+    # the least recently used entries went first, and a value still has
+    # one object
     assert ExtendedExponent.of(2) is ExtendedExponent.of(2.0)
     assert ExponentPair.of(1, 2) is ExponentPair.of("1", "2")
+
+
+def test_a_pair_in_use_keeps_its_object():
+    pair = ExponentPair.of(2, "inf")
+    for k in range(10_000):
+        ExtendedExponent.of(1.0 + k / 7.0)
+        assert ExponentPair.of(2, "inf") is pair
 
 
 def test_ordering():
