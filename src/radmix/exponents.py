@@ -37,9 +37,10 @@ def parse_fraction(text: str) -> Fraction:
 
 # Canonical exponents and pairs: ``of`` and ``conjugate`` return the object
 # kept for a value, so equal exponents and pairs are one object and a cache
-# key compares them by identity.  Each table keeps the _INTERNED_MAX values
-# asked for most recently; a spelling kept after its value left
-# ``_canonical`` still names the older, equal object.
+# key compares them by identity.  ``_canonical`` keeps the _INTERNED_MAX
+# values asked for most recently and ``_spelled`` the reciprocals of as many
+# spellings; every ``of`` asks ``_canonical``, so a value in use keeps its
+# object, whichever spelling names it.
 _INTERNED_MAX = 512
 
 
@@ -50,9 +51,9 @@ def _canonical(cls, *fields):
 
 
 @functools.lru_cache(maxsize=_INTERNED_MAX, typed=True)
-def _spelled(x):
-    """The canonical exponent that the spelling ``x`` names."""
-    return _canonical(ExtendedExponent, _reciprocal(x))
+def _spelled(x) -> Fraction:
+    """The reciprocal of the exponent that the spelling ``x`` names."""
+    return _reciprocal(x)
 
 
 def _reciprocal(x) -> Fraction:
@@ -89,7 +90,7 @@ class ExtendedExponent:
         if isinstance(x, bool) or not isinstance(x, (int, float, str,
                                                      Fraction)):
             raise TypeError(f"cannot interpret {x!r} as an exponent")
-        return _spelled(x)
+        return _canonical(ExtendedExponent, _spelled(x))
 
     @property
     def is_finite(self) -> bool:

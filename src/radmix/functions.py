@@ -169,12 +169,23 @@ class Features:
     coefficient, or a dilation of one.  False unless a representation
     proves it; a norm quadrature then samples a single ray for every
     exponent pair.
+
+    ``peak_angle``: an angle t0 with |f(r e^(i t0))| >= |f(r e^(i t))| for
+    every r and t, so that the ray at t0 dominates every other ray node by
+    node: 0 for (1 - z)^(-alpha) with alpha >= 0 (|1 - z| is least there
+    on every circle) and pi for alpha < 0, 0 for a Cesaro power
+    (|sum_{k<=n} z^k| <= sum_k r^k), the pole direction of a rational bump,
+    0 for a series whose coefficients are all real and nonnegative
+    (|f(z)| <= f(|z|)), the inner function's for a dilation, and none for a
+    sum.  None unless a representation proves it; a norm quadrature then
+    reads a q = inf level on that one ray.
     """
 
     singular_angles: tuple = ()
     top_exponent: int = 0
     conjugate_symmetric: bool = False
     rotation_invariant: bool = False
+    peak_angle: float | None = None
 
 
 class AnalyticFunction:
@@ -245,9 +256,12 @@ class _Series:
 
     def features(self):
         exponents, coeffs = self._terms()
-        return Features(top_exponent=exponents[-1], conjugate_symmetric=all(
-            a.imag == 0.0 for a in coeffs), rotation_invariant=len(
-                coeffs) - coeffs.count(0.0) <= 1)
+        real = all(a.imag == 0.0 for a in coeffs)
+        return Features(
+            top_exponent=exponents[-1], conjugate_symmetric=real,
+            rotation_invariant=len(coeffs) - coeffs.count(0.0) <= 1,
+            peak_angle=0.0 if real and all(a.real >= 0.0 for a in coeffs)
+            else None)
 
 
 @dataclass(frozen=True)
@@ -306,7 +320,8 @@ class PowerSingularity(AnalyticFunction):
         return lambda theta: chord(theta) ** (-0.5 * self.alpha)
 
     def features(self):
-        return Features(singular_angles=(0.0,), conjugate_symmetric=True)
+        return Features(singular_angles=(0.0,), conjugate_symmetric=True,
+                        peak_angle=0.0 if self.alpha >= 0.0 else np.pi)
 
 
 @dataclass(frozen=True)
@@ -348,7 +363,7 @@ class CesaroPower(AnalyticFunction):
 
     def features(self):
         return Features(singular_angles=(0.0,), top_exponent=self.n,
-                        conjugate_symmetric=True)
+                        conjugate_symmetric=True, peak_angle=0.0)
 
 
 @dataclass(frozen=True)
@@ -404,7 +419,7 @@ class RationalBump(AnalyticFunction):
 
     def features(self):
         return Features(singular_angles=(self.theta0,), conjugate_symmetric=(
-            self.theta0 % (2.0 * np.pi) == 0.0))
+            self.theta0 % (2.0 * np.pi) == 0.0), peak_angle=self.theta0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,12 @@ both gradings one dyadic level at a time until two successive values agree
 to the requested relative tolerance (``sequences.refinement_stop``).
 
 Supremum branches (p or q infinite) replace the corresponding integral by a
-maximum over samples.  A q = inf level does not scan all of its angles: it
+maximum over samples.  When the record declares a peak (``peak_angle``, a ray
+on which |f| is at least its value on every other ray, at every radius), a
+q = inf level is that one ray of its radial mesh, for finite p and for
+p = inf alike: the ray dominates every other one node by node, so its radial
+sum (or max) is the largest, and the level reads the max over all rays up to
+rounding.  Every other q = inf level does not scan all of its angles: it
 takes the per-ray values on a coarse ring of midpoint angles and on the
 singular directions of the representation (a needle-thin radial profile,
 e.g. of a bump function aimed at one boundary point, would otherwise be
@@ -59,21 +64,22 @@ reduction, so the angle x radius grid of a level is never held in memory.
 
 Every level of ``mixed_norm`` goes through one ``LevelStore`` (its
 ``store``; each ``theorems.NormCache`` keeps one, and an estimate given
-none builds its own).  The per-ray values of a level of q finite, or of a
-rotation-invariant f, depend on f, its angular count (the one ray of a
-rotation-invariant f not even on that), its grading depth and the radial
-exponent p, not on q: the store keeps, for each (f, count, levels), the
-angular weights, the sample count and one per-ray vector for each p, and a
-level it lacks is streamed once, each block reduced for every radial
-exponent asked of such a level so far, of any function (the exponents
-asked of f alone would leave more levels to stream again).  A
-later pair of the same f reads the vector and pays only for its q-mean; a
-pair whose p the stored level lacks streams the level again, for every
-asked exponent it lacks.  Of the other q = inf levels (whose windows and
-zoom follow the maxima at their own p) the store keeps only the ring's
-closed-cell sums.  Grids are never kept, and nothing outlives the store.  A
-level read from the store counts in ``evaluations`` the samples it consists
-of.
+none builds its own).  The per-ray values of a level of q finite, of a
+rotation-invariant f, or of q = inf and a declared peak depend on f, its
+angular count (1 for a one-ray level, whatever the pair's count), its
+grading depth and the radial exponent p, not on q: the store keeps, for
+each (f, count, levels), the angular weights, the sample count and one
+per-ray vector for each p, and a level it lacks is streamed once, each
+block reduced for every radial exponent asked of such a level so far, of
+any function (the exponents asked of f alone would leave more levels to
+stream again).  A later pair of the same f reads the vector and pays only
+for its q-mean; a pair whose p the stored level lacks streams the level
+again, for every asked exponent it lacks.  So one peak ray per depth
+serves every p asked of f at q = inf.  Of the other q = inf levels (whose
+windows and zoom follow the maxima at their own p) the store keeps only
+the ring's closed-cell sums.  Grids are never kept, and nothing outlives
+the store.  A level read from the store counts in ``evaluations`` the
+samples it consists of.
 """
 
 from __future__ import annotations
@@ -122,7 +128,8 @@ class QuadratureConfig:
     """Resolution and convergence parameters for the norm quadratures.
 
     ``theta_count`` sets the angular cells of level 0 of q-finite estimates
-    only: q = inf estimates start from ``_SUP_RING`` = 512 rays.
+    only: q = inf estimates start from ``_SUP_RING`` = 512 rays, or take
+    one ray (``_one_ray``).
     """
 
     theta_count: int = 64
@@ -175,8 +182,9 @@ class NormEstimate:
     zoom pass of a q = inf level included, and of its coarse ring
     only the samples on the cells it did not reuse from the level before;
     a folded level, see ``_angular_rule`` and ``_sup_level``, counts only
-    its half of the circle, and a rotation-invariant f one ray, the length
-    of the radial mesh; a level read from a ``LevelStore`` counts the
+    its half of the circle, and a rotation-invariant f, or a q = inf level
+    of an f that declares a ``peak_angle``, one ray, the length of the
+    radial mesh; a level read from a ``LevelStore`` counts the
     samples it consists of, as when it was taken); it is a diagnostic and
     stays out of ``to_dict``.
     """
@@ -234,6 +242,14 @@ def _folds(features: Features) -> bool:
         t % (2.0 * math.pi) == 0.0 for t in features.singular_angles)
 
 
+def _one_ray(features: Features, pq: ExponentPair) -> bool:
+    """Whether a level at pq reads one ray of f: every ray of a
+    rotation-invariant f reads the same, and at q = inf a declared
+    ``peak_angle`` dominates every other ray, radial node by radial node."""
+    return features.rotation_invariant or (
+        not pq.q.is_finite and features.peak_angle is not None)
+
+
 def _angular_rule(features: Features, count: int, levels: int):
     """Angular nodes and weights for the measure dt / 2 pi (mass one).
 
@@ -250,11 +266,12 @@ def _angular_rule(features: Features, count: int, levels: int):
     paired by index, so the folded level is the full one up to rounding, at
     half the samples.
 
-    One-ray rule: a rotation-invariant f (``Features``) reads the same on
-    every ray, so for any ``count`` the rule is the ray at 0, weight one.
+    One-ray rule, count 1 (``_one_ray``): the ray at ``features.peak_angle``,
+    or at 0 for a rotation-invariant f that declares no peak, weight one.
     """
-    if features.rotation_invariant:
-        return np.zeros(1), np.ones(1)
+    if count == 1:
+        peak = features.peak_angle
+        return np.array([0.0 if peak is None else peak]), np.ones(1)
     two_pi = 2.0 * math.pi
     taus = sorted({t % two_pi for t in features.singular_angles})
     fold = _folds(features)
@@ -434,8 +451,7 @@ class LevelStore:
         rays through it once (``_ray_values``), each block reduced for every
         exponent asked so far that the level lacks."""
         self._exponents[p] = None
-        # the one-ray rule of a rotation-invariant f is that of every count
-        key = (f, 1 if features.rotation_invariant else count, levels)
+        key = (f, count, levels)
         ang_w, samples, rays = self._levels.get(key, (None, 0, {}))
         if p in rays:
             self.served += 1
@@ -457,15 +473,17 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     """One quadrature level of the mixed norm, radii in [0, 1]: the value
     and the number of |f| samples it consists of.
 
-    q finite or f rotation invariant: the q-mean (or max) of the per-ray
-    values over the angular rule of ``count`` cells, read from ``store``
-    (``LevelStore.rays``).  Else ``_sup_level``.  A modulus or a power
-    beyond the float range is inf, without a warning, so the refinement
-    stops there as ``nonfinite``.
+    q finite, or one ray (``_one_ray``): the q-mean (or max) of the per-ray
+    values over the angular rule of ``count`` cells (of 1 cell for one
+    ray), read from ``store`` (``LevelStore.rays``).  Else ``_sup_level``.
+    A modulus or a power beyond the float range is inf, without a warning,
+    so the refinement stops there as ``nonfinite``.
     """
     features = f.features()
-    if pq.q.is_finite or features.rotation_invariant:
-        inner, ang_w, samples = store.rays(f, features, pq.p, count, levels)
+    one_ray = _one_ray(features, pq)
+    if pq.q.is_finite or one_ray:
+        inner, ang_w, samples = store.rays(f, features, pq.p,
+                                           1 if one_ray else count, levels)
         return _angular_norm(inner, ang_w, pq), samples
     return _sup_level(f, features, pq, count, levels, store)
 
@@ -607,17 +625,24 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
                   cfg: QuadratureConfig) -> float:
     """sup over theta of (int_rho^1 |f(r e^(i theta))|^p dr)^(1/p).
 
-    One unrefined q = inf level of 512 rays (``_SUP_RING``, a ring even for
-    a rotation-invariant f) and ``cfg.radial_levels``, with no stop reason:
-    ``cfg.refine_max`` and ``cfg.rel_tol`` never reach it.
+    One unrefined q = inf level of ``cfg.radial_levels``, with no stop
+    reason: ``cfg.refine_max`` and ``cfg.rel_tol`` never reach it.  A
+    rotation-invariant f, or one that declares a peak, takes one ray
+    (``_one_ray``); any other f the 512 rays of ``_SUP_RING``.
     """
     p = ExtendedExponent.of(p)
     if not p.is_finite:
         raise ValueError("tail norm is defined for finite p")
     if not 0.0 < rho < 1.0:
         raise ValueError("tail cutoff must lie in (0, 1)")
-    return _sup_level(f, f.features(), ExponentPair.of(p, "inf"), _SUP_RING,
-                      cfg.radial_levels, LevelStore(), rho)[0]
+    features, pq = f.features(), ExponentPair.of(p, "inf")
+    if not _one_ray(features, pq):
+        return _sup_level(f, features, pq, _SUP_RING, cfg.radial_levels,
+                          LevelStore(), rho)[0]
+    r, w = graded_radial_mesh(cfg.radial_levels, lo=rho)
+    thetas, _ = _angular_rule(features, 1, cfg.radial_levels)
+    return _angular_norm(_ray_values(f.polar_kernel(r), thetas, w, (p,))[0, 0],
+                         None, pq)
 
 
 def dilation_convergence(f: AnalyticFunction, pq, r_list: Sequence[float],

@@ -118,8 +118,9 @@ class NormCache:
     bounds built from them.  This module's key is the function itself:
     equal (frozen) representations hash equal and share one estimate.
     Every estimate is computed under the cache's one ``norms.LevelStore``,
-    so a q-finite level of f, and the one ray of a rotation-invariant f at
-    any q, is sampled once for all the pairs asked of f.
+    so a q-finite level of f, the one ray of a rotation-invariant f at any
+    q and the peak ray of a q = inf level at any p, is sampled once for all
+    the pairs asked of f.
 
     ``hits`` and ``misses`` count the ``norm`` lookups answered from the
     store and those that computed a new estimate; ``shared_levels`` counts

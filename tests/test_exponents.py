@@ -101,6 +101,17 @@ def test_a_pair_in_use_keeps_its_object():
         assert ExponentPair.of(2, "inf") is pair
 
 
+def test_a_value_in_use_keeps_its_object_under_every_spelling():
+    # every spelling is read through the table of values, so evicting the
+    # spellings of a value in use does not split it into two objects
+    a = ExtendedExponent.of(2)
+    for k in range(2_000):
+        assert ExtendedExponent.of(2) is a
+        ExponentPair.of(1 + k / 7, "inf")
+    assert ExtendedExponent.of("2") is ExtendedExponent.of(2) is a
+    assert a.conjugate() is a
+
+
 def test_ordering():
     grid = [ExtendedExponent.of(x) for x in (1, "4/3", 2, 4, "inf")]
     for a, b in zip(grid, grid[1:]):

@@ -23,6 +23,7 @@ from radmix import (
     from_spec,
     to_spec,
 )
+from radmix.meshes import graded_radial_mesh, midpoint_angles
 
 ALL_REPS = [
     Monomial(3),
@@ -99,7 +100,8 @@ def test_series_classes_agree_on_one_term(n):
                                    mono.polar_kernel(r)(t),
                                    rtol=1e-14, err_msg=repr(f))
         assert f.features() == mono.features() == Features(
-            top_exponent=n, conjugate_symmetric=True, rotation_invariant=True)
+            top_exponent=n, conjugate_symmetric=True, rotation_invariant=True,
+            peak_angle=0.0)
 
 
 def test_representation_registry_names_the_eight_classes():
@@ -232,30 +234,82 @@ def test_conjugate_symmetry_claims_are_honest(seed):
 
 
 def test_each_class_declares_its_documented_features():
-    # one seeded instance of every representation against what its class
-    # documents: singular directions, top exponent, conjugate symmetry and
+    # every seeded instance of every representation against what its class
+    # documents: singular directions, top exponent, conjugate symmetry,
     # rotation invariance (the seeded series have several nonzero terms)
+    # and peak angle
     from radmix.functions import _REPRESENTATIONS
-    instances = {name: fs[0] for name, fs in
-                 _seeded_instances(np.random.default_rng(0)).items()}
+
+    def series_peak(coeffs):
+        return 0.0 if all(c.imag == 0.0 and c.real >= 0.0
+                          for c in coeffs) else None
+
+    instances = _seeded_instances(np.random.default_rng(0))
+    instances["PowerSingularity"] += [PowerSingularity(0.0),
+                                      PowerSingularity(-0.5)]
+    instances["TaylorPolynomial"].append(TaylorPolynomial([1.0, 0.0, 2.5]))
     expected = {
-        "Monomial": lambda f: Features((), f.n, True, True),
+        "Monomial": lambda f: Features((), f.n, True, True, 0.0),
         "TaylorPolynomial": lambda f: Features(
             (), len(f.coeffs) - 1, all(c.imag == 0.0 for c in f.coeffs),
-            False),
-        "PowerSingularity": lambda f: Features((0.0,), 0, True),
-        "CesaroPower": lambda f: Features((0.0,), f.n, True),
+            False, series_peak(f.coeffs)),
+        "PowerSingularity": lambda f: Features(
+            (0.0,), 0, True, False, 0.0 if f.alpha >= 0 else math.pi),
+        "CesaroPower": lambda f: Features((0.0,), f.n, True, False, 0.0),
         "Lacunary": lambda f: Features((), f.nodes[-1][0], all(
-            a.imag == 0.0 for _, a in f.nodes), False),
+            a.imag == 0.0 for _, a in f.nodes), False,
+            series_peak([a for _, a in f.nodes])),
         "RationalBump": lambda f: Features(
-            (f.theta0,), 0, f.theta0 % (2 * math.pi) == 0.0),
+            (f.theta0,), 0, f.theta0 % (2 * math.pi) == 0.0, False,
+            f.theta0),
         "Scaled": lambda f: f.inner.features(),
-        "Sum": lambda f: Features((0.0,), 3, True),
+        "Sum": lambda f: Features((0.0,), 3, f.terms[1][0].imag == 0.0),
     }
     assert set(expected) == set(instances) == set(_REPRESENTATIONS)
-    for name, f in instances.items():
-        assert f.features() == expected[name](f), name
-    assert instances["Scaled"].features() == Features((0.0,), 0, True)
+    for name, fs in instances.items():
+        for f in fs:
+            assert f.features() == expected[name](f), repr(f)
+    peaks = [f.features().peak_angle for fs in instances.values() for f in fs]
+    assert {0.0, math.pi, 0.7, None} <= set(peaks)
+    assert instances["Scaled"][0].features() == Features((0.0,), 0, True,
+                                                         False, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_peak_claims_are_honest(seed):
+    # every instance that declares a peak angle has, at every radius of
+    # three radial meshes, no ray of an 8,192-ray ring above the peak ray
+    # by more than one ulp: the q = inf level reads that ray alone
+    rng = np.random.default_rng(seed)
+    instances = [g for fs in _seeded_instances(rng).values() for g in fs]
+    instances += [PowerSingularity(-rng.uniform(0.1, 1.0)),
+                  TaylorPolynomial(np.abs(rng.standard_normal(6))),
+                  Lacunary(tuple(zip((1, 3, 9, 27),
+                                     np.abs(rng.standard_normal(4))))),
+                  RationalBump(0.05, 1.02, -0.3),
+                  Scaled(CesaroPower(7, 0.8), 0.95)]
+    ring = midpoint_angles(8192)
+    claims = 0
+    for f in instances:
+        peak = f.features().peak_angle
+        if peak is None:
+            continue
+        claims += 1
+        for levels in (4, 12, 24):
+            kernel = f.polar_kernel(graded_radial_mesh(levels)[0])
+            top = kernel(np.array([peak]))[0]
+            assert np.all(kernel(ring) <= np.nextafter(top, np.inf)), \
+                (repr(f), levels)
+    assert claims >= 12
+    # a series with one negative coefficient, and any sum, declares none;
+    # for this series the peak lies at pi, not at 0
+    series = TaylorPolynomial([1.0, -0.5, 0.25 * rng.uniform()])
+    assert series.features().peak_angle is None
+    kernel = series.polar_kernel(np.array([0.5]))
+    assert kernel(np.array([math.pi]))[0, 0] > kernel(np.array([0.0]))[0, 0]
+    for f in (Sum(((1.0, PowerSingularity(0.4)), (1.0, Monomial(3)))),
+              Sum(((1.0, CesaroPower(3, 1.0)),)), Sum(())):
+        assert f.features().peak_angle is None
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -299,7 +353,8 @@ def test_sum_and_scaled_combine_features():
     # a dilation declares what its inner function does
     for g in (f, series, bump, Sum(terms)):
         assert Scaled(g, 0.9).features() == g.features()
-    # the empty sum is the zero function, which is symmetric
+    # the empty sum is the zero function, which is symmetric; a sum
+    # declares no peak
     assert Sum(()).features() == Features(conjugate_symmetric=True)
 
 

@@ -360,6 +360,15 @@ _LEVEL_FUNCTIONS = (
 )
 
 
+def _deny_peak(monkeypatch, f):
+    """f's record without its peak, patched onto f's class, so that its
+    q = inf levels take the ring, windows and zoom of ``_sup_level``
+    rather than the one peak ray; the record is returned."""
+    features = dataclasses.replace(f.features(), peak_angle=None)
+    monkeypatch.setattr(type(f), "features", lambda self: features)
+    return features
+
+
 def _fresh_level(f, pq, count, levels):
     # one level under a store of its own: a shared store would serve a
     # later call from an earlier one, since it keys by f, not by a
@@ -440,7 +449,7 @@ def test_folded_level_matches_the_full_circle(monkeypatch, f):
 def test_rotation_invariant_level_takes_one_ray(monkeypatch, f):
     # |c z^n| depends on |z| alone: the level takes one ray of its radial
     # mesh for every (p, q), and reads the full rule, forced by denying the
-    # field, up to rounding
+    # field (and the peak that a real coefficient declares), up to rounding
     features = f.features()
     assert features.rotation_invariant
     levels = [(ExponentPair.of(p, q), 64 if q != "inf" else norms._SUP_RING,
@@ -449,11 +458,81 @@ def test_rotation_invariant_level_takes_one_ray(monkeypatch, f):
                   range(2), (1, 1.5, 2, "inf"), (1, 2, 4, "inf"))]
     one_ray = [_fresh_level(f, *args) for args in levels]
     monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
-        features, rotation_invariant=False))
+        features, rotation_invariant=False, peak_angle=None))
     for args, (v, n) in zip(levels, one_ray):
         full, n_full = _fresh_level(f, *args)
         assert v == pytest.approx(full, rel=1e-14, abs=0.0), args
         assert n == len(graded_radial_mesh(args[2])[0]) < n_full, args
+
+
+@pytest.mark.parametrize("p", [1, 2, "inf"])
+@pytest.mark.parametrize("f", [
+    PowerSingularity(0.75),
+    CesaroPower(8, 1.5),
+    RationalBump(0.05, 1.02, 2.0),
+    dilate(power_singularity(1.5), 0.97),
+    # peaks at no singular direction: the zoom pass reaches pi and 0
+    PowerSingularity(-0.5),
+    TaylorPolynomial([1.0, 0.5, 0.0, 0.25]),
+], ids=repr)
+def test_peaked_sup_level_takes_one_ray(monkeypatch, f, p):
+    # a declared peak dominates every ray at every radius: each q = inf
+    # level samples that one ray of its radial mesh and reads the level of
+    # the ring, windows and zoom (forced by denying the peak) up to rounding
+    pq = ExponentPair.of(p, "inf")
+    cfg = QuadratureConfig(refine_max=4, rel_tol=1e-9)
+    peaked = mixed_norm(f, pq, cfg)
+    _deny_peak(monkeypatch, f)
+    denied = mixed_norm(f, pq, cfg)
+    assert peaked.stop == denied.stop
+    assert len(peaked.trace) == len(denied.trace)
+    for level, ((_, v), (_, w)) in enumerate(zip(peaked.trace, denied.trace)):
+        assert v == pytest.approx(w, rel=1e-15, abs=0.0), level
+        radii = len(graded_radial_mesh(cfg.radial_levels + level)[0])
+        assert peaked.evaluations[level] == radii < denied.evaluations[level]
+
+
+def test_peak_ray_is_shared_across_radial_exponents():
+    # a stored peak ray is reduced for every radial exponent asked of the
+    # store so far (here by two q-finite estimates): once one q = inf
+    # estimate has streamed its levels, those of the other exponents read
+    # them without a sample, and read what a store of their own reads
+    f, store = PowerSingularity(0.75), norms.LevelStore()
+    cfg = QuadratureConfig(refine_max=3, rel_tol=1e-9)
+    for p in (1, "inf"):
+        mixed_norm(f, (p, 2), cfg, store)
+    first = mixed_norm(f, (2, "inf"), cfg, store)
+    for p in (1, "inf"):
+        served = store.served
+        est = mixed_norm(f, (p, "inf"), cfg, store)
+        assert store.served - served == len(est.trace) <= len(first.trace)
+        alone = mixed_norm(f, (p, "inf"), cfg)
+        assert (est.trace, est.evaluations) == (alone.trace, alone.evaluations)
+
+
+@pytest.mark.parametrize("f", [Monomial(3), PowerSingularity(0.75)],
+                         ids=repr)
+def test_tail_sup_norm_of_one_ray(monkeypatch, f):
+    # a rotation-invariant or peaked f reads one ray over [rho, 1]: 104
+    # samples at 12 grading levels, where the ring and zoom took 29,744 for
+    # z^3; the value is the scan's, forced by denying both features
+    samples = []
+    ray_values = norms._ray_values
+
+    def counted(kernel, thetas, radial_w, *args):
+        samples.append(len(thetas) * len(radial_w))
+        return ray_values(kernel, thetas, radial_w, *args)
+
+    monkeypatch.setattr(norms, "_ray_values", counted)
+    one_ray = tail_sup_norm(f, 2, 0.9, CFG)
+    assert samples == [104]
+    features = dataclasses.replace(f.features(), rotation_invariant=False,
+                                   peak_angle=None)
+    monkeypatch.setattr(type(f), "features", lambda self: features)
+    samples.clear()
+    scanned = tail_sup_norm(f, 2, 0.9, CFG)
+    assert sum(samples) > 100 * 104
+    assert one_ray == pytest.approx(scanned, rel=1e-14)
 
 
 def test_fold_halves_the_scan_samples():
@@ -475,8 +554,10 @@ def test_fold_needs_every_singular_direction_at_zero():
 @pytest.mark.parametrize("q", [2, "inf"])
 def test_level_binds_one_polar_kernel(monkeypatch, q):
     # every sample of a level, the zoom rays of a q = inf level included,
-    # comes from one kernel bound at the level's radii
+    # comes from one kernel bound at the level's radii; the peak is denied,
+    # so that the q = inf level scans its ring
     f = PowerSingularity(0.75)
+    _deny_peak(monkeypatch, f)
     bound = []
     kernel_calls = []
     polar_kernel = PowerSingularity.polar_kernel
@@ -502,12 +583,14 @@ def test_level_binds_one_polar_kernel(monkeypatch, q):
         assert kernel_calls.count(norms._ZOOM_RAYS) >= norms._ZOOM_ROUNDS
 
 
-def test_streamed_level_memory():
+def test_streamed_level_memory(monkeypatch):
     # a q = inf level as deep as the inclusion scan's deepest: 512 << 5
     # angles plus the singular direction, 17 grading levels; the |f| grid
     # alone would take 16,385 x 144 x 8 bytes = 18.9 MB.  A top exponent of
-    # 4,096 widens the coarse ring to every angle, so the level is dense.
+    # 4,096 widens the coarse ring to every angle, so the level is dense
+    # (with the peak denied, which would read one ray).
     f, count, levels = CesaroPower(4096, 1.5), 512 << 5, 17
+    _deny_peak(monkeypatch, f)
     assert norms._sup_ring(f.features(), count) == count
     assert (count + 1) * len(graded_radial_mesh(levels)[0]) * 8 > 18e6
     tracemalloc.start()
@@ -560,9 +643,11 @@ _SUP_CASES = [
 
 @pytest.mark.parametrize("pq", [(2, "inf"), ("inf", "inf")])
 @pytest.mark.parametrize("f", _SUP_CASES)
-def test_local_sup_level_matches_dense_scan(f, pq):
+def test_local_sup_level_matches_dense_scan(monkeypatch, f, pq):
     # refining only near the coarse maxima and the singular directions
-    # finds the maximum of the full doubled scan at every level
+    # finds the maximum of the full doubled scan at every level (a declared
+    # peak is denied, so that the level scans)
+    _deny_peak(monkeypatch, f)
     pq = ExponentPair.of(*pq)
     for level in range(5):
         count, levels = norms._SUP_RING << level, CFG.radial_levels + level
@@ -584,9 +669,10 @@ def test_folded_sup_level_matches_the_full_ring(monkeypatch, f, p):
     # the mirror half of its q = inf ring and the fine windows mirrored into
     # [0, pi]; denying the symmetry scans the whole ring, which must read
     # the same level up to rounding, level by level and carried through a
-    # refinement, at about twice the samples
+    # refinement, at about twice the samples.  The peak is denied, so that
+    # the levels scan their ring
     pq = ExponentPair.of(p, "inf")
-    features = f.features()
+    features = _deny_peak(monkeypatch, f)
     assert norms._folds(features)
     args = [(pq, norms._SUP_RING << level, CFG.radial_levels + level)
             for level in range(5)]
@@ -659,9 +745,11 @@ def test_flat_ring_skips_the_fine_pass(monkeypatch):
     # |z^5| does not depend on the angle: with no peak and no singular
     # direction, a level samples only its ring (the closed cells carried)
     # and the zoom pass, and reads the dense scan's value.  Its record says
-    # so, and would take one ray; denying that keeps the ring path
+    # so, and declares a peak at 0, either of which would take one ray;
+    # denying both keeps the ring path
     f, pq = Monomial(5), ExponentPair.of("inf", "inf")
-    features = dataclasses.replace(f.features(), rotation_invariant=False)
+    features = dataclasses.replace(f.features(), rotation_invariant=False,
+                                   peak_angle=None)
     monkeypatch.setattr(Monomial, "features", lambda self: features)
     cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
     est = mixed_norm(f, pq, cfg)
@@ -744,10 +832,12 @@ def test_sup_ring_resolves_the_top_exponent():
     assert ring(Monomial(5), 256) == 256
 
 
-def test_local_sup_level_evaluation_budget():
+def test_local_sup_level_evaluation_budget(monkeypatch):
     # the divergent (2, inf) power singularity of the inclusion scan runs
-    # every level; its deepest level stays within 3x the samples of level 0
+    # every level; with its peak denied, so that each level scans its ring,
+    # its deepest level stays within 3x the samples of level 0
     from radmix.cli import SCAN_CFG
+    _deny_peak(monkeypatch, PowerSingularity(0.75))
     est = mixed_norm(PowerSingularity(0.75), (2, "inf"), SCAN_CFG)
     assert est.stop == "growth" and len(est.evaluations) == len(est.trace)
     assert est.evaluations[-1] < 3 * est.evaluations[0]
@@ -766,6 +856,8 @@ def test_local_sup_level_evaluation_budget():
 def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
     # the refinement that reuses the ring's closed cells from level to
     # level reads, at every level, the value of that level evaluated alone
+    # (a declared peak is denied, so that the levels scan their ring)
+    features = _deny_peak(monkeypatch, f)
     pq = ExponentPair.of(p, "inf")
     cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
     nested = mixed_norm(f, pq, cfg)
@@ -780,7 +872,6 @@ def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
     # a level whose ring is the previous level's samples the ring (its
     # mirror half, when folded) only on its last two cells, 16 radii, and
     # every other ray at all its radii; a rotation-invariant f takes one ray
-    features = f.features()
     rays = len(features.singular_angles)
     for level in range(1, len(nested.trace)):
         count = norms._SUP_RING << level
@@ -831,10 +922,12 @@ def _carried_levels(f, runs):
     pytest.param(RationalBump(0.05, 1.02, 2.0), id="RationalBump"),
     pytest.param(_RING_GROWS, id="lacunary_ring_grows"),
 ])
-def test_ring_memo_is_keyed_by_what_it_depends_on(f):
+def test_ring_memo_is_keyed_by_what_it_depends_on(monkeypatch, f):
     # q = inf estimates of one f share one level store: the ring's stored
     # closed-cell sums are reused only at their own ring, p and lo and the
-    # next depth, whichever estimate left them
+    # next depth, whichever estimate left them (a declared peak is denied,
+    # so that the levels scan their ring)
+    _deny_peak(monkeypatch, f)
     store = norms.LevelStore()
 
     def run(*requests):
