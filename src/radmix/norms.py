@@ -41,26 +41,19 @@ vectorised rounds refines around the discrete maximiser.  The fine samples
 are a subset of the full fine rule, so none falls on a singular direction.
 A peak narrower than one coarse step that neither a singular direction nor
 the top exponent accounts for can fall between the coarse rays and be
-missed.  For a record that folds the q-finite rule, the q = inf level folds
-too: it samples only the mirror half of its ring, finds the peaks on that
-half followed by its reverse (so a peak next to 0 or pi has its mirrored
-neighbour) and takes each fine window to its mirror in [0, pi].  The ring's
-angles stay the same from level to level until it grows, and each level's
-radial mesh keeps every cell of the one before but the last, so a level
-reuses the ring's radial sums over those closed cells from the level store
-and samples the ring only on its own last two cells.
+missed.  The ring, windows and zoom are taken afresh at every level, over
+the whole circle and the level's full radial mesh.
 
 Each quadrature level binds one modulus kernel,
 ``AnalyticFunction.polar_kernel`` at the level's radii, so the radii are
 checked and the representation's radial factors computed once per level.
 That kernel takes every sample of the level: the streamed blocks, the coarse
-ring and fine windows of a q = inf level and each round of its zoom pass;
-a q = inf level that reuses the ring's closed cells binds a second
-one at its last two cells for the ring.  The level is streamed: |f| is
-evaluated on one block of angles at a time, a block holding about
-``_CHUNK_BUDGET`` samples, and each block is reduced at once to its per-ray
-radial values.  Only the vector of per-angle values reaches the angular
-reduction, so the angle x radius grid of a level is never held in memory.
+ring and fine windows of a q = inf level and each round of its zoom pass.
+The level is streamed: |f| is evaluated on one block of angles at a time,
+a block holding about ``_CHUNK_BUDGET`` samples, and each block is reduced
+at once to its per-ray radial values.  Only the vector of per-angle values
+reaches the angular reduction, so the angle x radius grid of a level is
+never held in memory.
 
 Every level of ``mixed_norm`` goes through one ``LevelStore`` (its
 ``store``; each ``theorems.NormCache`` keeps one, and an estimate given
@@ -75,11 +68,10 @@ any function (the exponents asked of f alone would leave more levels to
 stream again).  A later pair of the same f reads the vector and pays only
 for its q-mean; a pair whose p the stored level lacks streams the level
 again, for every asked exponent it lacks.  So one peak ray per depth
-serves every p asked of f at q = inf.  Of the other q = inf levels (whose
-windows and zoom follow the maxima at their own p) the store keeps only
-the ring's closed-cell sums.  Grids are never kept, and nothing outlives
-the store.  A level read from the store counts in ``evaluations`` the
-samples it consists of.
+serves every p asked of f at q = inf.  The other q = inf levels (whose
+windows and zoom follow the maxima at their own p) are not kept, nor are
+grids, and nothing outlives the store.  A level read from the store counts
+in ``evaluations`` the samples it consists of.
 """
 
 from __future__ import annotations
@@ -96,8 +88,7 @@ from .functions import (AnalyticFunction, Features, Sum, _integer, _real,
 # ``evaluate`` is not called here; perfbench's traced run wraps
 # ``norms.evaluate``, so the name stays importable from this module.
 from .functions import evaluate  # noqa: F401
-from .meshes import (MAX_GRADING_LEVELS, NODES_PER_CELL, graded_radial_mesh,
-                     midpoint_angles)
+from .meshes import MAX_GRADING_LEVELS, graded_radial_mesh, midpoint_angles
 from .sequences import ExponentFit, refinement_stop
 
 __all__ = [
@@ -179,14 +170,12 @@ class NormEstimate:
     divergent), ``refine_max`` (the configured number of refinements ran
     out) or ``depth_cap`` (the radial grading cannot deepen further).
     ``evaluations`` counts, per level, the |f| samples the level took (the
-    zoom pass of a q = inf level included, and of its coarse ring
-    only the samples on the cells it did not reuse from the level before;
-    a folded level, see ``_angular_rule`` and ``_sup_level``, counts only
-    its half of the circle, and a rotation-invariant f, or a q = inf level
-    of an f that declares a ``peak_angle``, one ray, the length of the
-    radial mesh; a level read from a ``LevelStore`` counts the
-    samples it consists of, as when it was taken); it is a diagnostic and
-    stays out of ``to_dict``.
+    zoom pass of a q = inf level included; a folded level, see
+    ``_angular_rule``, counts only its half of the circle, and a
+    rotation-invariant f, or a q = inf level of an f that declares a
+    ``peak_angle``, one ray, the length of the radial mesh; a level read
+    from a ``LevelStore`` counts the samples it consists of, as when it was
+    taken); it is a diagnostic and stays out of ``to_dict``.
     """
 
     value: float
@@ -234,14 +223,6 @@ _ZOOM_RAYS = 10
 _ZOOM_ROUNDS = 3
 
 
-def _folds(features: Features) -> bool:
-    """Whether a level may sample only the rays in [0, pi]: |f| is even in
-    the angle (``conjugate_symmetric``) and every singular direction is 0,
-    so the level's angular rule is symmetric under t -> -t."""
-    return features.conjugate_symmetric and all(
-        t % (2.0 * math.pi) == 0.0 for t in features.singular_angles)
-
-
 def _one_ray(features: Features, pq: ExponentPair) -> bool:
     """Whether a level at pq reads one ray of f: every ray of a
     rotation-invariant f reads the same, and at q = inf a declared
@@ -259,12 +240,13 @@ def _angular_rule(features: Features, count: int, levels: int):
     too close together (merged bump clusters) fall back to the plain uniform
     rule; their profiles are bounded, so nothing is lost.
 
-    Folded rule: when ``_folds(features)``, only the rule's half in [0, pi]
-    is kept, with twice the weight: the midpoint cells j < count / 2 (cell j
-    mirrors cell count - 1 - j; an odd count's cell at pi mirrors itself and
-    keeps its weight) and the panel on the positive side of 0.  Nodes are
-    paired by index, so the folded level is the full one up to rounding, at
-    half the samples.
+    Folded rule: when |f| is even in the angle (``conjugate_symmetric``)
+    and every singular direction is 0, the rule is symmetric under t -> -t,
+    and only its half in [0, pi] is kept, with twice the weight: the
+    midpoint cells j < count / 2 (cell j mirrors cell count - 1 - j; an odd
+    count's cell at pi mirrors itself and keeps its weight) and the panel on
+    the positive side of 0.  Nodes are paired by index, so the folded level
+    is the full one up to rounding, at half the samples.
 
     One-ray rule, count 1 (``_one_ray``): the ray at ``features.peak_angle``,
     or at 0 for a rotation-invariant f that declares no peak, weight one.
@@ -274,7 +256,7 @@ def _angular_rule(features: Features, count: int, levels: int):
         return np.array([0.0 if peak is None else peak]), np.ones(1)
     two_pi = 2.0 * math.pi
     taus = sorted({t % two_pi for t in features.singular_angles})
-    fold = _folds(features)
+    fold = features.conjugate_symmetric and all(t == 0.0 for t in taus)
     h = two_pi / count
     base = midpoint_angles(count)
     base_w = np.full(count, 1.0 / count)
@@ -324,12 +306,11 @@ def _zoom_max(fun: Callable, lo: float, hi: float) -> float:
 
 
 def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
-                ps: Sequence, starts: Sequence = (0,)) -> np.ndarray:
+                ps: Sequence) -> np.ndarray:
     """Per-ray values of |f| along each ray in ``thetas``, from a bound
     kernel (``AnalyticFunction.polar_kernel``) at the radii of
-    ``radial_w``: out[i, j] holds, for the radial exponent ``ps[i]`` and
-    the radial part j that begins at index ``starts[j]``, the sum of
-    |f|^p dr over the part (the max for p = inf).
+    ``radial_w``: out[i, j] holds, for the radial exponent ``ps[i]``, the
+    sum of |f|^p dr along ray j (the max for p = inf).
 
     |f| is evaluated on one block of angles at a time and reduced at once
     for every exponent, so no angle x radius grid is built and each sample
@@ -338,25 +319,14 @@ def _ray_values(kernel: Callable, thetas: np.ndarray, radial_w: np.ndarray,
     remainder that pays a kernel call for a few angles.
     """
     pfs = [float(p) if p.is_finite else math.inf for p in ps]
-    parts = list(zip(starts, [*starts[1:], len(radial_w)]))
-    out = np.empty((len(pfs), len(parts), len(thetas)))
+    out = np.empty((len(pfs), len(thetas)))
     blocks = math.ceil(len(thetas) * len(radial_w) / _CHUNK_BUDGET)
     step = math.ceil(len(thetas) / blocks)
     for k in range(0, len(thetas), step):
         block = kernel(thetas[k:k + step])
         for i, pf in enumerate(pfs):
-            if pf == math.inf:
-                # one call takes every part: numpy's max along the 8 radii
-                # of a cell pays per row (513 x 16 samples: 34 us for both
-                # cells, 68 us for two calls of .max; numpy 2.4.6, one
-                # thread)
-                out[i, :, k:k + step] = np.maximum.reduceat(
-                    block, starts, axis=1).T
-                continue
-            powered = block ** pf
-            for j, (a, b) in enumerate(parts):
-                out[i, j, k:k + step] = powered[:, a:b] @ radial_w[a:b]
-            del powered
+            out[i, k:k + step] = (block.max(axis=1) if pf == math.inf
+                                  else block ** pf @ radial_w)
         # a kernel call while this block's arrays are still held faults in
         # fresh pages: 4,739 minor faults per lacunary_norms pass against 3,
         # and 10% more time (numpy 2.4.6, glibc malloc)
@@ -388,15 +358,13 @@ def discrete_mixed_norm(vals: np.ndarray, radial_w: np.ndarray,
     return _angular_norm(inner, angular_w, pq)
 
 
-def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int,
-                 fold: bool = False) -> np.ndarray:
+def _sup_windows(ring: np.ndarray, specials: np.ndarray,
+                 count: int) -> np.ndarray:
     """Indices into ``midpoint_angles(count)`` within one coarse step of a
     candidate: the ``_SUP_PEAKS`` largest cyclic local maxima of the coarse
     per-ray values ``ring`` (taken at ``midpoint_angles(len(ring))``) and
     every singular direction in ``specials``.  A local maximum rises
-    strictly from its left neighbour, so a ring of one value has none.
-    With ``fold``, each index j is taken to its mirror count - 1 - j when
-    that is smaller, so every index lies in [0, pi]."""
+    strictly from its left neighbour, so a ring of one value has none."""
     coarse = len(ring)
     # argmax passes, not a sort: the first call of a numpy sort routine
     # faults in about 180 kB of its code
@@ -419,9 +387,6 @@ def _sup_windows(ring: np.ndarray, specials: np.ndarray, count: int,
     # a mask, not np.unique: its first call loads about 1.8 MB
     hit = np.zeros(count, dtype=bool)
     hit[idx[idx <= last[:, None]].astype(int) % count] = True
-    if fold:
-        half = (count + 1) // 2
-        hit = hit[:half] | hit[::-1][:half]
     return np.flatnonzero(hit)
 
 
@@ -429,17 +394,13 @@ class LevelStore:
     """The levels that ``mixed_norm`` took under this store, keyed by f
     itself, whose ``features()`` record is assumed never to change: the
     per-ray values that ``rays`` serves, for every radial exponent asked of
-    such a level so far (see the module docstring), and in ``rings`` the
-    q = inf ring's closed-cell sums of the last level of each (f, p, lo)
-    (see ``_sup_level``).  ``served`` counts the levels read without a
-    sample."""
+    such a level so far (see the module docstring).  ``served`` counts the
+    levels read without a sample."""
 
     def __init__(self):
         self._exponents: dict = {}  # the radial exponents asked, in order
         # (f, count, levels) -> (angular weights, samples, {p: per-ray values})
         self._levels: dict = {}
-        # (f, p, lo) -> (ring, levels, closed-cell sums of the ring's rays)
-        self.rings: dict = {}
         self.served = 0
 
     def rays(self, f: AnalyticFunction, features: Features, p, count: int,
@@ -459,7 +420,7 @@ class LevelStore:
             missing = [e for e in self._exponents if e not in rays]
             r, w = graded_radial_mesh(levels)
             thetas, ang_w = _angular_rule(features, count, levels)
-            rows = _ray_values(f.polar_kernel(r), thetas, w, missing)[:, 0]
+            rows = _ray_values(f.polar_kernel(r), thetas, w, missing)
             rays.update(zip(missing, rows))
             samples = len(thetas) * len(r)
             self._levels[key] = ang_w, samples, rays
@@ -468,10 +429,11 @@ class LevelStore:
 
 # a decorator builds its error state once; a with-block per level costs more
 @np.errstate(over="ignore")
-def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
-                 store: LevelStore) -> tuple:
-    """One quadrature level of the mixed norm, radii in [0, 1]: the value
-    and the number of |f| samples it consists of.
+def _level_value(f: AnalyticFunction, features: Features, pq: ExponentPair,
+                 count: int, levels: int, store: LevelStore) -> tuple:
+    """One quadrature level of the mixed norm, radii in [0, 1], given f's
+    ``features`` record: the value and the number of |f| samples it
+    consists of.
 
     q finite, or one ray (``_one_ray``): the q-mean (or max) of the per-ray
     values over the angular rule of ``count`` cells (of 1 cell for one
@@ -479,13 +441,12 @@ def _level_value(f: AnalyticFunction, pq: ExponentPair, count: int, levels: int,
     A modulus or a power beyond the float range is inf, without a warning,
     so the refinement stops there as ``nonfinite``.
     """
-    features = f.features()
     one_ray = _one_ray(features, pq)
     if pq.q.is_finite or one_ray:
         inner, ang_w, samples = store.rays(f, features, pq.p,
                                            1 if one_ray else count, levels)
         return _angular_norm(inner, ang_w, pq), samples
-    return _sup_level(f, features, pq, count, levels, store)
+    return _sup_level(f, features, pq, count, levels)
 
 
 def _sup_ring(features: Features, count: int) -> int:
@@ -500,8 +461,7 @@ def _sup_ring(features: Features, count: int) -> int:
 
 
 def _sup_level(f: AnalyticFunction, features: Features, pq: ExponentPair,
-               count: int, levels: int, store: LevelStore,
-               lo: float = 0.0) -> tuple:
+               count: int, levels: int, lo: float = 0.0) -> tuple:
     """The q = inf level of f over radii in [lo, 1] of depth ``levels``,
     and its sample count, given f's ``features`` record; its samples are
     taken by one kernel (``f.polar_kernel`` at its radii).
@@ -517,62 +477,31 @@ def _sup_level(f: AnalyticFunction, features: Features, pq: ExponentPair,
     singular direction) the ring's own rays stand in for the fine pass.  A
     narrower peak that no singular direction declares can fall between the
     coarse rays and be missed.
-
-    Folded level: when ``_folds(features)``, ring ray j and its mirror
-    ring - 1 - j see equal values, so only the mirror half
-    ``midpoint_angles(ring)[:(ring + 1) // 2]`` is sampled.  Peaks are found
-    on that half followed by its reverse, the full ring up to rounding, so a
-    peak next to 0 or pi is found just as on the full ring, and each fine
-    window is taken to its mirror in [0, pi] (``_sup_windows``).  The level
-    reads the unfolded value up to rounding, at about half the samples.
-
-    Each ring ray is reduced over its closed cells and over its last cell,
-    the two joined by a sum for finite p and a max for p = inf.  The closed
-    part of the rays it samples (the mirror half, when folded) replaces the
-    entry of ``store.rings`` under (f, p, lo), with the ring and ``levels``:
-    it depends on nothing else, and a mesh of depth ``levels`` keeps every
-    cell of depth ``levels - 1`` but the last (see ``meshes``).  So a level
-    that finds its own ring there at depth ``levels - 1`` samples the ring
-    only on its last two cells and joins the first of them to that entry.
     """
     r, w = graded_radial_mesh(levels, lo=lo)
     kernel = f.polar_kernel(r)
+
+    def rays(thetas):
+        return _ray_values(kernel, thetas, w, (pq.p,))[0]
+
     coarse = _sup_ring(features, count)
-    fold = _folds(features)
-    kept = (coarse + 1) // 2 if fold else coarse
     specials = np.array(features.singular_angles)
-    thetas = np.concatenate([midpoint_angles(coarse)[:kept], specials])
-    join = np.add if pq.p.is_finite else np.maximum
-    key = (f, pq.p, lo)
-    entry = store.rings.get(key)
-    reuse = entry is not None and entry[:2] == (coarse, levels - 1)
-    first = len(r) - 2 * NODES_PER_CELL if reuse else 0
-    ring_kernel = f.polar_kernel(r[first:]) if reuse else kernel
-    closed, last = _ray_values(ring_kernel, thetas, w[first:], (pq.p,),
-                               (0, len(w) - first - NODES_PER_CELL))[0]
-    if reuse:
-        closed = join(entry[2], closed)
-    store.rings[key] = coarse, levels, closed
-    per_angle = join(closed, last)
-    samples = len(thetas) * (len(r) - first)
+    thetas = np.concatenate([midpoint_angles(coarse), specials])
+    per_angle = rays(thetas)
+    samples = len(thetas) * len(r)
     if not np.isfinite(per_angle).all():
         # an overflowing ray ends the refinement; no window can undo it
         return _angular_norm(per_angle, None, pq), samples
-    ring = per_angle[:kept]
-    if fold:
-        ring = np.concatenate([ring, ring[:coarse // 2][::-1]])
-    windows = (_sup_windows(ring, specials, count, fold)
+    windows = (_sup_windows(per_angle[:coarse], specials, count)
                if count != coarse else ())
     if len(windows):
         fine = midpoint_angles(count)[windows]
         thetas = np.concatenate([fine, specials])
-        per_angle = np.concatenate(
-            [_ray_values(kernel, fine, w, (pq.p,))[0, 0], per_angle[kept:]])
+        per_angle = np.concatenate([rays(fine), per_angle[coarse:]])
         samples += len(fine) * len(r)
     k = int(np.argmax(per_angle))
     h = 2.0 * math.pi / count
-    zoom = _zoom_max(lambda ts: _ray_values(kernel, ts, w, (pq.p,))[0, 0],
-                     thetas[k] - h, thetas[k] + h)
+    zoom = _zoom_max(rays, thetas[k] - h, thetas[k] + h)
     return (_angular_norm(np.append(per_angle, zoom), None, pq),
             samples + _ZOOM_RAYS * _ZOOM_ROUNDS * len(r))
 
@@ -582,10 +511,9 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     """The mixed norm of f at the exponent pair pq, with refinement trace.
 
     Under a ``store`` (each ``theorems.NormCache`` keeps one) the levels
-    are shared with every other estimate of f under it.  Among estimates of
-    one config, the estimate is the same, field for field, with or without
-    one; a q = inf level 0 that finds its ring one depth shallower, left by
-    another config, reads the same up to rounding at fewer samples.
+    are shared with every other estimate of f under it; the estimate is the
+    same, field for field, with or without one.  f's ``features()`` record
+    is read once per estimate.
 
     The quadrature mesh is fixed; a representation places its own singular
     directions in ``features()`` (``RationalBump.theta0``, for example).
@@ -595,14 +523,15 @@ def mixed_norm(f: AnalyticFunction, pq, cfg: QuadratureConfig,
     estimate stopped there is not converged.
     """
     pq = as_pair(pq)
+    features = f.features()
     store = store or LevelStore()
     base_count = cfg.theta_count if pq.q.is_finite else _SUP_RING
     trace: list = []
     evaluations: list = []
     top = min(cfg.refine_max, MAX_GRADING_LEVELS - cfg.radial_levels)
     for level in range(top + 1):
-        v, n = _level_value(f, pq, base_count << level,
-                            cfg.radial_levels + level, store=store)
+        v, n = _level_value(f, features, pq, base_count << level,
+                            cfg.radial_levels + level, store)
         trace.append((level, v))
         evaluations.append(n)
         if stop := refinement_stop([x for _, x in trace], cfg.rel_tol):
@@ -638,10 +567,10 @@ def tail_sup_norm(f: AnalyticFunction, p, rho: float,
     features, pq = f.features(), ExponentPair.of(p, "inf")
     if not _one_ray(features, pq):
         return _sup_level(f, features, pq, _SUP_RING, cfg.radial_levels,
-                          LevelStore(), rho)[0]
+                          rho)[0]
     r, w = graded_radial_mesh(cfg.radial_levels, lo=rho)
     thetas, _ = _angular_rule(features, 1, cfg.radial_levels)
-    return _angular_norm(_ray_values(f.polar_kernel(r), thetas, w, (p,))[0, 0],
+    return _angular_norm(_ray_values(f.polar_kernel(r), thetas, w, (p,))[0],
                          None, pq)
 
 

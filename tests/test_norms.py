@@ -15,7 +15,6 @@ from radmix import (
     Features,
     Lacunary,
     Monomial,
-    NormCache,
     PowerSingularity,
     QuadratureConfig,
     RationalBump,
@@ -84,7 +83,7 @@ def test_graded_mesh_rejects_depth_beyond_cap():
 
 def test_graded_mesh_nests_across_levels():
     # level L + 1 keeps the first L cells of level L bit for bit and splits
-    # only its last, open cell; the q = inf ring's reuse relies on it
+    # only its last, open cell
     for levels in range(4, MAX_GRADING_LEVELS):
         u0, w0 = graded_radial_mesh(levels)
         u1, w1 = graded_radial_mesh(levels + 1)
@@ -373,7 +372,8 @@ def _fresh_level(f, pq, count, levels):
     # one level under a store of its own: a shared store would serve a
     # later call from an earlier one, since it keys by f, not by a
     # monkeypatched features() record
-    return norms._level_value(f, pq, count, levels, norms.LevelStore())
+    return norms._level_value(f, f.features(), pq, count, levels,
+                              norms.LevelStore())
 
 
 @pytest.mark.parametrize("budget", [None, 1])
@@ -583,6 +583,35 @@ def test_level_binds_one_polar_kernel(monkeypatch, q):
         assert kernel_calls.count(norms._ZOOM_RAYS) >= norms._ZOOM_ROUNDS
 
 
+def test_every_sup_level_of_an_estimate_binds_one_polar_kernel(monkeypatch):
+    # a q = inf estimate with its peak denied runs several levels under one
+    # store; each binds exactly one kernel, at its own radii, and takes
+    # every sample through it, ring included
+    f, store = PowerSingularity(0.75), norms.LevelStore()
+    _deny_peak(monkeypatch, f)
+    bound = []
+    polar_kernel = PowerSingularity.polar_kernel
+
+    def counting(self, r):
+        kernel = polar_kernel(self, r)
+        calls = []
+        bound.append((len(r), calls))
+
+        def counted(theta):
+            calls.append(len(theta))
+            return kernel(theta)
+        return counted
+
+    monkeypatch.setattr(PowerSingularity, "polar_kernel", counting)
+    cfg = QuadratureConfig(refine_max=4, rel_tol=1e-9)
+    est = mixed_norm(f, (2, "inf"), cfg, store)
+    assert len(est.trace) > 2
+    assert [radii for radii, _ in bound] == [
+        len(graded_radial_mesh(cfg.radial_levels + level)[0])
+        for level, _ in est.trace]
+    assert [radii * sum(calls) for radii, calls in bound] == est.evaluations
+
+
 def test_streamed_level_memory(monkeypatch):
     # a q = inf level as deep as the inclusion scan's deepest: 512 << 5
     # angles plus the singular direction, 17 grading levels; the |f| grid
@@ -665,45 +694,26 @@ def test_local_sup_level_matches_dense_scan(monkeypatch, f, pq):
     pytest.param(dilate(power_singularity(1.5), 0.97), id="dilated_kernel"),
 ], ids=lambda f: type(f).__name__)
 def test_folded_sup_level_matches_the_full_ring(monkeypatch, f, p):
-    # a conjugate-symmetric f with every singular direction at 0 samples
-    # the mirror half of its q = inf ring and the fine windows mirrored into
-    # [0, pi]; denying the symmetry scans the whole ring, which must read
-    # the same level up to rounding, level by level and carried through a
-    # refinement, at about twice the samples.  The peak is denied, so that
-    # the levels scan their ring
+    # the mirror symmetry folds only q-finite rules: a conjugate-symmetric
+    # f with every singular direction at 0 samples its whole q = inf ring,
+    # so denying the symmetry changes no level, sample count or estimate.
+    # The peak is denied, so that the levels scan their ring
     pq = ExponentPair.of(p, "inf")
     features = _deny_peak(monkeypatch, f)
-    assert norms._folds(features)
+    assert features.conjugate_symmetric
+    assert all(t == 0.0 for t in features.singular_angles)
     args = [(pq, norms._SUP_RING << level, CFG.radial_levels + level)
             for level in range(5)]
     cfg = QuadratureConfig(refine_max=4, rel_tol=1e-9)
-    folded = [_fresh_level(f, *a) for a in args]
-    folded_est = mixed_norm(f, pq, cfg)
+    symmetric = [_fresh_level(f, *a) for a in args]
+    symmetric_est = mixed_norm(f, pq, cfg)
     monkeypatch.setattr(type(f), "features", lambda self: dataclasses.replace(
         features, conjugate_symmetric=False))
-    for a, (v, n) in zip(args, folded):
-        full, n_full = _fresh_level(f, *a)
-        assert v == pytest.approx(full, rel=1e-14, abs=0.0), a
-        assert 0.5 < n / n_full < 0.55, a
+    assert [_fresh_level(f, *a) for a in args] == symmetric
     full_est = mixed_norm(f, pq, cfg)
-    assert folded_est.stop == full_est.stop
-    assert len(folded_est.trace) == len(full_est.trace)
-    for (_, v), (_, w) in zip(folded_est.trace, full_est.trace):
-        assert v == pytest.approx(w, rel=1e-14, abs=0.0)
-    assert sum(folded_est.evaluations) < 0.6 * sum(full_est.evaluations)
-
-
-def test_folded_windows_are_mirrored_into_the_upper_half():
-    # each fine window index j becomes min(j, count - 1 - j), once; an odd
-    # count's middle index mirrors itself
-    ring = np.random.default_rng(3).random(16)
-    specials = np.array([0.0])
-    for count in (64, 65):
-        full = norms._sup_windows(ring, specials, count)
-        folded = norms._sup_windows(ring, specials, count, fold=True)
-        expected = sorted({min(j, count - 1 - j) for j in full.tolist()})
-        assert folded.tolist() == expected
-        assert folded.max() < (count + 1) // 2
+    assert (symmetric_est.stop, symmetric_est.trace,
+            symmetric_est.evaluations) == (full_est.stop, full_est.trace,
+                                           full_est.evaluations)
 
 
 def test_sup_windows_cover_largest_peaks_and_singular_directions():
@@ -743,8 +753,8 @@ def test_flat_ring_stretches_are_one_peak():
 
 def test_flat_ring_skips_the_fine_pass(monkeypatch):
     # |z^5| does not depend on the angle: with no peak and no singular
-    # direction, a level samples only its ring (the closed cells carried)
-    # and the zoom pass, and reads the dense scan's value.  Its record says
+    # direction, a level samples only its ring, over every radius, and the
+    # zoom pass, and reads the dense scan's value.  Its record says
     # so, and declares a peak at 0, either of which would take one ray;
     # denying both keeps the ring path
     f, pq = Monomial(5), ExponentPair.of("inf", "inf")
@@ -757,9 +767,7 @@ def test_flat_ring_skips_the_fine_pass(monkeypatch):
     for level, v in est.trace:
         count, levels = norms._SUP_RING << level, cfg.radial_levels + level
         radii = len(graded_radial_mesh(levels)[0])
-        # the ring of z^5 is symmetric too, so only its mirror half is
-        # sampled
-        ring = norms._SUP_RING // 2 * (radii if level == 0 else 16)
+        ring = norms._SUP_RING * radii
         zoom = norms._ZOOM_RAYS * norms._ZOOM_ROUNDS * radii
         assert est.evaluations[level] == ring + zoom
         assert v == _dense_sup_level(f, pq, count, levels)
@@ -841,9 +849,6 @@ def test_local_sup_level_evaluation_budget(monkeypatch):
     est = mixed_norm(PowerSingularity(0.75), (2, "inf"), SCAN_CFG)
     assert est.stop == "growth" and len(est.evaluations) == len(est.trace)
     assert est.evaluations[-1] < 3 * est.evaluations[0]
-    # the later levels carry the ring's closed cells and sample it only on
-    # their last two cells
-    assert sum(est.evaluations[1:]) < 2 * est.evaluations[0]
     assert "evaluations" not in est.to_dict()
 
 
@@ -854,113 +859,16 @@ def test_local_sup_level_evaluation_budget(monkeypatch):
     pytest.param(_RING_GROWS, id="lacunary_ring_grows"),
 ])
 def test_nested_sup_levels_match_fresh_levels(monkeypatch, f, p):
-    # the refinement that reuses the ring's closed cells from level to
-    # level reads, at every level, the value of that level evaluated alone
-    # (a declared peak is denied, so that the levels scan their ring)
-    features = _deny_peak(monkeypatch, f)
+    # a refinement under one store reads, at every level, the value and
+    # the sample count of that level evaluated alone: no q = inf level
+    # carries anything to the next (a declared peak is denied, so that the
+    # levels scan their ring; z^5 is rotation invariant and takes one ray)
+    _deny_peak(monkeypatch, f)
     pq = ExponentPair.of(p, "inf")
     cfg = QuadratureConfig(refine_max=5, rel_tol=1e-9)
     nested = mixed_norm(f, pq, cfg)
-    fresh_level = norms._level_value
-    monkeypatch.setattr(norms, "_level_value", lambda *args, store:
-                        fresh_level(*args, norms.LevelStore()))
-    fresh = mixed_norm(f, pq, cfg)
-    assert nested.stop == fresh.stop
-    assert len(nested.trace) == len(fresh.trace)
-    for (_, v), (_, w) in zip(nested.trace, fresh.trace):
-        assert v == pytest.approx(w, rel=1e-15, abs=0.0)
-    # a level whose ring is the previous level's samples the ring (its
-    # mirror half, when folded) only on its last two cells, 16 radii, and
-    # every other ray at all its radii; a rotation-invariant f takes one ray
-    rays = len(features.singular_angles)
-    for level in range(1, len(nested.trace)):
-        count = norms._SUP_RING << level
-        radii = len(graded_radial_mesh(cfg.radial_levels + level)[0])
-        if features.rotation_invariant:
-            assert nested.evaluations[level] == fresh.evaluations[level] \
-                == radii
-            continue
-        ring = norms._sup_ring(features, count)
-        if ring != norms._sup_ring(features, count // 2):
-            continue
-        kept = (ring + 1) // 2 if norms._folds(features) else ring
-        assert (nested.evaluations[level] - 16 * (kept + rays)) % radii == 0
-        assert nested.evaluations[level] < fresh.evaluations[level]
-
-
-def _carried_levels(f, runs):
-    """The (run, level) pairs of q = inf estimates of f, taken in order
-    under one store as ``runs`` of (pq, cfg, estimate), that reused the
-    ring's closed cells: a level whose ring and depth less one are those of
-    the last level of the same p.  Every level reads its fresh-store value,
-    and samples its ring on 16 radii only if it reused them."""
-    features = f.features()
-    rays = len(features.singular_angles)
-    held: dict = {}
-    carried = []
-    for i, (pq, cfg, est) in enumerate(runs):
-        for level, v in est.trace:
-            count, depth = norms._SUP_RING << level, cfg.radial_levels + level
-            fresh, n_fresh = _fresh_level(f, pq, count, depth)
-            assert v == pytest.approx(fresh, rel=1e-15, abs=0.0), (i, level)
-            ring = norms._sup_ring(features, count)
-            n = est.evaluations[level]
-            if held.get(pq.p) == (ring, depth - 1):
-                carried.append((i, level))
-                radii = len(graded_radial_mesh(depth)[0])
-                kept = (ring + 1) // 2 if norms._folds(features) else ring
-                assert (n - 16 * (kept + rays)) % radii == 0, (i, level)
-                assert n < n_fresh, (i, level)
-            else:
-                assert n == n_fresh, (i, level)
-            held[pq.p] = ring, depth
-    return carried
-
-
-@pytest.mark.parametrize("f", [
-    pytest.param(PowerSingularity(0.75), id="folded"),
-    pytest.param(RationalBump(0.05, 1.02, 2.0), id="RationalBump"),
-    pytest.param(_RING_GROWS, id="lacunary_ring_grows"),
-])
-def test_ring_memo_is_keyed_by_what_it_depends_on(monkeypatch, f):
-    # q = inf estimates of one f share one level store: the ring's stored
-    # closed-cell sums are reused only at their own ring, p and lo and the
-    # next depth, whichever estimate left them (a declared peak is denied,
-    # so that the levels scan their ring)
-    _deny_peak(monkeypatch, f)
-    store = norms.LevelStore()
-
-    def run(*requests):
-        return [(ExponentPair.of(*pair), cfg, mixed_norm(f, pair, cfg, store))
-                for pair, cfg in requests]
-
-    deep = dict(refine_max=3, rel_tol=1e-9)
-    cfg12, cfg13, cfg14 = (QuadratureConfig(radial_levels=n, **deep)
-                           for n in (12, 13, 14))
-    # radial_levels 12 and then 13: the second estimate's level 0 finds the
-    # first's deepest ring, not the one a depth shallower
-    carried = _carried_levels(f, run(((2, "inf"), cfg12),
-                                     ((2, "inf"), cfg13)))
-    assert (1, 0) not in carried and any(i == 1 for i, _ in carried)
-    # two levels at 12 and then 14: a level 0 at 14 reuses the ring of the
-    # same p at depth 13 whenever the ring is the same, and never another p's
-    store = norms.LevelStore()
-    carried = _carried_levels(f, run(
-        ((2, "inf"), QuadratureConfig(refine_max=1, rel_tol=1e-9)),
-        ((1, "inf"), cfg14), ((2, "inf"), cfg14)))
-    ring_stays = norms._sup_ring(f.features(), 2 * norms._SUP_RING) \
-        == norms._SUP_RING
-    assert (1, 0) not in carried and ((2, 0) in carried) == ring_stays
-    # a tail level over [0.5, 1] never reads the sums over [0, 1]
-    pq, features = ExponentPair.of(2, "inf"), f.features()
-    norms._sup_level(f, features, pq, 512, 12, store)
-    tail = norms._sup_level(f, features, pq, 512, 13, store, 0.5)
-    assert tail == norms._sup_level(f, features, pq, 512, 13,
-                                    norms.LevelStore(), 0.5)
-    # two cache keys for one f, and a second p under the first key
-    cache = NormCache(cfg12)
-    runs = [(ExponentPair.of(*pair), cfg12, cache.norm(key, f, pair))
-            for key, pair in (("a", (2, "inf")), ("b", (2, "inf")),
-                              ("a", (1, "inf")))]
-    assert runs[0][2] == runs[1][2] and cache.misses == 3
-    assert all(level > 0 for _, level in _carried_levels(f, runs))
+    fresh = [_fresh_level(f, pq, norms._SUP_RING << level,
+                          cfg.radial_levels + level)
+             for level, _ in nested.trace]
+    assert [v for _, v in nested.trace] == [v for v, _ in fresh]
+    assert nested.evaluations == [n for _, n in fresh]

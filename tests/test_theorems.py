@@ -364,9 +364,9 @@ def test_acceptance_scan_samples_and_verdicts():
     # the 81-cell inclusion scan over {1, 2, inf} at the acceptance config,
     # as the benchmark runs it: its 184 estimates take exactly this many |f|
     # samples (monomials one ray per level, a q = inf level of a function
-    # that declares a peak one ray, the q = inf ring of another mirror-
-    # symmetric function its half), and each verdict is the reference
-    # table's, which this test only reads
+    # that declares a peak one ray, a q-finite level of a mirror-symmetric
+    # function half its rule), and each verdict is the reference table's,
+    # which this test only reads
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     reference = json.loads((bench / "scan_verdicts.json").read_text())
     cache = NormCache(SCAN_CFG)
